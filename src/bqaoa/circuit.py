@@ -1,4 +1,4 @@
-"""Circuit IR, layered depth, ASAP scheduling and dense unitaries.
+"""Circuit IR, layered depth, ASAP start times and dense unitaries.
 
 Conventions (used everywhere in this package):
 
@@ -18,13 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .device import DeviceModel
-from .errors import (
-    MeasureInUnitaryError,
-    TooLargeError,
-    UnmappedEdgeError,
-    ValidationError,
-)
+from .errors import MeasureInUnitaryError, TooLargeError, ValidationError
 
 MAX_DENSE_QUBITS = 10
 
@@ -53,32 +47,19 @@ TWO_QUBIT_KINDS = {
     GateKind.SWAP,
 }
 PARAM_KINDS = {GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.ZZ, GateKind.ZZ_SWAP}
-#: Kinds schedule_asap accepts without an explicit duration annotation.
-HARDWARE_KINDS = {
-    GateKind.RZ,
-    GateKind.SX,
-    GateKind.X,
-    GateKind.RX,
-    GateKind.RY,
-    GateKind.CX,
-    GateKind.MEASURE,
-    GateKind.BARRIER,
-}
 
 
 @dataclass(frozen=True)
 class Gate:
     """One gate; two-qubit kinds use qubits[0] as control where directed.
 
-    duration_ns, when set, overrides the device duration in scheduling
-    (used for pulse-level composites produced by lowering).
+    Durations are not a gate property: lowering assigns them per unit.
     """
 
     kind: GateKind
     qubits: tuple[int, ...]
     param: float | None = None
     clbit: int | None = None
-    duration_ns: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind in TWO_QUBIT_KINDS:
@@ -190,16 +171,6 @@ class CircuitIR:
         }
 
 
-@dataclass(frozen=True)
-class ScheduledCircuit:
-    """ASAP schedule of a hardware circuit: start time per gate, in ns."""
-
-    circuit: CircuitIR
-    start_times: tuple[float, ...]
-    total_duration_ns: float
-    cx_count: int
-
-
 def depth(c: CircuitIR, counted_kinds: Iterable[GateKind]) -> int:
     """Layered depth over the counted kinds; barriers force boundaries.
 
@@ -239,47 +210,6 @@ def asap_start_times(
             free[q] = end
         total = max(total, end)
     return starts, total
-
-
-def gate_duration_ns(g: Gate, dev: DeviceModel) -> float:
-    """Device duration of one hardware gate (explicit annotation wins)."""
-    if g.kind in TWO_QUBIT_KINDS:
-        if dev.edge_between(*g.qubits) is None:
-            raise UnmappedEdgeError(
-                f"{g.kind.value} on {g.qubits} is not a device edge"
-            )
-    if g.duration_ns is not None:
-        return g.duration_ns
-    if g.kind is GateKind.MEASURE:
-        return dev.qubits[g.qubits[0]].readout_length_ns
-    if g.kind is GateKind.BARRIER:
-        return 0.0
-    if g.kind in (GateKind.RZ, GateKind.SX, GateKind.X, GateKind.RX, GateKind.RY):
-        return dev.single_qubit_duration(g.kind.value)
-    if g.kind is GateKind.CX:
-        return dev.edge_between(*g.qubits).cx_duration_ns
-    raise ValidationError(
-        f"{g.kind.value} is not a hardware-level kind and carries no duration"
-    )
-
-
-def schedule_asap(c: CircuitIR, dev: DeviceModel) -> ScheduledCircuit:
-    """Schedule a hardware-level circuit as soon as possible.
-
-    Every two-qubit gate must sit on a device edge; RZ is free, measurement
-    takes the qubit's readout length.
-    """
-    durations = [gate_duration_ns(g, dev) for g in c.gates]
-    starts, total = asap_start_times(
-        [(g.qubits, d) for g, d in zip(c.gates, durations)], c.num_qubits
-    )
-    n_cx = sum(1 for g in c.gates if g.kind is GateKind.CX)
-    return ScheduledCircuit(
-        circuit=c,
-        start_times=tuple(starts),
-        total_duration_ns=total,
-        cx_count=n_cx,
-    )
 
 
 # --- dense matrices ---

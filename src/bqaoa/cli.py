@@ -61,7 +61,8 @@ def _emit(text: str, output: str | None) -> None:
         click.echo(text, nl=False)
 
 
-def _parse_p_range(text: str) -> list[int]:
+def _parse_range(text: str, name: str) -> list[int]:
+    """Integers >= 1 from ``lo..hi`` or a comma list; ``name`` labels errors."""
     try:
         if ".." in text:
             lo, hi = text.split("..")
@@ -69,9 +70,9 @@ def _parse_p_range(text: str) -> list[int]:
         else:
             values = [int(v) for v in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"cannot parse p range {text!r}") from exc
-    if not values or any(p < 1 for p in values):
-        raise ConfigError(f"p range {text!r} must contain integers >= 1")
+        raise ConfigError(f"cannot parse {name} range {text!r}") from exc
+    if not values or any(v < 1 for v in values):
+        raise ConfigError(f"{name} range {text!r} must contain integers >= 1")
     return values
 
 
@@ -190,16 +191,9 @@ def chains_select(device_path, problem_path, strategy, opt_name, output):
     """Select a chain for a problem under one strategy."""
     dev = load_device(device_path)
     problem = load_problem(problem_path)
-    template = qaoa.build_swap_network(
-        problem.ising,
-        ParamVector(
-            (opt_mod.SELECTION_TEMPLATE_ANGLES[0],),
-            (opt_mod.SELECTION_TEMPLATE_ANGLES[1],),
-        ),
-    )
     selection = select(
-        dev, problem.ising.n, STRATEGY_CHOICES[strategy], template,
-        OPT_CHOICES[opt_name],
+        dev, problem.ising.n, STRATEGY_CHOICES[strategy],
+        opt_mod.selection_template(problem.ising), OPT_CHOICES[opt_name],
     )
     _emit(json.dumps(selection.to_dict(), indent=2) + "\n", output)
 
@@ -281,16 +275,8 @@ def estimate(device_path, problem_path, strategy, chain_text, p, gammas, betas, 
     if chain_text is not None:
         chain = _parse_chain(chain_text)
     else:
-        template = qaoa.build_swap_network(
-            problem.ising,
-            ParamVector(
-                (opt_mod.SELECTION_TEMPLATE_ANGLES[0],),
-                (opt_mod.SELECTION_TEMPLATE_ANGLES[1],),
-            ),
-        )
-        chain = select(
-            dev, problem.ising.n, STRATEGY_CHOICES[strategy], template,
-            opt_mod.selection_opt_level(STRATEGY_CHOICES[strategy]),
+        chain = opt_mod.select_chain_for(
+            dev, problem.ising, STRATEGY_CHOICES[strategy]
         ).chain
     lowered = lower_circuit(circ, chain, dev, OPT_CHOICES[opt_name])
     doc = {
@@ -334,15 +320,7 @@ def simulate(device_path, problem_path, chain_text, p, gammas, betas, shots,
     chain = _parse_chain(chain_text)
     circ = qaoa.build_swap_network(problem.ising, params)
     lowered = lower_circuit(circ, chain, dev, OPT_CHOICES[opt_name])
-    noise = sim.NoiseModel.from_device(dev, lowered.chain, scale=noise_scale)
-    rho = sim.evolve(lowered, noise)
-    confusions = noise.confusion_matrices()
-    counts = sim.sample(rho, shots, confusions, seed)
-    if mitigate:
-        _, dist = sim.mitigate_readout(counts, confusions)
-    else:
-        dist = {k: float(v) for k, v in counts.items()}
-    logical = sim.remap_counts(dist, lowered.measure_map())
+    counts, logical = sim.run_noisy(lowered, dev, shots, seed, noise_scale, mitigate)
     result = qaoa.metrics(problem.ising, logical, problem.sense)
     doc = {
         "counts": {k: v for k, v in sorted(counts.items())},
@@ -407,13 +385,12 @@ def optimize_cmd(problem_path, p, grid, max_evals, seed, output):
 @click.option("--noise-scale", type=float, default=1.0, show_default=True)
 @click.option("--grid", type=int, default=8, show_default=True)
 @click.option("--max-evals", type=int, default=20000, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
 @format_option
 @seed_option
 @output_option
 @handles_errors
 def benchmark(device_path, problem_path, strategies, opt_levels, p_range, shots,
-              noise_scale, grid, max_evals, jobs, fmt, seed, output):
+              noise_scale, grid, max_evals, fmt, seed, output):
     """Strategy-comparison sweep; one row per (strategy, opt level, p)."""
     dev = load_device(device_path)
     problem = load_problem(problem_path)
@@ -433,35 +410,13 @@ def benchmark(device_path, problem_path, strategies, opt_levels, p_range, shots,
             raise ConfigError(f"unknown opt level {exc.args[0]!r}") from exc
     cfg = OptimizerConfig(max_evals=max_evals, initial_grid=grid, seed=seed)
     rows = opt_mod.run_benchmark(
-        dev, problem, strategy_list, level_list, _parse_p_range(p_range),
-        cfg, shots, noise_scale, jobs=jobs,
+        dev, problem, strategy_list, level_list, _parse_range(p_range, "p"),
+        cfg, shots, noise_scale,
     )
     if fmt == "csv":
         _emit(opt_mod.runs_to_csv(rows), output)
         return
-    docs = []
-    for row in rows:
-        docs.append(
-            {
-                "problem": row.problem,
-                "strategy": row.strategy.value,
-                "opt_level": row.opt_level.value,
-                "p": row.p,
-                "chain": list(row.chain),
-                "gammas": list(row.gammas),
-                "betas": list(row.betas),
-                "ar": row.ar,
-                "sp": row.sp,
-                "duration_ns": row.duration_ns,
-                "cx_count": row.cx_count,
-                "fidelity_score": row.fidelity_score,
-                "shots": row.shots,
-                "seed": row.seed,
-                "optimizer": row.optimizer,
-                "reason": row.reason,
-            }
-        )
-    _emit(json.dumps(docs, indent=2) + "\n", output)
+    _emit(json.dumps([row.to_dict() for row in rows], indent=2) + "\n", output)
 
 
 @main.command("qpt")
@@ -487,7 +442,7 @@ def qpt(device_path, edge_text, gate, reps, angles, noise_scale, opt_name, fmt, 
     if edge is None:
         raise ConfigError(f"device has no edge between {a} and {b}")
     target = GateKind(gate)
-    repetitions = [int(r) for r in reps.split(",")]
+    repetitions = _parse_range(reps, "reps")
     angle_grid = [np.pi * (i + 1) / angles for i in range(angles)]
     rows = sim.qpt_infidelities(
         dev, edge, target, OPT_CHOICES[opt_name], repetitions, angle_grid,

@@ -47,10 +47,6 @@ class EmptyDeviceError(BqaoaError):
     """Operation requires a device with at least one qubit/edge."""
 
 
-class UnmappedEdgeError(BqaoaError):
-    """A two-qubit gate acts on a qubit pair with no device edge."""
-
-
 class NonAdjacentGateError(BqaoaError):
     """A two-qubit gate acts on non-neighbouring wires of a linear chain."""
 
@@ -67,17 +63,12 @@ class NoFeasibleOutcomeError(BqaoaError):
     """Budget post-selection removed every outcome from a distribution."""
 
 
-class ZeroOptimumError(BqaoaError):
-    """The optimal cost is zero, so an approximation ratio is undefined."""
-
-
 class SingularConfusionError(BqaoaError):
     """A readout confusion matrix is not invertible."""
 
 
 INFEASIBLE_ERRORS = (
     EmptyDeviceError,
-    UnmappedEdgeError,
     NonAdjacentGateError,
     MissingEdgeError,
     NoChainError,

@@ -184,15 +184,14 @@ def apply_rule(
 
     if target is GateKind.ZZ:
         if pulse:
-            duration = zz_opt_duration(theta, edge, dev) + tc_extra
-            gate = Gate(GateKind.ZZ, (c, t), param=theta, duration_ns=duration)
+            pulse_ns = zz_opt_duration(theta, edge, dev)
             overhead = dev.cr_scale.intercept_ns
-            seg = max(0.0, (zz_opt_duration(theta, edge, dev) - overhead) / 2.0)
+            seg = max(0.0, (pulse_ns - overhead) / 2.0)
             n_overhead = int(round(overhead / s)) if s > 0 else 0
             return RuleApplication(
                 label=f"zz.{flavor}.opt.{polarity.value}",
-                gates=(gate,),
-                duration_ns=duration,
+                gates=(Gate(GateKind.ZZ, (c, t), param=theta),),
+                duration_ns=pulse_ns + tc_extra,
                 cx_count=0,
                 pulse=True,
                 segments=(seg, seg),
@@ -212,13 +211,12 @@ def apply_rule(
 
     if target is GateKind.CZ:
         if pulse:
-            duration = _cz_opt_duration(edge, dev) + tc_extra
-            gate = Gate(GateKind.CZ, (c, t), duration_ns=duration)
-            seg = max(0.0, (_cz_opt_duration(edge, dev) - s) / 2.0)
+            pulse_ns = _cz_opt_duration(edge, dev)
+            seg = max(0.0, (pulse_ns - s) / 2.0)
             return RuleApplication(
                 label=f"cz.{flavor}.opt.{polarity.value}",
-                gates=(gate,),
-                duration_ns=duration,
+                gates=(Gate(GateKind.CZ, (c, t)),),
+                duration_ns=pulse_ns + tc_extra,
                 cx_count=0,
                 pulse=True,
                 segments=(seg, seg),
@@ -238,13 +236,11 @@ def apply_rule(
 
     if target is GateKind.ZZ_SWAP:
         if pulse:
-            duration = _zz_swap_opt_duration(edge, dev) + tc_extra
-            gate = Gate(GateKind.ZZ_SWAP, (c, t), param=theta, duration_ns=duration)
             seg = max(0.0, (_cz_opt_duration(edge, dev) - s) / 2.0)
             return RuleApplication(
                 label=f"zz_swap.{flavor}.opt.{polarity.value}",
-                gates=(gate,),
-                duration_ns=duration,
+                gates=(Gate(GateKind.ZZ_SWAP, (c, t), param=theta),),
+                duration_ns=_zz_swap_opt_duration(edge, dev) + tc_extra,
                 cx_count=0,
                 pulse=True,
                 segments=(seg,) * 6,  # three CZ_OPT constituents
@@ -305,36 +301,6 @@ def effective_error(
         sx = sx_a if wire == control_wire else sx_b
         survival *= (1.0 - sx) ** count
     return min(1.0, max(0.0, 1.0 - survival))
-
-
-@dataclass(frozen=True)
-class PolarityVariants:
-    """CT and TC realizations of one undirected target on one edge."""
-
-    ct_gates: tuple[Gate, ...]
-    tc_gates: tuple[Gate, ...]
-    duration_ct_ns: float
-    duration_tc_ns: float
-
-
-def polarity_variants(
-    target: GateKind,
-    edge: EdgeCalibration,
-    dev: DeviceModel,
-    theta: float | None = None,
-    opt: OptLevel = OptLevel.DEFAULT,
-) -> PolarityVariants:
-    """Both polarity realizations on a two-wire frame (0 = native control)."""
-    if target not in (GateKind.ZZ, GateKind.ZZ_SWAP, GateKind.CZ):
-        raise ValidationError(f"{target.value} is not an undirected two-qubit kind")
-    ct = apply_rule(target, theta, 0, 1, edge, dev, opt, Polarity.CT)
-    tc = apply_rule(target, theta, 0, 1, edge, dev, opt, Polarity.TC)
-    return PolarityVariants(
-        ct_gates=ct.gates,
-        tc_gates=tc.gates,
-        duration_ct_ns=ct.duration_ns,
-        duration_tc_ns=tc.duration_ns,
-    )
 
 
 @dataclass(frozen=True)

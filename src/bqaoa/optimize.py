@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
 from . import qaoa, sim
+from .circuit import CircuitIR
 from .device import DeviceModel
 from .errors import ConfigError, NoChainError, NoFeasibleOutcomeError
 from .lower import LoweredCircuit, OptLevel, lower_circuit
@@ -75,6 +76,8 @@ def optimize_params(
     """
     if p < 1:
         raise ConfigError(f"p must be >= 1, got {p}")
+    if cfg.max_evals < 1:
+        raise ConfigError(f"max-evals must be >= 1, got {cfg.max_evals}")
     trace: list[tuple[tuple[float, ...], float]] = []
     evaluations = 0
     exhausted = False
@@ -161,20 +164,13 @@ def evaluate_noisy(
 ) -> tuple[MetricsResult, LoweredCircuit]:
     """Noisy evaluation of frozen parameters on a fixed chain.
 
-    Pipeline: build, lower, density-matrix evolution, sampling through the
-    scaled confusion matrices, readout mitigation, budget post-selection.
+    Pipeline: build, lower, then ``sim.run_noisy`` (density-matrix
+    evolution, sampling through the scaled confusion matrices, readout
+    mitigation unless ``mitigated`` is false), then budget post-selection.
     """
     circ = qaoa.build_swap_network(prob, params)
     lowered = lower_circuit(circ, tuple(chain), dev, opt)
-    noise = sim.NoiseModel.from_device(dev, lowered.chain, scale=noise_scale)
-    rho = sim.evolve(lowered, noise)
-    confusions = noise.confusion_matrices()
-    counts = sim.sample(rho, shots, confusions, seed)
-    if mitigated:
-        _, dist = sim.mitigate_readout(counts, confusions)
-    else:
-        dist = {k: float(v) for k, v in counts.items()}
-    logical = sim.remap_counts(dist, lowered.measure_map())
+    _, logical = sim.run_noisy(lowered, dev, shots, seed, noise_scale, mitigated)
     return qaoa.metrics(prob, logical, sense), lowered
 
 
@@ -199,28 +195,28 @@ class BenchmarkRun:
     optimizer: str = "grid+nelder-mead"
     reason: str = ""
 
+    def to_dict(self) -> dict:
+        """JSON row in column order: enums by value, tuples as lists."""
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        return row | {
+            "strategy": self.strategy.value,
+            "opt_level": self.opt_level.value,
+            "chain": list(self.chain),
+            "gammas": list(self.gammas),
+            "betas": list(self.betas),
+        }
 
-CSV_COLUMNS = [
-    "problem",
-    "strategy",
-    "opt_level",
-    "p",
-    "chain",
-    "gammas",
-    "betas",
-    "ar",
-    "sp",
-    "duration_ns",
-    "cx_count",
-    "fidelity_score",
-    "shots",
-    "seed",
-    "optimizer",
-    "reason",
-]
+
+CSV_COLUMNS = [f.name for f in fields(BenchmarkRun)]
 
 #: template angles used only to rank chain durations during selection
 SELECTION_TEMPLATE_ANGLES = (np.pi / 2, np.pi / 2)
+
+
+def selection_template(prob: IsingProblem) -> CircuitIR:
+    """Depth-1 circuit at the template angles, the circuit chains are scored on."""
+    gamma, beta = SELECTION_TEMPLATE_ANGLES
+    return qaoa.build_swap_network(prob, ParamVector((gamma,), (beta,)))
 
 
 def selection_opt_level(strategy: Strategy) -> OptLevel:
@@ -231,10 +227,9 @@ def selection_opt_level(strategy: Strategy) -> OptLevel:
 def select_chain_for(
     dev: DeviceModel, prob: IsingProblem, strategy: Strategy
 ) -> ChainSelection:
-    template = qaoa.build_swap_network(
-        prob, ParamVector((SELECTION_TEMPLATE_ANGLES[0],), (SELECTION_TEMPLATE_ANGLES[1],))
+    return select(
+        dev, prob.n, strategy, selection_template(prob), selection_opt_level(strategy)
     )
-    return select(dev, prob.n, strategy, template, selection_opt_level(strategy))
 
 
 def optimize_depth_sweep(
@@ -334,16 +329,14 @@ def run_benchmark(
     cfg: OptimizerConfig,
     shots: int,
     noise_scale: float = 1.0,
-    jobs: int = 1,
 ) -> list[BenchmarkRun]:
     """Benchmark sweep over strategies, opt levels and depths.
 
     Parameters are optimized noiselessly once per depth (warm-started from
     the previous depth) and reused across every strategy and opt level;
     each cell then gets one seeded noisy evaluation.  Infeasible strategy
-    cells are recorded with a reason rather than aborting the run.  Cells
-    are independent, so jobs > 1 fans them out; results reduce into a
-    deterministic order either way.
+    cells are recorded with a reason rather than aborting the run.  Rows
+    come back sorted by (problem, strategy, opt level, p).
     """
     if not strategies or not opt_levels or not p_values:
         raise ConfigError("strategies, opt levels and p range must be non-empty")
@@ -351,7 +344,7 @@ def run_benchmark(
         raise ConfigError("p values must be >= 1")
     optimized = optimize_depth_sweep(problem.ising, problem.sense, p_values, cfg)
 
-    cells = []
+    rows = []
     for strategy in strategies:
         try:
             selection = select_chain_for(dev, problem.ising, strategy)
@@ -365,24 +358,12 @@ def run_benchmark(
                 seed = cell_seed(
                     cfg.seed, problem.label, strategy.value, opt.value, p
                 )
-                cells.append(
-                    (strategy, opt, p, chain, infeasible, optimized[p].params, seed)
+                rows.append(
+                    _run_cell(
+                        dev, problem, strategy, opt, p, chain, infeasible,
+                        optimized[p].params, shots, seed, noise_scale,
+                    )
                 )
-
-    def run(cell) -> BenchmarkRun:
-        strategy, opt, p, chain, infeasible, params, seed = cell
-        return _run_cell(
-            dev, problem, strategy, opt, p, chain, infeasible, params,
-            shots, seed, noise_scale,
-        )
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run, cells))
-    else:
-        rows = [run(cell) for cell in cells]
     rows.sort(key=lambda r: (r.problem, r.strategy.value, r.opt_level.value, r.p))
     return rows
 
@@ -400,23 +381,10 @@ def runs_to_csv(rows: Sequence[BenchmarkRun]) -> str:
     out = io.StringIO()
     out.write(",".join(CSV_COLUMNS) + "\n")
     for row in rows:
-        values = [
-            row.problem,
-            row.strategy.value,
-            row.opt_level.value,
-            str(row.p),
-            "-".join(str(q) for q in row.chain),
-            ";".join(repr(g) for g in row.gammas),
-            ";".join(repr(b) for b in row.betas),
-            _format_value(row.ar),
-            _format_value(row.sp),
-            _format_value(row.duration_ns),
-            _format_value(row.cx_count),
-            _format_value(row.fidelity_score),
-            str(row.shots),
-            str(row.seed),
-            row.optimizer,
-            row.reason,
-        ]
-        out.write(",".join(values) + "\n")
+        cells = row.to_dict() | {
+            "chain": "-".join(str(q) for q in row.chain),
+            "gammas": ";".join(repr(g) for g in row.gammas),
+            "betas": ";".join(repr(b) for b in row.betas),
+        }
+        out.write(",".join(_format_value(cells[c]) for c in CSV_COLUMNS) + "\n")
     return out.getvalue()

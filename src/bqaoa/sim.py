@@ -140,13 +140,6 @@ class Channel:
         self.ops.append(("kraus", list(kraus), tuple(qubits)))
         return self
 
-    def then(self, other: "Channel") -> "Channel":
-        if other.num_qubits != self.num_qubits:
-            raise DimensionError("channel qubit counts differ")
-        combined = Channel(self.num_qubits)
-        combined.ops = self.ops + other.ops
-        return combined
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         out = rho
         for kind, payload, qubits in self.ops:
@@ -358,6 +351,30 @@ def remap_counts(counts: dict[str, float], wire_to_clbit: dict[int, int]) -> dic
         new_key = "".join(bits)
         out[new_key] = out.get(new_key, 0) + value
     return out
+
+
+def run_noisy(
+    lowered: LoweredCircuit,
+    dev: DeviceModel,
+    shots: int,
+    seed: int,
+    noise_scale: float = 1.0,
+    mitigated: bool = True,
+) -> tuple[dict[str, int], dict[str, float]]:
+    """Evolve, sample through the scaled confusion matrices and remap.
+
+    Returns the raw wire-keyed counts and the clbit-keyed distribution,
+    readout-mitigated unless ``mitigated`` is false.
+    """
+    noise = NoiseModel.from_device(dev, lowered.chain, scale=noise_scale)
+    rho = evolve(lowered, noise)
+    confusions = noise.confusion_matrices()
+    counts = sample(rho, shots, confusions, seed)
+    if mitigated:
+        _, dist = mitigate_readout(counts, confusions)
+    else:
+        dist = {k: float(v) for k, v in counts.items()}
+    return counts, remap_counts(dist, lowered.measure_map())
 
 
 def ideal_distribution(c: CircuitIR) -> dict[str, float]:

@@ -10,10 +10,11 @@ from bqaoa import qaoa
 from bqaoa.circuit import CircuitIR, GateKind
 from bqaoa.errors import (
     MeasureInUnitaryError,
+    MissingEdgeError,
     TooLargeError,
-    UnmappedEdgeError,
     ValidationError,
 )
+from bqaoa.lower import lower_circuit
 
 COUNTED = {
     GateKind.H,
@@ -63,44 +64,45 @@ def test_depth_barrier_and_subset_monotonicity():
     assert cir.depth(circ, {GateKind.ZZ, GateKind.ZZ_SWAP}) <= full
 
 
+#: fragment qubits 0, 1, 4 as wires 0, 1, 2: edges 1-0 (ecr) and 1-4 (direct)
+FRAGMENT_CHAIN = (0, 1, 4)
+
+
 def test_schedule_single_cx_durations(fragment):
-    sc = cir.schedule_asap(CircuitIR(5, (cir.cx(1, 4),)), fragment)
+    sc = lower_circuit(CircuitIR(3, (cir.cx(1, 2),)), FRAGMENT_CHAIN, fragment)
     assert sc.total_duration_ns == 245.3
     assert sc.cx_count == 1
-    sc = cir.schedule_asap(CircuitIR(5, (cir.rz(0.3, 0), cir.rz(1.2, 1))), fragment)
+    sc = lower_circuit(
+        CircuitIR(3, (cir.rz(0.3, 0), cir.rz(1.2, 1))), FRAGMENT_CHAIN, fragment
+    )
     assert sc.total_duration_ns == 0.0
-    sc = cir.schedule_asap(CircuitIR(5, (cir.cx(1, 0), cir.cx(1, 4))), fragment)
+    sc = lower_circuit(
+        CircuitIR(3, (cir.cx(1, 0), cir.cx(1, 2))), FRAGMENT_CHAIN, fragment
+    )
     assert sc.total_duration_ns == pytest.approx(565.3)
 
 
 def test_schedule_respects_order_and_parallelism(fragment):
-    c = CircuitIR(5, (cir.sx(0), cir.sx(0), cir.sx(4)))
-    sc = cir.schedule_asap(c, fragment)
+    c = CircuitIR(3, (cir.sx(0), cir.sx(0), cir.sx(2)))
+    sc = lower_circuit(c, FRAGMENT_CHAIN, fragment)
     assert sc.start_times == (0.0, 32.0, 0.0)
     # reordering commuting disjoint-qubit gates keeps the total
-    swapped = CircuitIR(5, (cir.sx(4), cir.sx(0), cir.sx(0)))
+    swapped = CircuitIR(3, (cir.sx(2), cir.sx(0), cir.sx(0)))
     assert (
-        cir.schedule_asap(swapped, fragment).total_duration_ns
+        lower_circuit(swapped, FRAGMENT_CHAIN, fragment).total_duration_ns
         == sc.total_duration_ns
     )
 
 
 def test_schedule_measure_uses_readout_length(fragment):
-    c = CircuitIR(5, (cir.measure(0, 0),), num_clbits=1)
-    sc = cir.schedule_asap(c, fragment)
+    c = CircuitIR(3, (cir.measure(0, 0),), num_clbits=1)
+    sc = lower_circuit(c, FRAGMENT_CHAIN, fragment)
     assert sc.total_duration_ns == pytest.approx(846.22)
 
 
 def test_schedule_rejects_non_edge(fragment):
-    with pytest.raises(UnmappedEdgeError):
-        cir.schedule_asap(CircuitIR(5, (cir.cx(0, 4),)), fragment)
-
-
-def test_schedule_duration_override(fragment):
-    pulse = cir.Gate(GateKind.ZZ, (1, 4), param=0.5, duration_ns=241.8)
-    sc = cir.schedule_asap(CircuitIR(5, (pulse,)), fragment)
-    assert sc.total_duration_ns == 241.8
-    assert sc.cx_count == 0
+    with pytest.raises(MissingEdgeError):
+        lower_circuit(CircuitIR(2, (cir.cx(0, 1),)), (0, 4), fragment)
 
 
 def test_unitary_of_trivial_cases():

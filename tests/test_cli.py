@@ -3,8 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from bqaoa import data_path
+from bqaoa import data_path, device, qaoa, sim
 from bqaoa.cli import main
+from bqaoa.lower import lower_circuit
 
 FRAGMENT = str(data_path("ehningen_fragment.json"))
 EHNINGEN = str(data_path("ehningen.json"))
@@ -98,6 +99,11 @@ def test_config_error_exits_2(runner):
         ["benchmark", "--device", SYNTH5, "--problem", K5, "--p", "0..0"],
     )
     assert result.exit_code == 2
+    result = runner.invoke(
+        main, ["optimize", "--problem", K5, "--p", "1", "--max-evals", "0"]
+    )
+    assert result.exit_code == 2
+    assert "max-evals" in result.output
 
 
 def test_simulate_metrics(runner):
@@ -111,6 +117,28 @@ def test_simulate_metrics(runner):
     doc = json.loads(result.output)
     assert sum(doc["counts"].values()) == 4000
     assert 0.5 < doc["metrics"]["ar"] <= 1.0
+
+
+def test_simulate_no_mitigate_uses_raw_counts(runner):
+    args = ["simulate", "--device", SYNTH5, "--problem", K5,
+            "--chain", "0,1,2,3,4", "--p", "1", "--gammas", "0.419",
+            "--betas", "0.262", "--shots", "3000", "--seed", "5"]
+    mitigated = runner.invoke(main, args)
+    raw = runner.invoke(main, args + ["--no-mitigate"])
+    assert mitigated.exit_code == 0 and raw.exit_code == 0
+    doc, raw_doc = json.loads(mitigated.output), json.loads(raw.output)
+    assert raw_doc["counts"] == doc["counts"]
+    problem = qaoa.load_problem(K5)
+    circ = qaoa.build_swap_network(problem.ising, qaoa.ParamVector((0.419,), (0.262,)))
+    lowered = lower_circuit(circ, (0, 1, 2, 3, 4), device.load_device(SYNTH5))
+    logical = sim.remap_counts(
+        {k: float(v) for k, v in raw_doc["counts"].items()}, lowered.measure_map()
+    )
+    expected = qaoa.metrics(problem.ising, logical, problem.sense)
+    assert raw_doc["metrics"] == {
+        key: getattr(expected, key) for key in raw_doc["metrics"]
+    }
+    assert raw_doc["metrics"] != doc["metrics"]
 
 
 def test_simulate_seed_determinism(runner):
@@ -190,6 +218,16 @@ def test_qpt_orderings(runner):
             assert value >= by_key[(variant, angle, 1)] - 1e-12
         if variant == "opt-ct":
             assert value <= by_key[("default-ct", angle, reps)] + 1e-12
+
+
+@pytest.mark.parametrize("reps", ["1,x", "0"])
+def test_qpt_bad_reps_exits_2(runner, reps):
+    result = runner.invoke(
+        main, ["qpt", "--device", FRAGMENT, "--edge", "1,0", "--reps", reps,
+               "--angles", "2"]
+    )
+    assert result.exit_code == 2
+    assert "reps" in result.output
 
 
 def test_qpt_unknown_edge_exits_2(runner):

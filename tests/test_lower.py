@@ -120,24 +120,31 @@ def test_expansions_match_targets(target, edge, opt, polarity):
         assert cir.equal_up_to_phase(u, target_unitary(target, float(theta)), 1e-9)
 
 
+def polarity_pair(target, edge, theta=None):
+    """CT and TC realizations of one target on a two-wire frame (0 = control)."""
+    return tuple(
+        apply_rule(target, theta, 0, 1, edge, DEV, OptLevel.DEFAULT, polarity)
+        for polarity in (Polarity.CT, Polarity.TC)
+    )
+
+
 def test_polarity_variants_zz_swap():
-    variants = lower.polarity_variants(GateKind.ZZ_SWAP, ECR, DEV, theta=0.9)
-    u_ct = cir.unitary_of(CircuitIR(2, variants.ct_gates))
-    u_tc = cir.unitary_of(CircuitIR(2, variants.tc_gates))
+    ct, tc = polarity_pair(GateKind.ZZ_SWAP, ECR, theta=0.9)
+    u_ct = cir.unitary_of(CircuitIR(2, ct.gates))
+    u_tc = cir.unitary_of(CircuitIR(2, tc.gates))
     assert cir.equal_up_to_phase(u_ct, u_tc, 1e-9)
-    assert variants.duration_tc_ns > variants.duration_ct_ns
+    assert tc.duration_ns > ct.duration_ns
 
 
 def test_polarity_variants_cz_duration_arithmetic():
-    variants = lower.polarity_variants(GateKind.CZ, DIRECT, DEV)
+    ct, tc = polarity_pair(GateKind.CZ, DIRECT)
     s = DEV.single_qubit_duration("sx")
-    assert variants.duration_tc_ns == variants.duration_ct_ns + 2 * s
+    assert tc.duration_ns == ct.duration_ns + 2 * s
 
 
 def test_polarity_variants_zz_zero_angle():
-    variants = lower.polarity_variants(GateKind.ZZ, ECR, DEV, theta=0.0)
-    for gates in (variants.ct_gates, variants.tc_gates):
-        u = cir.unitary_of(CircuitIR(2, gates))
+    for app in polarity_pair(GateKind.ZZ, ECR, theta=0.0):
+        u = cir.unitary_of(CircuitIR(2, app.gates))
         assert cir.equal_up_to_phase(u, np.eye(4), 1e-9)
 
 

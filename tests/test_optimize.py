@@ -144,20 +144,6 @@ def test_run_benchmark_deterministic_rerun(k5_benchmark, synthetic5_module):
     assert optimize.runs_to_csv(again) == optimize.runs_to_csv(k5_benchmark)
 
 
-def test_run_benchmark_jobs_match_sequential(synthetic5_module):
-    problem = qaoa.load_problem(data_path("k5_maxcut.json"))
-    cfg = OptimizerConfig(max_evals=1500, initial_grid=5, seed=5)
-    seq = optimize.run_benchmark(
-        synthetic5_module, problem, [Strategy.GLOBAL], [OptLevel.DEFAULT],
-        [1], cfg, shots=5000, jobs=1,
-    )
-    par = optimize.run_benchmark(
-        synthetic5_module, problem, [Strategy.GLOBAL], [OptLevel.DEFAULT],
-        [1], cfg, shots=5000, jobs=4,
-    )
-    assert optimize.runs_to_csv(seq) == optimize.runs_to_csv(par)
-
-
 def test_noise_scale_zero_matches_noiseless_optimum(synthetic5_module):
     problem = qaoa.load_problem(data_path("k5_maxcut.json"))
     cfg = OptimizerConfig(max_evals=2000, initial_grid=8, seed=1)
