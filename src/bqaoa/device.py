@@ -228,22 +228,39 @@ def _require(condition: bool, field_name: str, message: str) -> None:
         raise ValidationError(f"{field_name}: {message}")
 
 
+def _finite(value, field_name: str) -> float:
+    """The field as a finite float, or a ValidationError naming it."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        message = f"{field_name}: expected a number, got {value!r}"
+        raise ValidationError(message) from None
+    _require(math.isfinite(number), field_name, f"must be finite, got {number}")
+    return number
+
+
 def _probability(value: float, field_name: str) -> float:
-    value = float(value)
+    value = _finite(value, field_name)
     _require(0.0 <= value <= 1.0, field_name, f"probability {value} not in [0, 1]")
     return value
+
+
+def _optional_finite(entry: dict, key: str, prefix: str) -> float | None:
+    return _finite(entry[key], f"{prefix}.{key}") if key in entry else None
 
 
 def _parse_qubit(entry: dict, index: int) -> QubitCalibration:
     prefix = f"qubits[{index}]"
     try:
-        t1 = float(entry["t1_us"])
-        t2 = float(entry["t2_us"])
+        t1 = _finite(entry["t1_us"], f"{prefix}.t1_us")
+        t2 = _finite(entry["t2_us"], f"{prefix}.t2_us")
         sx_error = _probability(entry["sx_error"], f"{prefix}.sx_error")
         readout_error = _probability(entry["readout_error"], f"{prefix}.readout_error")
         p01 = _probability(entry["prob_meas0_prep1"], f"{prefix}.prob_meas0_prep1")
         p10 = _probability(entry["prob_meas1_prep0"], f"{prefix}.prob_meas1_prep0")
-        readout_length = float(entry["readout_length_ns"])
+        readout_length = _finite(
+            entry["readout_length_ns"], f"{prefix}.readout_length_ns"
+        )
     except KeyError as exc:
         raise ValidationError(f"{prefix}: missing field {exc.args[0]!r}") from exc
     _require(t1 > 0, f"{prefix}.t1_us", f"must be positive, got {t1}")
@@ -267,12 +284,8 @@ def _parse_qubit(entry: dict, index: int) -> QubitCalibration:
         prob_meas0_prep1=p01,
         prob_meas1_prep0=p10,
         readout_length_ns=readout_length,
-        frequency_ghz=(
-            float(entry["frequency_ghz"]) if "frequency_ghz" in entry else None
-        ),
-        anharmonicity_ghz=(
-            float(entry["anharmonicity_ghz"]) if "anharmonicity_ghz" in entry else None
-        ),
+        frequency_ghz=_optional_finite(entry, "frequency_ghz", prefix),
+        anharmonicity_ghz=_optional_finite(entry, "anharmonicity_ghz", prefix),
     )
 
 
@@ -282,8 +295,8 @@ def _parse_edge(entry: dict, index: int, num_qubits: int) -> EdgeCalibration:
         control = int(entry["control"])
         target = int(entry["target"])
         flavor_str = entry["flavor"]
-        cx_error = float(entry["cx_error"])
-        cx_duration = float(entry["cx_duration_ns"])
+        cx_error = _finite(entry["cx_error"], f"{prefix}.cx_error")
+        cx_duration = _finite(entry["cx_duration_ns"], f"{prefix}.cx_duration_ns")
     except KeyError as exc:
         raise ValidationError(f"{prefix}: missing field {exc.args[0]!r}") from exc
     try:
@@ -314,10 +327,13 @@ def _parse_edge(entry: dict, index: int, num_qubits: int) -> EdgeCalibration:
         f"{prefix}.flavor_source",
         f"must be 'paper' or 'assumed', got {flavor_source!r}",
     )
-    composites = entry.get("composite_durations_ns", {})
+    composites = {
+        key: _finite(value, f"{prefix}.composite_durations_ns[{key}]")
+        for key, value in entry.get("composite_durations_ns", {}).items()
+    }
     for key, value in composites.items():
         _require(
-            float(value) > 0,
+            value > 0,
             f"{prefix}.composite_durations_ns[{key}]",
             f"must be positive, got {value}",
         )
@@ -328,7 +344,7 @@ def _parse_edge(entry: dict, index: int, num_qubits: int) -> EdgeCalibration:
         cx_error=cx_error,
         cx_duration_ns=cx_duration,
         flavor_source=flavor_source,
-        composite_durations_ns=tuple(sorted((k, float(v)) for k, v in composites.items())),
+        composite_durations_ns=tuple(sorted(composites.items())),
     )
 
 
@@ -364,23 +380,28 @@ def device_from_dict(doc: dict) -> DeviceModel:
 
     durations = dict(DEFAULT_SINGLE_QUBIT_DURATIONS_NS)
     for key, value in doc.get("single_qubit_durations_ns", {}).items():
+        value = _finite(value, f"single_qubit_durations_ns[{key}]")
         _require(
-            float(value) >= 0,
+            value >= 0,
             f"single_qubit_durations_ns[{key}]",
             f"must be non-negative, got {value}",
         )
-        durations[key] = float(value)
+        durations[key] = value
         if key == "sx":
             # rx/ry track sx unless given explicitly.
             for alias in ("rx", "ry"):
                 if alias not in doc.get("single_qubit_durations_ns", {}):
-                    durations[alias] = float(value)
+                    durations[alias] = value
 
     scale_doc = doc.get("cr_scale_model", {})
     cr_scale = CrScaleModel(
-        intercept_ns=float(scale_doc.get("intercept_ns", CrScaleModel.intercept_ns)),
-        slope_ns_per_pi=float(
-            scale_doc.get("slope_ns_per_pi", CrScaleModel.slope_ns_per_pi)
+        intercept_ns=_finite(
+            scale_doc.get("intercept_ns", CrScaleModel.intercept_ns),
+            "cr_scale_model.intercept_ns",
+        ),
+        slope_ns_per_pi=_finite(
+            scale_doc.get("slope_ns_per_pi", CrScaleModel.slope_ns_per_pi),
+            "cr_scale_model.slope_ns_per_pi",
         ),
     )
     return DeviceModel(

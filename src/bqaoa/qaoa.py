@@ -103,6 +103,11 @@ class IsingProblem:
                 raise ValidationError(f"coupling key ({i}, {jj}) must satisfy i < j < n")
             if not math.isfinite(value):
                 raise ValidationError(f"coupling ({i}, {jj}) is not finite")
+        for i, value in enumerate(self.h):
+            if not math.isfinite(value):
+                raise ValidationError(f"h[{i}] is not finite")
+        if not math.isfinite(self.constant):
+            raise ValidationError("constant is not finite")
 
     def coupling(self, a: int, b: int) -> float:
         key = (min(a, b), max(a, b))

@@ -1,11 +1,19 @@
 """Density-matrix simulation under calibration-derived noise.
 
-Noise model per scheduled unit: the unit's unitary, then a depolarizing
-channel whose average gate infidelity equals the unit's effective error,
-then thermal relaxation on each participating qubit for the unit's
-duration.  Qubits relax while idling between units.  A global scale factor
-s multiplies the depolarizing infidelity and the relaxation rates and
-interpolates the readout confusion matrices; s = 0 is noiseless.
+Noise model per scheduled unit: relaxation of each participating qubit for
+the time it idled since it was last busy, the unit's unitary, then a
+depolarizing channel whose average gate infidelity equals the unit's
+effective error, then thermal relaxation for the unit's duration.  A global
+scale factor s multiplies the depolarizing infidelity and the relaxation
+rates and interpolates the readout confusion matrices; s = 0 is noiseless.
+
+Every channel is one Liouville superoperator (``Channel``): the 4^k x 4^k
+matrix sum_K K (x) conj(K) on k qubits, acting on the row-major vec(rho)
+whose entry i*d + j is rho[i, j], with local qubit 0 the least-significant
+bit of i and j.  ``evolve`` composes each scheduled unit into one such
+matrix and applies it to rho once; QPT repeats a channel with a matrix
+power and reads its Choi matrix off by reshuffling (Wood, Biamonte & Cory,
+arXiv:1111.6950).
 
 Bitstrings throughout read qubit 0 rightmost.
 """
@@ -25,7 +33,7 @@ from .errors import (
     TooLargeError,
     ValidationError,
 )
-from .lower import LoweredCircuit, RuleApplication, effective_error
+from .lower import LoweredCircuit, LoweredUnit, RuleApplication, effective_error
 
 MAX_DENSITY_QUBITS = 10
 
@@ -73,15 +81,16 @@ def depolarizing_kraus(lam: float, k: int) -> list[np.ndarray]:
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"depolarizing strength {lam} not in [0, 1]")
     dim = 2**k
-    pauli_1q = [
-        np.eye(2, dtype=complex),
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    ]
+    pauli_1q = np.array(
+        [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+        dtype=complex,
+    )
     paulis = pauli_1q
     for _ in range(k - 1):
-        paulis = [np.kron(a, b) for a in pauli_1q for b in paulis]
+        # every kron(a, b), a outermost
+        size = 2 * paulis.shape[1]
+        paulis = np.einsum("aij,bkl->abikjl", pauli_1q, paulis)
+        paulis = paulis.reshape(-1, size, size)
     weight = lam / dim**2
     kraus = [np.sqrt(1.0 - lam + weight) * np.eye(dim, dtype=complex)]
     kraus.extend(np.sqrt(weight) * p for p in paulis[1:])
@@ -109,51 +118,65 @@ def relaxation_kraus(duration_ns: float, t1_us: float, t2_us: float) -> list[np.
     return [p @ a for a in amp for p in phase]
 
 
-def _apply_unitary(rho: np.ndarray, mat: np.ndarray, qubits, n: int) -> np.ndarray:
-    rows = apply_matrix(rho, mat, tuple(qubits), n)
-    cols = apply_matrix(rows.conj().T, mat, tuple(qubits), n)
-    return cols.conj().T
-
-
-def _apply_kraus(rho: np.ndarray, kraus, qubits, n: int) -> np.ndarray:
-    # K rho K^dag = (K (K rho)^dag)^dag, so K applies on rows twice
-    out = np.zeros_like(rho)
-    for op in kraus:
-        rows = apply_matrix(rho, op, tuple(qubits), n)
-        cols = apply_matrix(rows.conj().T, op, tuple(qubits), n)
-        out += cols.conj().T
-    return out
-
-
 class Channel:
-    """A CPTP map given as a sequence of unitary / Kraus applications."""
+    """A CPTP map on k qubits, held as its Liouville superoperator.
 
-    def __init__(self, num_qubits: int):
+    ``superop`` is the 4^k x 4^k matrix S = sum_K K (x) conj(K), so that
+    vec(channel(rho)) = S vec(rho) for the row-major vec(rho), whose entry
+    i*d + j is rho[i, j] (d = 2^k).  Local qubit 0 is the least-significant
+    bit of both i and j.  ``add_unitary`` and ``add_kraus`` compose after
+    what is already there; ``apply`` is one tensordot over the row and
+    column axes of the wires it acts on.
+    """
+
+    def __init__(self, num_qubits: int, superop: np.ndarray | None = None):
         self.num_qubits = num_qubits
-        self.ops: list[tuple[str, object, tuple[int, ...]]] = []
+        if superop is None:
+            superop = np.eye(4**num_qubits, dtype=complex)
+        self.superop = superop
 
     def add_unitary(self, mat: np.ndarray, qubits) -> "Channel":
-        self.ops.append(("unitary", mat, tuple(qubits)))
-        return self
+        return self.add_kraus([mat], qubits)
 
     def add_kraus(self, kraus, qubits) -> "Channel":
-        self.ops.append(("kraus", list(kraus), tuple(qubits)))
+        ops = np.asarray(kraus)
+        dim = ops.shape[1]
+        local = np.einsum("mia,mjb->ijab", ops, ops.conj()).reshape(dim**2, dim**2)
+        k = self.num_qubits
+        self.superop = apply_matrix(self.superop, local, _vec_qubits(qubits, k), 2 * k)
         return self
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = rho
-        for kind, payload, qubits in self.ops:
-            if kind == "unitary":
-                out = _apply_unitary(out, payload, qubits, self.num_qubits)
-            else:
-                out = _apply_kraus(out, payload, qubits, self.num_qubits)
-        return out
+    def apply(self, rho: np.ndarray, wires=None) -> np.ndarray:
+        """The channel applied to ``wires`` of rho (default: all k qubits)."""
+        n = int(rho.shape[0]).bit_length() - 1
+        if wires is None:
+            wires = range(self.num_qubits)
+        out = apply_matrix(rho.reshape(-1), self.superop, _vec_qubits(wires, n), 2 * n)
+        return out.reshape(rho.shape)
 
     def repeated(self, times: int) -> "Channel":
-        combined = Channel(self.num_qubits)
-        for _ in range(times):
-            combined.ops.extend(self.ops)
-        return combined
+        return Channel(self.num_qubits, np.linalg.matrix_power(self.superop, times))
+
+
+def _vec_qubits(wires, n: int) -> tuple[int, ...]:
+    """Qubits of row-major vec(rho), 2n of them, that carry ``wires``.
+
+    Column indices are the low n bits of vec(rho) and row indices the high
+    n, so a local superoperator's column qubits come first.
+    """
+    wires = tuple(wires)
+    return wires + tuple(n + w for w in wires)
+
+
+def _gate_unitary(gates, frame: tuple[int, ...]) -> np.ndarray:
+    """Product of the gates' matrices, frame[i] being local qubit i."""
+    local = {w: i for i, w in enumerate(frame)}
+    u = np.eye(2 ** len(frame), dtype=complex)
+    for g in gates:
+        if g.kind is not GateKind.BARRIER:
+            qubits = tuple(local[q] for q in g.qubits)
+            u = apply_matrix(u, local_matrix(g.kind, g.param), qubits, len(frame))
+    return u
 
 
 # --- calibration-derived noise model ---
@@ -218,15 +241,42 @@ class NoiseModel:
         return [self.scaled_confusion(i) for i in range(len(self.qubits))]
 
 
+def unit_channel(unit: LoweredUnit, idle_ns, noise: NoiseModel) -> Channel:
+    """One scheduled unit as a channel on its wires (local qubit i = wires[i]).
+
+    In order: relaxation for each wire's idle time ``idle_ns[i]`` since it
+    was last busy, the product of the unit's gate unitaries, a depolarizing
+    channel for the unit's effective error, then relaxation for the unit's
+    own duration.
+    """
+    k = len(unit.wires)
+    channel = Channel(k)
+    noisy = noise.scale > 0
+    for i, (w, idle) in enumerate(zip(unit.wires, idle_ns)):
+        if idle > 0 and noisy:
+            channel.add_kraus(noise.relaxation(w, idle), (i,))
+    if unit.gates:
+        channel.add_unitary(_gate_unitary(unit.gates, unit.wires), range(k))
+    if unit.error > 0 and noisy:
+        lam = noise.depolarizing_strength(unit.error, k)
+        if lam > 0:
+            channel.add_kraus(depolarizing_kraus(lam, k), range(k))
+    if unit.duration_ns > 0 and noisy:
+        for i, w in enumerate(unit.wires):
+            channel.add_kraus(noise.relaxation(w, unit.duration_ns), (i,))
+    return channel
+
+
 def evolve(
     sc: LoweredCircuit, noise: NoiseModel, rho0: DensityMatrix | None = None
 ) -> DensityMatrix:
     """Run a lowered circuit's schedule as a density-matrix evolution.
 
-    Units apply in program order: idle relaxation since the qubit was last
-    busy, the unit's unitary, its depolarizing channel, then relaxation for
-    the unit's own duration.  Measurement units only relax (readout noise is
-    applied at sampling time).  Deterministic.
+    Each unit applies once, in program order, as its ``unit_channel``.
+    Measurement units only relax (readout noise is applied at sampling
+    time).  A barrier, which has no gate and no duration, relaxes its idle
+    wires one at a time, so no superoperator spans its whole width.
+    Deterministic.
     """
     n = sc.num_qubits
     if n > MAX_DENSITY_QUBITS:
@@ -238,26 +288,16 @@ def evolve(
     rho = (rho0 or DensityMatrix.ground(n)).data.copy()
     last_busy = [0.0] * n
     for unit, start in zip(sc.units, sc.start_times):
+        idle = [start - last_busy[w] for w in unit.wires]
         for w in unit.wires:
-            idle = start - last_busy[w]
-            if idle > 0 and noise.scale > 0:
-                rho = _apply_kraus(rho, noise.relaxation(w, idle), (w,), n)
             last_busy[w] = start + unit.duration_ns
-        for g in unit.gates:
-            if g.kind is GateKind.BARRIER:
-                continue
-            rho = _apply_unitary(rho, local_matrix(g.kind, g.param), g.qubits, n)
-        if unit.error > 0 and noise.scale > 0:
-            lam = noise.depolarizing_strength(unit.error, len(unit.wires))
-            if lam > 0:
-                rho = _apply_kraus(
-                    rho, depolarizing_kraus(lam, len(unit.wires)), unit.wires, n
-                )
-        if unit.duration_ns > 0 and noise.scale > 0:
-            for w in unit.wires:
-                rho = _apply_kraus(
-                    rho, noise.relaxation(w, unit.duration_ns), (w,), n
-                )
+        if unit.kind is GateKind.BARRIER:
+            for w, t in zip(unit.wires, idle):
+                if t > 0 and noise.scale > 0:
+                    relax = Channel(1).add_kraus(noise.relaxation(w, t), (0,))
+                    rho = relax.apply(rho, (w,))
+            continue
+        rho = unit_channel(unit, idle, noise).apply(rho, unit.wires)
     return DensityMatrix(n, rho)
 
 
@@ -403,20 +443,15 @@ class ChoiMatrix:
 
 
 def choi_of(channel: Channel) -> ChoiMatrix:
-    """Exact Choi construction: send half a maximally entangled pair through.
+    """Choi state of a channel, reshuffled from its superoperator.
 
     Index layout: row = input*dim + output; tracing out the output subsystem
     of a CPTP channel leaves I/dim.
     """
     dim = 2**channel.num_qubits
-    choi = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            basis = np.zeros((dim, dim), dtype=complex)
-            basis[i, j] = 1.0
-            block = channel.apply(basis)
-            choi[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = block
-    return ChoiMatrix(dim=dim, data=choi / dim)
+    # superop[(a, b), (i, j)] = channel(|i><j|)[a, b] -> choi[(i, a), (j, b)]
+    choi = channel.superop.reshape(dim, dim, dim, dim).transpose(2, 0, 3, 1)
+    return ChoiMatrix(dim=dim, data=choi.reshape(dim * dim, dim * dim) / dim)
 
 
 def unitary_channel(mat: np.ndarray) -> Channel:
@@ -436,9 +471,7 @@ def composite_channel(
     apply_rule builds expansions in).
     """
     noise = NoiseModel.from_device(dev, (edge.control, edge.target), scale=scale)
-    channel = Channel(2)
-    for g in app.gates:
-        channel.add_unitary(local_matrix(g.kind, g.param), g.qubits)
+    channel = Channel(2).add_unitary(_gate_unitary(app.gates, (0, 1)), (0, 1))
     error = effective_error(app, edge, dev)
     lam = noise.depolarizing_strength(error, 2)
     if lam > 0:

@@ -4,6 +4,8 @@ Everything here is written from first principles (dense matrices, explicit
 enumeration) and deliberately avoids the package's own construction code.
 """
 
+import itertools
+
 import numpy as np
 
 H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -142,3 +144,116 @@ def distribution_metrics(costs, dist_bits_to_prob, sense, feasible_weight=None):
     winners = {z for z in feasible if abs(costs[z] - opt) <= 1e-9 * max(1, abs(opt))}
     sp = sum(p for z, p in items.items() if z in winners)
     return mean, opt, sp
+
+
+# --- dense Kraus-path reference for the density-matrix engine ---
+
+PAULIS = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def embed(op, qubits, n) -> np.ndarray:
+    """op (qubits[0] its local LSB) on all n qubits, as a sum of kron_all terms."""
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    for r in range(op.shape[0]):
+        for c in range(op.shape[1]):
+            if op[r, c] == 0:
+                continue
+            factors = [np.eye(2, dtype=complex) for _ in range(n)]
+            for m, q in enumerate(qubits):
+                unit = np.zeros((2, 2), dtype=complex)
+                unit[(r >> m) & 1, (c >> m) & 1] = 1.0
+                factors[q] = unit
+            full += op[r, c] * kron_all(factors)
+    return full
+
+
+def depolarizing_family(lam, k) -> list[np.ndarray]:
+    """Kraus operators of rho -> (1 - lam) rho + lam I/d, one per Pauli string."""
+    dim = 2**k
+    strings = [kron_all(list(p)) for p in itertools.product(PAULIS, repeat=k)]
+    first = np.sqrt(1.0 - lam + lam / dim**2) * strings[0]
+    return [first] + [np.sqrt(lam) / dim * p for p in strings[1:]]
+
+
+def relaxation_family(duration_ns, t1_us, t2_us) -> list[np.ndarray]:
+    """Amplitude damping, then the dephasing T2 adds beyond T1 (T2 <= 2 T1)."""
+    t = duration_ns * 1e-3
+    decay = 1.0 - np.exp(-t / t1_us)
+    dephase = 1.0 - np.exp(-2.0 * t * max(1.0 / t2_us - 0.5 / t1_us, 0.0))
+    lowering = np.array([[0.0, 1.0], [0.0, 0.0]])  # |0><1|
+    damping = [np.diag([1.0, np.sqrt(1.0 - decay)]), np.sqrt(decay) * lowering]
+    phasing = [np.diag([1.0, np.sqrt(1.0 - dephase)]), np.diag([0.0, np.sqrt(dephase)])]
+    return [p @ a for a in damping for p in phasing]
+
+
+def unit_kraus_steps(unit, idle_ns, noise, n, gate_matrix) -> list[list[np.ndarray]]:
+    """Kraus families of one scheduled unit on all n qubits, in order.
+
+    ``noise`` supplies ``scale`` and per-wire ``qubits[w].t1_us``/``t2_us``;
+    ``gate_matrix(kind, param)`` gives each gate's local matrix.
+    """
+    scale = noise.scale
+    steps = []
+
+    def relax(w, duration):
+        q = noise.qubits[w]
+        family = relaxation_family(duration * scale, q.t1_us, q.t2_us)
+        steps.append([embed(op, (w,), n) for op in family])
+
+    if scale > 0:
+        for w, idle in zip(unit.wires, idle_ns):
+            if idle > 0:
+                relax(w, idle)
+    for g in unit.gates:
+        if g.kind.value != "barrier":
+            steps.append([embed(gate_matrix(g.kind, g.param), g.qubits, n)])
+    dim = 2 ** len(unit.wires)
+    lam = min(1.0, scale * unit.error * dim / (dim - 1))
+    if lam > 0:
+        family = depolarizing_family(lam, len(unit.wires))
+        steps.append([embed(op, unit.wires, n) for op in family])
+    if scale > 0 and unit.duration_ns > 0:
+        for w in unit.wires:
+            relax(w, unit.duration_ns)
+    return steps
+
+
+def apply_kraus_steps(rho, steps) -> np.ndarray:
+    """rho through each Kraus family in turn, one operator at a time."""
+    for family in steps:
+        rho = sum(k @ rho @ k.conj().T for k in family)
+    return rho
+
+
+def kraus_evolve(lowered, noise, gate_matrix) -> np.ndarray:
+    """Density matrix after a lowered circuit's schedule, from |0...0>."""
+    n = lowered.num_qubits
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    last_busy = [0.0] * n
+    for unit, start in zip(lowered.units, lowered.start_times):
+        idle = [start - last_busy[w] for w in unit.wires]
+        for w in unit.wires:
+            last_busy[w] = start + unit.duration_ns
+        steps = unit_kraus_steps(unit, idle, noise, n, gate_matrix)
+        rho = apply_kraus_steps(rho, steps)
+    return rho
+
+
+def probe_choi(apply, dim) -> np.ndarray:
+    """Trace-normalized Choi matrix from sending each |i><j| through ``apply``.
+
+    Row = input*dim + output, as in the package.
+    """
+    choi = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            basis = np.zeros((dim, dim), dtype=complex)
+            basis[i, j] = 1.0
+            choi[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = apply(basis)
+    return choi / dim

@@ -93,7 +93,7 @@ def test_estimate_infeasible_exits_3(runner):
     assert result.exit_code == 3
 
 
-def test_config_error_exits_2(runner):
+def test_config_error_exits_2(runner, tmp_path):
     result = runner.invoke(
         main,
         ["benchmark", "--device", SYNTH5, "--problem", K5, "--p", "0..0"],
@@ -104,6 +104,14 @@ def test_config_error_exits_2(runner):
     )
     assert result.exit_code == 2
     assert "max-evals" in result.output
+    for field, value in (("cx_duration_ns", float("inf")), ("cx_error", "abc")):
+        doc = json.loads(open(FRAGMENT).read())
+        doc["edges"][0][field] = value
+        path = tmp_path / f"bad_{field}.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["device", "summarize", str(path)])
+        assert result.exit_code == 2
+        assert f"edges[0].{field}" in result.output
 
 
 def test_simulate_metrics(runner):

@@ -106,6 +106,22 @@ def test_encode_maxcut_empty_and_single_edge():
     assert qaoa.cost_of_bitstring(single, "00") == 0.0
 
 
+def test_ising_rejects_non_finite_fields_and_constant():
+    inst = qaoa.PortfolioInstance(
+        n=3,
+        mu=(1.0, float("nan"), 3.0),
+        sigma=((0.0,) * 3,) * 3,
+        q=0.0,
+        budget=1,
+        penalty=0.0,
+        lam=2.0,
+    )
+    with pytest.raises(ValidationError, match=r"h\[1\]"):
+        qaoa.encode_portopt(inst)
+    with pytest.raises(ValidationError, match="constant"):
+        qaoa.IsingProblem(n=1, j=(), h=(0.0,), constant=float("inf"))
+
+
 def test_maxcut_rejects_self_loop():
     with pytest.raises(ValidationError):
         qaoa.MaxCutInstance(3, frozenset({(1, 1)}))
