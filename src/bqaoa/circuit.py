@@ -3,7 +3,8 @@
 Conventions (used everywhere in this package):
 
 * Qubit 0 is the least-significant bit of a basis-state index
-  (little-endian).  Bitstrings print with qubit 0 rightmost.
+  (little-endian), which indexes every outcome vector; the CLI prints
+  bitstrings with qubit 0 rightmost.
 * RZ(phi) = diag(e^{-i phi/2}, e^{+i phi/2}); RX/RY are exp(-i theta P / 2).
 * ZZ(theta) = exp(-i (theta/2) Z (x) Z); ZZ_SWAP(theta) = SWAP . ZZ(theta).
 * Equivalence checks elsewhere ignore global phase.

@@ -76,13 +76,27 @@ def _parse_range(text: str, name: str) -> list[int]:
     return values
 
 
-def _parse_angles(text: str | None, p: int, fallback: float) -> tuple[float, ...]:
+def _parse_angles(
+    text: str | None, p: int, fallback: float, name: str
+) -> tuple[float, ...]:
+    """``p`` comma-separated finite angles; ``name`` labels errors."""
     if text is None:
         return (fallback,) * p
-    values = tuple(float(v) for v in text.split(","))
+    try:
+        values = tuple(float(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {name} {text!r}") from exc
+    if not all(np.isfinite(values)):
+        raise ConfigError(f"{name} {text!r} must be finite")
     if len(values) != p:
         raise ConfigError(f"expected {p} comma-separated angles, got {len(values)}")
     return values
+
+
+def _parse_params(p: int, gammas: str | None, betas: str | None) -> ParamVector:
+    """Angles from ``--gammas``/``--betas``; 0.5 and 0.3 per layer by default."""
+    gamma_values = _parse_angles(gammas, p, 0.5, "--gammas")
+    return ParamVector(gamma_values, _parse_angles(betas, p, 0.3, "--betas"))
 
 
 def _parse_chain(text: str) -> tuple[int, ...]:
@@ -213,9 +227,7 @@ def circuit() -> None:
 def circuit_build(problem_path, p, gammas, betas, output):
     """Build the swap-network circuit and dump it as text."""
     problem = load_problem(problem_path)
-    params = ParamVector(
-        _parse_angles(gammas, p, 0.5), _parse_angles(betas, p, 0.3)
-    )
+    params = _parse_params(p, gammas, betas)
     circ = qaoa.build_swap_network(problem.ising, params)
     _emit(cir.to_text(circ), output)
 
@@ -234,9 +246,7 @@ def circuit_lower(device_path, problem_path, chain_text, p, gammas, betas, opt_n
     """Lower the built circuit onto a chain; emit the lowering report."""
     dev = load_device(device_path)
     problem = load_problem(problem_path)
-    params = ParamVector(
-        _parse_angles(gammas, p, 0.5), _parse_angles(betas, p, 0.3)
-    )
+    params = _parse_params(p, gammas, betas)
     circ = qaoa.build_swap_network(problem.ising, params)
     lowered = lower_circuit(circ, _parse_chain(chain_text), dev, OPT_CHOICES[opt_name])
     doc = {
@@ -268,9 +278,7 @@ def estimate(device_path, problem_path, strategy, chain_text, p, gammas, betas, 
     """Duration, CX count and fidelity score of the lowered circuit."""
     dev = load_device(device_path)
     problem = load_problem(problem_path)
-    params = ParamVector(
-        _parse_angles(gammas, p, 0.5), _parse_angles(betas, p, 0.3)
-    )
+    params = _parse_params(p, gammas, betas)
     circ = qaoa.build_swap_network(problem.ising, params)
     if chain_text is not None:
         chain = _parse_chain(chain_text)
@@ -314,16 +322,16 @@ def simulate(device_path, problem_path, chain_text, p, gammas, betas, shots,
     """Noisy density-matrix simulation: counts and AR/SP metrics."""
     dev = load_device(device_path)
     problem = load_problem(problem_path)
-    params = ParamVector(
-        _parse_angles(gammas, p, 0.5), _parse_angles(betas, p, 0.3)
-    )
+    params = _parse_params(p, gammas, betas)
     chain = _parse_chain(chain_text)
     circ = qaoa.build_swap_network(problem.ising, params)
     lowered = lower_circuit(circ, chain, dev, OPT_CHOICES[opt_name])
     counts, logical = sim.run_noisy(lowered, dev, shots, seed, noise_scale, mitigate)
     result = qaoa.metrics(problem.ising, logical, problem.sense)
     doc = {
-        "counts": {k: v for k, v in sorted(counts.items())},
+        "counts": {
+            format(i, f"0{len(chain)}b"): int(c) for i, c in enumerate(counts) if c
+        },
         "bit_order": "qubit 0 rightmost; counts keyed by chain wire index",
         "metrics": {
             "ar": result.ar,
@@ -437,7 +445,10 @@ def benchmark(device_path, problem_path, strategies, opt_levels, p_range, shots,
 def qpt(device_path, edge_text, gate, reps, angles, noise_scale, opt_name, fmt, output):
     """Process-infidelity table of repeated composites, per variant."""
     dev = load_device(device_path)
-    a, b = _parse_chain(edge_text)
+    pair = _parse_chain(edge_text)
+    if len(pair) != 2:
+        raise ConfigError(f"--edge {edge_text!r} must name two qubits")
+    a, b = pair
     edge = dev.edge_between(a, b)
     if edge is None:
         raise ConfigError(f"device has no edge between {a} and {b}")

@@ -30,7 +30,13 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import EmptyDeviceError, ParseError, ValidationError
+from .errors import (
+    EmptyDeviceError,
+    ParseError,
+    ValidationError,
+    as_float,
+    as_int,
+)
 
 DEFAULT_SINGLE_QUBIT_DURATIONS_NS = {
     "rz": 0.0,
@@ -228,37 +234,26 @@ def _require(condition: bool, field_name: str, message: str) -> None:
         raise ValidationError(f"{field_name}: {message}")
 
 
-def _finite(value, field_name: str) -> float:
-    """The field as a finite float, or a ValidationError naming it."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        message = f"{field_name}: expected a number, got {value!r}"
-        raise ValidationError(message) from None
-    _require(math.isfinite(number), field_name, f"must be finite, got {number}")
-    return number
-
-
 def _probability(value: float, field_name: str) -> float:
-    value = _finite(value, field_name)
+    value = as_float(value, field_name)
     _require(0.0 <= value <= 1.0, field_name, f"probability {value} not in [0, 1]")
     return value
 
 
 def _optional_finite(entry: dict, key: str, prefix: str) -> float | None:
-    return _finite(entry[key], f"{prefix}.{key}") if key in entry else None
+    return as_float(entry[key], f"{prefix}.{key}") if key in entry else None
 
 
 def _parse_qubit(entry: dict, index: int) -> QubitCalibration:
     prefix = f"qubits[{index}]"
     try:
-        t1 = _finite(entry["t1_us"], f"{prefix}.t1_us")
-        t2 = _finite(entry["t2_us"], f"{prefix}.t2_us")
+        t1 = as_float(entry["t1_us"], f"{prefix}.t1_us")
+        t2 = as_float(entry["t2_us"], f"{prefix}.t2_us")
         sx_error = _probability(entry["sx_error"], f"{prefix}.sx_error")
         readout_error = _probability(entry["readout_error"], f"{prefix}.readout_error")
         p01 = _probability(entry["prob_meas0_prep1"], f"{prefix}.prob_meas0_prep1")
         p10 = _probability(entry["prob_meas1_prep0"], f"{prefix}.prob_meas1_prep0")
-        readout_length = _finite(
+        readout_length = as_float(
             entry["readout_length_ns"], f"{prefix}.readout_length_ns"
         )
     except KeyError as exc:
@@ -292,11 +287,11 @@ def _parse_qubit(entry: dict, index: int) -> QubitCalibration:
 def _parse_edge(entry: dict, index: int, num_qubits: int) -> EdgeCalibration:
     prefix = f"edges[{index}]"
     try:
-        control = int(entry["control"])
-        target = int(entry["target"])
+        control = as_int(entry["control"], f"{prefix}.control")
+        target = as_int(entry["target"], f"{prefix}.target")
         flavor_str = entry["flavor"]
-        cx_error = _finite(entry["cx_error"], f"{prefix}.cx_error")
-        cx_duration = _finite(entry["cx_duration_ns"], f"{prefix}.cx_duration_ns")
+        cx_error = as_float(entry["cx_error"], f"{prefix}.cx_error")
+        cx_duration = as_float(entry["cx_duration_ns"], f"{prefix}.cx_duration_ns")
     except KeyError as exc:
         raise ValidationError(f"{prefix}: missing field {exc.args[0]!r}") from exc
     try:
@@ -328,7 +323,7 @@ def _parse_edge(entry: dict, index: int, num_qubits: int) -> EdgeCalibration:
         f"must be 'paper' or 'assumed', got {flavor_source!r}",
     )
     composites = {
-        key: _finite(value, f"{prefix}.composite_durations_ns[{key}]")
+        key: as_float(value, f"{prefix}.composite_durations_ns[{key}]")
         for key, value in entry.get("composite_durations_ns", {}).items()
     }
     for key, value in composites.items():
@@ -354,7 +349,7 @@ def device_from_dict(doc: dict) -> DeviceModel:
         raise ParseError("device document must be a JSON object")
     try:
         name = str(doc["name"])
-        num_qubits = int(doc["num_qubits"])
+        num_qubits = as_int(doc["num_qubits"], "num_qubits")
         qubit_entries = doc["qubits"]
         edge_entries = doc["edges"]
     except KeyError as exc:
@@ -380,7 +375,7 @@ def device_from_dict(doc: dict) -> DeviceModel:
 
     durations = dict(DEFAULT_SINGLE_QUBIT_DURATIONS_NS)
     for key, value in doc.get("single_qubit_durations_ns", {}).items():
-        value = _finite(value, f"single_qubit_durations_ns[{key}]")
+        value = as_float(value, f"single_qubit_durations_ns[{key}]")
         _require(
             value >= 0,
             f"single_qubit_durations_ns[{key}]",
@@ -395,11 +390,11 @@ def device_from_dict(doc: dict) -> DeviceModel:
 
     scale_doc = doc.get("cr_scale_model", {})
     cr_scale = CrScaleModel(
-        intercept_ns=_finite(
+        intercept_ns=as_float(
             scale_doc.get("intercept_ns", CrScaleModel.intercept_ns),
             "cr_scale_model.intercept_ns",
         ),
-        slope_ns_per_pi=_finite(
+        slope_ns_per_pi=as_float(
             scale_doc.get("slope_ns_per_pi", CrScaleModel.slope_ns_per_pi),
             "cr_scale_model.slope_ns_per_pi",
         ),

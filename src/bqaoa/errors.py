@@ -2,7 +2,11 @@
 
 Grouped by how the CLI maps them to exit codes: configuration problems
 (exit 2), infeasible requests (exit 3), everything else unexpected (exit 4).
+The loaders coerce document fields with ``as_float`` and ``as_int``, which
+raise ``ValidationError`` naming the field.
 """
+
+import math
 
 
 class BqaoaError(Exception):
@@ -20,12 +24,31 @@ class ValidationError(BqaoaError):
     """A parsed value violates an invariant; the message names the field."""
 
 
+def as_float(value, field_name: str) -> float:
+    """The field as a finite float, or a ValidationError naming it."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        message = f"{field_name}: expected a number, got {value!r}"
+        raise ValidationError(message) from None
+    if not math.isfinite(number):
+        raise ValidationError(f"{field_name}: must be finite, got {number}")
+    return number
+
+
+def as_int(value, field_name: str) -> int:
+    """The field as an integer (``3``, ``3.0``, ``"3"``), or a ValidationError."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (isinstance(value, float) and value != number):
+        raise ValidationError(f"{field_name}: expected an integer, got {value!r}")
+    return number
+
+
 class DimensionError(BqaoaError):
     """Mismatched array or matrix dimensions."""
-
-
-class LengthError(BqaoaError):
-    """A bitstring or vector has the wrong length."""
 
 
 class ConfigError(BqaoaError):
@@ -79,7 +102,6 @@ CONFIG_ERRORS = (
     ParseError,
     ValidationError,
     DimensionError,
-    LengthError,
     ConfigError,
     TooLargeError,
     MeasureInUnitaryError,

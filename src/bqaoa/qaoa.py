@@ -2,7 +2,8 @@
 
 Spin convention: bit 0 maps to spin +1 and bit 1 to spin -1 (computational
 |0> is the Z eigenvalue +1 state).  This single convention is shared by the
-encoders, the bitstring cost, and the metrics.
+encoders, the cost vector, and the metrics.  Outcome distributions are
+vectors indexed by the little-endian basis integer (qubit 0 is bit 0).
 
 Portfolio selection encodes as pair couplings (lam/2)(q*sigma_ij + A) and
 fields -k_i with k_i = (lam/2)[A(2B - n) + (1-q) mu_i - q sum_j sigma_ij];
@@ -22,11 +23,12 @@ from . import circuit as cir
 from .circuit import CircuitIR, Gate
 from .errors import (
     DimensionError,
-    LengthError,
     NoFeasibleOutcomeError,
     ParseError,
     TooLargeError,
     ValidationError,
+    as_float,
+    as_int,
 )
 
 MAX_ENUMERATION_QUBITS = 20
@@ -229,33 +231,8 @@ def final_wire_to_logical(c: CircuitIR) -> tuple[int, ...]:
     return tuple(mapping[w] for w in range(c.num_qubits))
 
 
-def _bits_from_key(z, n: int) -> list[int]:
-    if isinstance(z, str):
-        if len(z) != n:
-            raise LengthError(f"bitstring {z!r} has length {len(z)}, expected {n}")
-        if set(z) - {"0", "1"}:
-            raise LengthError(f"bitstring {z!r} contains non-binary characters")
-        return [int(z[n - 1 - i]) for i in range(n)]  # qubit 0 rightmost
-    bits = list(z)
-    if len(bits) != n:
-        raise LengthError(f"bit sequence has length {len(bits)}, expected {n}")
-    return [int(b) for b in bits]
-
-
-def cost_of_bitstring(prob: IsingProblem, z) -> float:
-    """Classical cost of a measured bitstring (string: qubit 0 rightmost)."""
-    bits = _bits_from_key(z, prob.n)
-    spins = [1 - 2 * b for b in bits]
-    total = prob.constant
-    for (i, j), value in prob.j:
-        total += value * spins[i] * spins[j]
-    for i, hi in enumerate(prob.h):
-        total += hi * spins[i]
-    return total
-
-
 def cost_vector(prob: IsingProblem) -> np.ndarray:
-    """Costs of all 2^n bitstrings, indexed by the little-endian integer."""
+    """Costs of all 2^n outcomes, indexed by the little-endian integer."""
     if prob.n > MAX_ENUMERATION_QUBITS:
         raise TooLargeError(f"enumeration over {prob.n} qubits refused")
     idx = np.arange(2**prob.n)
@@ -267,23 +244,25 @@ def cost_vector(prob: IsingProblem) -> np.ndarray:
     return costs
 
 
-def optimal_cost(
-    prob: IsingProblem, sense: str
-) -> tuple[float, tuple[str, ...]]:
-    """Exhaustive optimum (restricted to feasible weight when set)."""
+def _feasible_mask(prob: IsingProblem) -> np.ndarray:
+    """Outcomes kept by budget post-selection (every outcome without a budget)."""
+    idx = np.arange(2**prob.n)
+    if prob.feasible_weight is None:
+        return np.ones(len(idx), dtype=bool)
+    weights = ((idx[:, None] >> np.arange(prob.n)) & 1).sum(axis=1)
+    return weights == prob.feasible_weight
+
+
+def optimal_cost(prob: IsingProblem, sense: str) -> tuple[float, np.ndarray]:
+    """Exhaustive optimum over the feasible outcomes and the indices attaining it."""
     if sense not in ("min", "max"):
         raise ValidationError(f"sense must be 'min' or 'max', got {sense!r}")
     costs = cost_vector(prob)
-    indices = np.arange(len(costs))
-    if prob.feasible_weight is not None:
-        weights = np.array([int(i).bit_count() for i in indices])
-        keep = weights == prob.feasible_weight
-        costs, indices = costs[keep], indices[keep]
+    indices = np.flatnonzero(_feasible_mask(prob))
+    costs = costs[indices]
     opt = float(costs.min() if sense == "min" else costs.max())
     tol = 1e-9 * max(1.0, abs(opt))
-    winners = indices[np.abs(costs - opt) <= tol]
-    strings = tuple(format(int(i), f"0{prob.n}b") for i in winners)
-    return opt, strings
+    return opt, indices[np.abs(costs - opt) <= tol]
 
 
 @dataclass(frozen=True)
@@ -295,61 +274,48 @@ class MetricsResult:
     feasible_fraction: float
     mean_cost: float
     opt_cost: float
-    optimal_bitstrings: tuple[str, ...]
-    sign_mixed: bool = False
 
 
-def metrics(prob: IsingProblem, dist: dict[str, float], sense: str) -> MetricsResult:
+def metrics(prob: IsingProblem, probs, sense: str) -> MetricsResult:
     """Approximation ratio and success probability of an outcome distribution.
 
-    The distribution maps bitstrings (qubit 0 rightmost) to non-negative
-    weights; weights are normalized, so raw counts are accepted.  When the
-    problem carries a feasibility budget, only bitstrings of that Hamming
-    weight are kept (and renormalized).  AR is the post-selected mean cost
-    over the exhaustive optimum; with a zero optimum AR is undefined and
-    reported as None next to the absolute costs.
+    ``probs`` holds a non-negative weight per outcome, indexed by the
+    little-endian basis integer (length 2^n); weights are normalized, so raw
+    counts are accepted.  When the problem carries a feasibility budget, only
+    outcomes of that Hamming weight are kept (and renormalized).  AR is the
+    post-selected mean cost over the exhaustive optimum; with a zero optimum
+    AR is undefined and reported as None next to the absolute costs.
     """
-    if not dist:
-        raise ValidationError("empty distribution")
-    total = 0.0
-    for key, weight in dist.items():
-        _bits_from_key(key, prob.n)
-        if weight < 0:
-            raise ValidationError(f"negative weight for {key!r}")
-        total += weight
+    weights = np.asarray(probs, dtype=float)
+    if weights.shape != (2**prob.n,):
+        raise DimensionError(
+            f"distribution has shape {weights.shape}, expected ({2**prob.n},)"
+        )
+    if not np.isfinite(weights).all() or (weights < 0).any():
+        raise ValidationError("distribution weights must be finite and >= 0")
+    total = weights.sum()
     if total <= 0:
         raise ValidationError("distribution has zero total weight")
-    probs = {key: weight / total for key, weight in dist.items()}
+    weights = weights / total
 
     feasible_fraction = 1.0
     if prob.feasible_weight is not None:
-        kept = {k: v for k, v in probs.items() if k.count("1") == prob.feasible_weight}
-        feasible_fraction = sum(kept.values())
+        weights = np.where(_feasible_mask(prob), weights, 0.0)
+        feasible_fraction = float(weights.sum())
         if feasible_fraction <= 0:
             raise NoFeasibleOutcomeError(
                 f"no outcome has Hamming weight {prob.feasible_weight}"
             )
-        probs = {k: v / feasible_fraction for k, v in kept.items()}
+        weights = weights / feasible_fraction
 
-    mean_cost = sum(p * cost_of_bitstring(prob, k) for k, p in probs.items())
-    opt, optimal_strings = optimal_cost(prob, sense)
-    sp = sum(probs.get(k, 0.0) for k in optimal_strings)
-    if opt == 0.0:
-        ar = None
-        sign_mixed = False
-    else:
-        ar = mean_cost / opt
-        sign_mixed = any(
-            cost_of_bitstring(prob, k) * opt < 0 for k in probs
-        )
+    mean_cost = float(weights @ cost_vector(prob))
+    opt, winners = optimal_cost(prob, sense)
     return MetricsResult(
-        ar=ar,
-        sp=sp,
+        ar=None if opt == 0.0 else mean_cost / opt,
+        sp=float(weights[winners].sum()),
         feasible_fraction=feasible_fraction,
         mean_cost=mean_cost,
         opt_cost=opt,
-        optimal_bitstrings=optimal_strings,
-        sign_mixed=sign_mixed,
     )
 
 
@@ -363,34 +329,56 @@ class ProblemFile:
     label: str
 
 
+def _items(value, field_name: str) -> list:
+    """A list-valued document field, or a ValidationError naming it."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{field_name}: expected a list, got {value!r}")
+    return list(value)
+
+
 def problem_from_dict(doc: dict, label: str = "problem") -> ProblemFile:
     if not isinstance(doc, dict) or "type" not in doc:
         raise ParseError("problem document must be an object with a 'type' field")
     kind = doc["type"]
     if kind == "portopt":
         try:
+            mu = tuple(
+                as_float(v, f"mu[{i}]") for i, v in enumerate(_items(doc["mu"], "mu"))
+            )
+            sigma = tuple(
+                tuple(
+                    as_float(v, f"sigma[{i}][{j}]")
+                    for j, v in enumerate(_items(row, f"sigma[{i}]"))
+                )
+                for i, row in enumerate(_items(doc["sigma"], "sigma"))
+            )
             inst = PortfolioInstance(
-                n=len(doc["mu"]),
-                mu=tuple(float(v) for v in doc["mu"]),
-                sigma=tuple(tuple(float(v) for v in row) for row in doc["sigma"]),
-                q=float(doc["q"]),
-                budget=int(doc["B"]),
-                penalty=float(doc["A"]),
-                lam=float(doc["lambda"]),
+                n=len(mu),
+                mu=mu,
+                sigma=sigma,
+                q=as_float(doc["q"], "q"),
+                budget=as_int(doc["B"], "B"),
+                penalty=as_float(doc["A"], "A"),
+                lam=as_float(doc["lambda"], "lambda"),
             )
         except KeyError as exc:
             raise ParseError(f"portopt problem missing field {exc.args[0]!r}") from exc
         return ProblemFile(encode_portopt(inst), sense="min", kind=kind, label=label)
     if kind == "maxcut":
         try:
-            inst = MaxCutInstance(
-                n=int(doc["n"]),
-                edges=frozenset(
-                    (min(int(i), int(j)), max(int(i), int(j))) for i, j in doc["edges"]
-                ),
-            )
+            n = as_int(doc["n"], "n")
+            edges = set()
+            for k, edge in enumerate(_items(doc["edges"], "edges")):
+                pair = _items(edge, f"edges[{k}]")
+                if len(pair) != 2:
+                    raise ValidationError(
+                        f"edges[{k}]: expected 2 nodes, got {len(pair)}"
+                    )
+                i, j = (as_int(v, f"edges[{k}][{m}]") for m, v in enumerate(pair))
+                edges.add((min(i, j), max(i, j)))
         except KeyError as exc:
             raise ParseError(f"maxcut problem missing field {exc.args[0]!r}") from exc
+        inst = MaxCutInstance(n=n, edges=frozenset(edges))
         return ProblemFile(encode_maxcut(inst), sense="max", kind=kind, label=label)
     raise ParseError(f"unknown problem type {kind!r}")
 

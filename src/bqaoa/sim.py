@@ -15,11 +15,13 @@ matrix and applies it to rho once; QPT repeats a channel with a matrix
 power and reads its Choi matrix off by reshuffling (Wood, Biamonte & Cory,
 arXiv:1111.6950).
 
-Bitstrings throughout read qubit 0 rightmost.
+Outcome distributions and counts are vectors indexed by the little-endian
+basis integer: qubit (or classical bit) 0 is bit 0 of the index.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -200,8 +202,8 @@ class NoiseModel:
     def from_device(
         cls, dev: DeviceModel, physical_qubits, scale: float = 1.0
     ) -> "NoiseModel":
-        if scale < 0:
-            raise ValidationError(f"noise scale {scale} must be >= 0")
+        if not (math.isfinite(scale) and scale >= 0):
+            raise ValidationError(f"noise scale {scale} must be finite and >= 0")
         entries = []
         for q in physical_qubits:
             cal = dev.qubits[q]
@@ -304,10 +306,6 @@ def evolve(
 # --- sampling and readout ---
 
 
-def _bitstring(index: int, n: int) -> str:
-    return format(index, f"0{n}b")
-
-
 def apply_confusion(probs: np.ndarray, confusions: list[np.ndarray]) -> np.ndarray:
     """Push a probability vector through per-qubit confusion matrices."""
     n = len(confusions)
@@ -323,8 +321,11 @@ def sample(
     shots: int,
     confusions: list[np.ndarray] | None,
     seed: int,
-) -> dict[str, int]:
-    """Multinomial readout of diag(rho) through the confusion matrices."""
+) -> np.ndarray:
+    """Multinomial readout of diag(rho) through the confusion matrices.
+
+    Returns the count of every outcome, indexed by the basis integer.
+    """
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
     probs = rho.probabilities()
@@ -332,28 +333,17 @@ def sample(
         probs = apply_confusion(probs, confusions)
         probs = np.clip(probs, 0.0, None)
         probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    drawn = rng.multinomial(shots, probs)
-    return {
-        _bitstring(i, rho.n): int(c) for i, c in enumerate(drawn) if c > 0
-    }
-
-
-def counts_to_vector(counts: dict[str, float], n: int) -> np.ndarray:
-    vec = np.zeros(2**n)
-    for key, value in counts.items():
-        if len(key) != n:
-            raise DimensionError(f"key {key!r} has length {len(key)}, expected {n}")
-        vec[int(key, 2)] += value
-    return vec
+    return np.random.default_rng(seed).multinomial(shots, probs)
 
 
 def mitigate_readout(
-    counts: dict[str, float], confusions: list[np.ndarray]
-) -> tuple[dict[str, float], dict[str, float]]:
+    counts: np.ndarray, confusions: list[np.ndarray]
+) -> tuple[dict[int, float], np.ndarray]:
     """Invert the tensor-product confusion matrices.
 
-    Returns (raw quasi-probabilities, clipped-and-renormalized distribution).
+    Returns the raw quasi-probabilities, as a mapping from each outcome with
+    a nonzero value to that value, and the clipped-and-renormalized
+    distribution vector.
     """
     n = len(confusions)
     inverses = []
@@ -361,36 +351,34 @@ def mitigate_readout(
         if abs(np.linalg.det(m)) < 1e-12:
             raise SingularConfusionError(f"confusion matrix of qubit {q} is singular")
         inverses.append(np.linalg.inv(m))
-    vec = counts_to_vector(counts, n)
+    vec = np.asarray(counts, dtype=float)
+    if vec.shape != (2**n,):
+        raise DimensionError(f"counts have shape {vec.shape}, expected ({2**n},)")
     total = vec.sum()
     if total <= 0:
         raise ValidationError("empty counts")
     quasi_vec = apply_confusion(vec / total, inverses)
-    quasi = {
-        _bitstring(i, n): float(v) for i, v in enumerate(quasi_vec) if v != 0.0
-    }
-    clipped_vec = np.clip(quasi_vec, 0.0, None)
-    norm = clipped_vec.sum()
+    clipped = np.clip(quasi_vec, 0.0, None)
+    norm = clipped.sum()
     if norm <= 0:
         raise SingularConfusionError("mitigation produced no non-negative mass")
-    clipped_vec = clipped_vec / norm
-    clipped = {
-        _bitstring(i, n): float(v) for i, v in enumerate(clipped_vec) if v > 0.0
-    }
-    return quasi, clipped
+    # A mapping rather than a vector: the benchmark's traced mode
+    # (perfbench/tracer.py) reads the quasi-probabilities with ``.values()``.
+    quasi = {i: float(v) for i, v in enumerate(quasi_vec) if v != 0.0}
+    return quasi, clipped / norm
 
 
-def remap_counts(counts: dict[str, float], wire_to_clbit: dict[int, int]) -> dict:
-    """Re-key wire-indexed bitstrings by classical bit (qubit 0 rightmost)."""
+def remap_counts(vec: np.ndarray, wire_to_clbit: dict[int, int]) -> np.ndarray:
+    """Re-index a wire-indexed outcome vector by classical bit.
+
+    Bit ``wire`` of an old index becomes bit ``wire_to_clbit[wire]`` of the
+    new one: a transpose of the (2,)*n tensor, whose axis a is bit n-1-a.
+    """
     n = len(wire_to_clbit)
-    out: dict[str, float] = {}
-    for key, value in counts.items():
-        bits = ["0"] * n
-        for wire, clbit in wire_to_clbit.items():
-            bits[n - 1 - clbit] = key[len(key) - 1 - wire]
-        new_key = "".join(bits)
-        out[new_key] = out.get(new_key, 0) + value
-    return out
+    axes = [0] * n
+    for wire, clbit in wire_to_clbit.items():
+        axes[n - 1 - clbit] = n - 1 - wire
+    return np.reshape(vec, (2,) * n).transpose(axes).reshape(-1)
 
 
 def run_noisy(
@@ -400,35 +388,25 @@ def run_noisy(
     seed: int,
     noise_scale: float = 1.0,
     mitigated: bool = True,
-) -> tuple[dict[str, int], dict[str, float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Evolve, sample through the scaled confusion matrices and remap.
 
-    Returns the raw wire-keyed counts and the clbit-keyed distribution,
+    Returns the raw wire-indexed counts and the clbit-indexed distribution,
     readout-mitigated unless ``mitigated`` is false.
     """
     noise = NoiseModel.from_device(dev, lowered.chain, scale=noise_scale)
     rho = evolve(lowered, noise)
     confusions = noise.confusion_matrices()
     counts = sample(rho, shots, confusions, seed)
-    if mitigated:
-        _, dist = mitigate_readout(counts, confusions)
-    else:
-        dist = {k: float(v) for k, v in counts.items()}
+    dist = mitigate_readout(counts, confusions)[1] if mitigated else counts
     return counts, remap_counts(dist, lowered.measure_map())
 
 
-def ideal_distribution(c: CircuitIR) -> dict[str, float]:
-    """Exact noiseless outcome distribution keyed by classical bits."""
+def ideal_distribution(c: CircuitIR) -> np.ndarray:
+    """Exact noiseless outcome distribution indexed by classical bits."""
     probs = np.abs(statevector(c)) ** 2
     mapping = c.measure_map()
-    raw = {
-        _bitstring(i, c.num_qubits): float(p)
-        for i, p in enumerate(probs)
-        if p > 1e-300
-    }
-    if not mapping:
-        return raw
-    return remap_counts(raw, mapping)
+    return remap_counts(probs, mapping) if mapping else probs
 
 
 # --- Choi matrices and process fidelity ---

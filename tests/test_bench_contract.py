@@ -1,0 +1,52 @@
+"""What the benchmark under ``perfbench/`` needs from the package.
+
+Its traced mode (``perfbench/run.py --trace 1``) wraps the functions that
+``perfbench/tracer.py`` lists in ``LAYER_FUNCTIONS``, looking each up by
+name, and reads the readout-mitigation quasi-probabilities with
+``.values()``.  A rename or a changed return type breaks that mode without
+failing anything else, so the contract is checked here.  The tracer is
+loaded by path and only read.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from bqaoa import sim
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_layer_functions_resolve(tracer):
+    missing = [
+        f"{module}.{name}"
+        for module, names in tracer.LAYER_FUNCTIONS.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"bqaoa.{module}"), name, None))
+    ]
+    assert not missing
+
+
+def test_mitigation_quasi_values_are_the_quasi_probabilities():
+    confusions = [
+        np.array([[0.97, 0.02], [0.03, 0.98]]),
+        np.array([[0.95, 0.04], [0.05, 0.96]]),
+    ]
+    counts = np.array([700, 0, 20, 280])
+    quasi, _ = sim.mitigate_readout(counts, confusions)
+    # the tensor-product inverse, qubit 0 the least-significant bit
+    inverse = np.kron(np.linalg.inv(confusions[1]), np.linalg.inv(confusions[0]))
+    expected = inverse @ (counts / counts.sum())
+    assert sorted(quasi.values()) == pytest.approx(sorted(expected[expected != 0]))
+    assert any(v < 0 for v in quasi.values())  # the tracer counts negative mass

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -112,6 +113,42 @@ def test_config_error_exits_2(runner, tmp_path):
         result = runner.invoke(main, ["device", "summarize", str(path)])
         assert result.exit_code == 2
         assert f"edges[0].{field}" in result.output
+    for field, value in (("control", "x"), ("target", 1.5)):
+        doc = json.loads(open(FRAGMENT).read())
+        doc["edges"][0][field] = value
+        path = tmp_path / f"bad_{field}.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["device", "summarize", str(path)])
+        assert result.exit_code == 2
+        assert f"edges[0].{field}" in result.output
+    for option in ("--gammas", "--betas"):
+        result = runner.invoke(
+            main, ["circuit", "build", "--problem", K5, "--p", "1", option, "abc"]
+        )
+        assert result.exit_code == 2
+        assert option in result.output
+    result = runner.invoke(main, ["qpt", "--device", FRAGMENT, "--edge", "1,0,4"])
+    assert result.exit_code == 2
+    assert "--edge" in result.output
+    portopt = json.loads(open(PORTOPT5).read())
+    maxcut = json.loads(open(K5).read())
+    bad_problems = [
+        (portopt, "mu", ["abc"] + portopt["mu"][1:], "mu[0]"),
+        (portopt, "sigma", [[0.1, "x"]] + portopt["sigma"][1:], "sigma[0][1]"),
+        (portopt, "q", "abc", "q"),
+        (portopt, "A", None, "A"),
+        (portopt, "lambda", float("inf"), "lambda"),
+        (portopt, "B", 1.5, "B"),
+        (maxcut, "n", "five", "n"),
+        (maxcut, "edges", [[0, 1], [0, 2, 3]], "edges[1]"),
+        (maxcut, "edges", [[0, "x"]], "edges[0][1]"),
+    ]
+    for k, (doc, field, value, name) in enumerate(bad_problems):
+        path = tmp_path / f"bad_problem_{k}.json"
+        path.write_text(json.dumps(doc | {field: value}))
+        result = runner.invoke(main, ["optimize", "--problem", str(path)])
+        assert result.exit_code == 2, (name, result.output)
+        assert f"{name}:" in result.output
 
 
 def test_simulate_metrics(runner):
@@ -139,9 +176,10 @@ def test_simulate_no_mitigate_uses_raw_counts(runner):
     problem = qaoa.load_problem(K5)
     circ = qaoa.build_swap_network(problem.ising, qaoa.ParamVector((0.419,), (0.262,)))
     lowered = lower_circuit(circ, (0, 1, 2, 3, 4), device.load_device(SYNTH5))
-    logical = sim.remap_counts(
-        {k: float(v) for k, v in raw_doc["counts"].items()}, lowered.measure_map()
-    )
+    counts = np.zeros(2**5)
+    for key, value in raw_doc["counts"].items():
+        counts[int(key, 2)] = value
+    logical = sim.remap_counts(counts, lowered.measure_map())
     expected = qaoa.metrics(problem.ising, logical, problem.sense)
     assert raw_doc["metrics"] == {
         key: getattr(expected, key) for key in raw_doc["metrics"]
@@ -155,6 +193,23 @@ def test_simulate_seed_determinism(runner):
     a = runner.invoke(main, args)
     b = runner.invoke(main, args)
     assert a.output == b.output
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["simulate", "qpt", "benchmark"])
+def test_non_finite_noise_scale_exits_2(runner, command, scale):
+    args = {
+        "simulate": ["simulate", "--device", SYNTH5, "--problem", K5,
+                     "--chain", "0,1,2,3,4", "--shots", "100"],
+        "qpt": ["qpt", "--device", FRAGMENT, "--edge", "1,0", "--angles", "1"],
+        "benchmark": ["benchmark", "--device", SYNTH5, "--problem", K5,
+                      "--strategies", "global", "--opt-levels", "default",
+                      "--p", "1", "--grid", "2", "--max-evals", "4",
+                      "--shots", "100"],
+    }[command]
+    result = runner.invoke(main, args + ["--noise-scale", scale])
+    assert result.exit_code == 2
+    assert "noise scale" in result.output
 
 
 def test_optimize_command(runner):

@@ -8,7 +8,7 @@ from bqaoa import circuit as cir
 from bqaoa import data_path, qaoa
 from bqaoa.circuit import GateKind
 from bqaoa.errors import (
-    LengthError,
+    DimensionError,
     NoFeasibleOutcomeError,
     ValidationError,
 )
@@ -84,9 +84,9 @@ def test_encode_portopt_matches_term_expansion_oracle():
     )
     prob = qaoa.encode_portopt(inst)
     expected = oracles.portfolio_cost_table(mu, sigma, 0.33, 2, 0.0, 20.97)
+    costs = qaoa.cost_vector(prob)
     for z in range(8):
-        got = qaoa.cost_of_bitstring(prob, format(z, "03b"))
-        assert got == pytest.approx(expected[z], abs=1e-12)
+        assert costs[z] == pytest.approx(expected[z], abs=1e-12)
 
 
 def test_encode_maxcut_k5():
@@ -102,8 +102,8 @@ def test_encode_maxcut_empty_and_single_edge():
     empty = qaoa.encode_maxcut(qaoa.MaxCutInstance(3, frozenset()))
     assert not empty.j and empty.constant == 0.0
     single = qaoa.encode_maxcut(qaoa.MaxCutInstance(2, frozenset({(0, 1)})))
-    assert qaoa.cost_of_bitstring(single, "01") == 1.0
-    assert qaoa.cost_of_bitstring(single, "00") == 0.0
+    assert qaoa.cost_vector(single)[int("01", 2)] == 1.0
+    assert qaoa.cost_vector(single)[int("00", 2)] == 0.0
 
 
 def test_ising_rejects_non_finite_fields_and_constant():
@@ -217,18 +217,20 @@ def test_unitary_matches_exponential_oracle(n, p):
 
 def test_cost_k5_split():
     prob = k5_problem()
-    assert qaoa.cost_of_bitstring(prob, "00011") == 6.0
-    assert qaoa.cost_of_bitstring(prob, "00000") == 0.0
+    assert qaoa.cost_vector(prob)[int("00011", 2)] == 6.0
+    assert qaoa.cost_vector(prob)[int("00000", 2)] == 0.0
 
 
 def test_cost_field_only_problem():
     prob = qaoa.IsingProblem(n=3, j=(), h=(0.5, -1.0, 2.0), constant=0.25)
-    assert qaoa.cost_of_bitstring(prob, "000") == pytest.approx(0.5 - 1.0 + 2.0 + 0.25)
+    expected = 0.5 - 1.0 + 2.0 + 0.25
+    assert qaoa.cost_vector(prob)[int("000", 2)] == pytest.approx(expected)
 
 
 def test_cost_rejects_wrong_length():
-    with pytest.raises(LengthError):
-        qaoa.cost_of_bitstring(k5_problem(), "0011")
+    # a 4-qubit distribution handed to a 5-qubit problem
+    with pytest.raises(DimensionError):
+        qaoa.metrics(k5_problem(), np.ones(2**4), "max")
 
 
 @settings(max_examples=30, deadline=None)
@@ -238,16 +240,14 @@ def test_cost_matches_edge_counting(data):
     all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = data.draw(st.sets(st.sampled_from(all_pairs)))
     prob = qaoa.encode_maxcut(qaoa.MaxCutInstance(n, frozenset(edges)))
+    costs = qaoa.cost_vector(prob)
     for z in range(2**n):
-        assert qaoa.cost_of_bitstring(prob, format(z, f"0{n}b")) == pytest.approx(
-            oracles.cut_size(z, n, edges)
-        )
+        assert costs[z] == pytest.approx(oracles.cut_size(z, n, edges))
 
 
 def test_metrics_uniform_k5():
     prob = k5_problem()
-    dist = {format(z, "05b"): 1.0 for z in range(32)}
-    result = qaoa.metrics(prob, dist, "max")
+    result = qaoa.metrics(prob, np.ones(32), "max")
     assert result.ar == pytest.approx(5.0 / 6.0)
     assert result.sp == pytest.approx(20.0 / 32.0)
     assert result.feasible_fraction == 1.0
@@ -255,7 +255,9 @@ def test_metrics_uniform_k5():
 
 def test_metrics_point_mass_on_optimum():
     prob = k5_problem()
-    result = qaoa.metrics(prob, {"00011": 123}, "max")
+    dist = np.zeros(32)
+    dist[int("00011", 2)] = 123
+    result = qaoa.metrics(prob, dist, "max")
     assert result.ar == pytest.approx(1.0)
     assert result.sp == pytest.approx(1.0)
 
@@ -263,8 +265,8 @@ def test_metrics_point_mass_on_optimum():
 def test_metrics_scaling_invariance_and_bounds():
     prob = k5_problem()
     rng = np.random.default_rng(2)
-    dist = {format(z, "05b"): float(rng.integers(1, 50)) for z in range(32)}
-    scaled = {k: 17.0 * v for k, v in dist.items()}
+    dist = rng.integers(1, 50, 32).astype(float)
+    scaled = 17.0 * dist
     a = qaoa.metrics(prob, dist, "max")
     b = qaoa.metrics(prob, scaled, "max")
     assert a.ar == pytest.approx(b.ar)
@@ -284,22 +286,25 @@ def test_metrics_budget_post_selection():
             "lambda": 1.0,
         }
     )
-    dist = {"011": 2.0, "110": 1.0, "111": 5.0, "000": 2.0}
+    dist = np.zeros(8)
+    for key, weight in {"011": 2.0, "110": 1.0, "111": 5.0, "000": 2.0}.items():
+        dist[int(key, 2)] = weight
     result = qaoa.metrics(pf.ising, dist, pf.sense)
     assert result.feasible_fraction == pytest.approx(0.3)
     # only the two weight-2 outcomes survive post-selection
     kept = {"011": 2 / 3, "110": 1 / 3}
-    expected_mean = sum(
-        p * qaoa.cost_of_bitstring(pf.ising, k) for k, p in kept.items()
-    )
+    costs = qaoa.cost_vector(pf.ising)
+    expected_mean = sum(p * costs[int(k, 2)] for k, p in kept.items())
     assert result.mean_cost == pytest.approx(expected_mean)
+    only_infeasible = np.zeros(8)
+    only_infeasible[int("111", 2)] = 1.0
     with pytest.raises(NoFeasibleOutcomeError):
-        qaoa.metrics(pf.ising, {"111": 1.0}, pf.sense)
+        qaoa.metrics(pf.ising, only_infeasible, pf.sense)
 
 
 def test_metrics_zero_optimum_reports_costs():
     prob = qaoa.IsingProblem(n=2, j=(), h=(0.0, 0.0), constant=0.0)
-    result = qaoa.metrics(prob, {"00": 1.0}, "min")
+    result = qaoa.metrics(prob, np.array([1.0, 0.0, 0.0, 0.0]), "min")
     assert result.ar is None
     assert result.mean_cost == 0.0
     assert result.opt_cost == 0.0
