@@ -282,12 +282,17 @@ def apply_gate(array: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
     return apply_matrix(array, mat, gate.qubits, num_qubits)
 
 
+def require_dense(num_qubits: int) -> None:
+    """Refuse sizes beyond the dense state-vector and unitary limit."""
+    if num_qubits > MAX_DENSE_QUBITS:
+        raise TooLargeError(
+            f"{num_qubits} qubits exceeds dense limit {MAX_DENSE_QUBITS}"
+        )
+
+
 def unitary_of(c: CircuitIR) -> np.ndarray:
     """Dense unitary of a measurement-free circuit, little-endian."""
-    if c.num_qubits > MAX_DENSE_QUBITS:
-        raise TooLargeError(
-            f"{c.num_qubits} qubits exceeds dense limit {MAX_DENSE_QUBITS}"
-        )
+    require_dense(c.num_qubits)
     dim = 2**c.num_qubits
     u = np.eye(dim, dtype=complex)
     for g in c.gates:
@@ -301,10 +306,7 @@ def unitary_of(c: CircuitIR) -> np.ndarray:
 
 def statevector(c: CircuitIR, initial: np.ndarray | None = None) -> np.ndarray:
     """State after the circuit from |0...0> (measurements are ignored)."""
-    if c.num_qubits > MAX_DENSE_QUBITS:
-        raise TooLargeError(
-            f"{c.num_qubits} qubits exceeds dense limit {MAX_DENSE_QUBITS}"
-        )
+    require_dense(c.num_qubits)
     if initial is None:
         state = np.zeros(2**c.num_qubits, dtype=complex)
         state[0] = 1.0

@@ -110,6 +110,10 @@ class IsingProblem:
                 raise ValidationError(f"h[{i}] is not finite")
         if not math.isfinite(self.constant):
             raise ValidationError("constant is not finite")
+        if self.feasible_weight is not None and not 0 <= self.feasible_weight <= self.n:
+            raise ValidationError(
+                f"feasible weight {self.feasible_weight} not in [0, {self.n}]"
+            )
 
     def coupling(self, a: int, b: int) -> float:
         key = (min(a, b), max(a, b))
@@ -253,12 +257,13 @@ def _feasible_mask(prob: IsingProblem) -> np.ndarray:
     return weights == prob.feasible_weight
 
 
-def optimal_cost(prob: IsingProblem, sense: str) -> tuple[float, np.ndarray]:
+def optimal_cost(
+    costs: np.ndarray, feasible: np.ndarray, sense: str
+) -> tuple[float, np.ndarray]:
     """Exhaustive optimum over the feasible outcomes and the indices attaining it."""
     if sense not in ("min", "max"):
         raise ValidationError(f"sense must be 'min' or 'max', got {sense!r}")
-    costs = cost_vector(prob)
-    indices = np.flatnonzero(_feasible_mask(prob))
+    indices = np.flatnonzero(feasible)
     costs = costs[indices]
     opt = float(costs.min() if sense == "min" else costs.max())
     tol = 1e-9 * max(1.0, abs(opt))
@@ -274,6 +279,56 @@ class MetricsResult:
     feasible_fraction: float
     mean_cost: float
     opt_cost: float
+
+
+@dataclass(frozen=True)
+class CostTable:
+    """Per-problem tables every outcome distribution is reduced through."""
+
+    costs: np.ndarray
+    #: outcomes kept by budget post-selection, or None without a budget
+    feasible: np.ndarray | None
+    feasible_weight: int | None
+    opt: float
+    winners: np.ndarray
+
+    def reduce(self, weights: np.ndarray) -> MetricsResult:
+        """Metrics of non-negative weights, normalized and post-selected here."""
+        total = weights.sum()
+        if total <= 0:
+            raise ValidationError("distribution has zero total weight")
+        weights = weights / total
+        feasible_fraction = 1.0
+        if self.feasible is not None:
+            weights = np.where(self.feasible, weights, 0.0)
+            feasible_fraction = float(weights.sum())
+            if feasible_fraction <= 0:
+                raise NoFeasibleOutcomeError(
+                    f"no outcome has Hamming weight {self.feasible_weight}"
+                )
+            weights = weights / feasible_fraction
+        mean_cost = float(weights @ self.costs)
+        return MetricsResult(
+            ar=None if self.opt == 0.0 else mean_cost / self.opt,
+            sp=float(weights[self.winners].sum()),
+            feasible_fraction=feasible_fraction,
+            mean_cost=mean_cost,
+            opt_cost=self.opt,
+        )
+
+
+def cost_table(prob: IsingProblem, sense: str) -> CostTable:
+    """Costs, feasibility mask, optimum and winners of a problem, built once."""
+    costs = cost_vector(prob)
+    feasible = _feasible_mask(prob)
+    opt, winners = optimal_cost(costs, feasible, sense)
+    return CostTable(
+        costs=costs,
+        feasible=None if prob.feasible_weight is None else feasible,
+        feasible_weight=prob.feasible_weight,
+        opt=opt,
+        winners=winners,
+    )
 
 
 def metrics(prob: IsingProblem, probs, sense: str) -> MetricsResult:
@@ -293,30 +348,7 @@ def metrics(prob: IsingProblem, probs, sense: str) -> MetricsResult:
         )
     if not np.isfinite(weights).all() or (weights < 0).any():
         raise ValidationError("distribution weights must be finite and >= 0")
-    total = weights.sum()
-    if total <= 0:
-        raise ValidationError("distribution has zero total weight")
-    weights = weights / total
-
-    feasible_fraction = 1.0
-    if prob.feasible_weight is not None:
-        weights = np.where(_feasible_mask(prob), weights, 0.0)
-        feasible_fraction = float(weights.sum())
-        if feasible_fraction <= 0:
-            raise NoFeasibleOutcomeError(
-                f"no outcome has Hamming weight {prob.feasible_weight}"
-            )
-        weights = weights / feasible_fraction
-
-    mean_cost = float(weights @ cost_vector(prob))
-    opt, winners = optimal_cost(prob, sense)
-    return MetricsResult(
-        ar=None if opt == 0.0 else mean_cost / opt,
-        sp=float(weights[winners].sum()),
-        feasible_fraction=feasible_fraction,
-        mean_cost=mean_cost,
-        opt_cost=opt,
-    )
+    return cost_table(prob, sense).reduce(weights)
 
 
 @dataclass(frozen=True)

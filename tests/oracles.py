@@ -84,6 +84,37 @@ def qaoa_unitary(n, couplings, fields, constant, gammas, betas) -> np.ndarray:
     return u
 
 
+def maxcut_p1_expectation(n, edges, gamma, beta):
+    """Closed-form p=1 QAOA expected cut size, summed edge by edge.
+
+    Wang, Hadfield, Jiang & Rieffel, arXiv:1706.02998, Theorem 1, for
+    exp(-i beta sum X) exp(-i gamma C) on |+>^n: an edge (u, v) with d_u
+    and d_v further neighbours and t common neighbours contributes
+    1/2 + (1/4) sin 4b sin g (cos^d_u g + cos^d_v g)
+        - (1/4) sin^2 2b cos^(d_u + d_v - 2t) g (1 - cos^t 2g).
+    gamma and beta broadcast as numpy arrays.
+    """
+    gamma, beta = np.asarray(gamma, float), np.asarray(beta, float)
+    neighbours = {v: set() for v in range(n)}
+    for u, v in edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    total = np.zeros(np.broadcast(gamma, beta).shape)
+    for u, v in edges:
+        d_u, d_v = len(neighbours[u]) - 1, len(neighbours[v]) - 1
+        t = len(neighbours[u] & neighbours[v])
+        total += 0.5 + 0.25 * np.sin(4 * beta) * np.sin(gamma) * (
+            np.cos(gamma) ** d_u + np.cos(gamma) ** d_v
+        )
+        total -= (
+            0.25
+            * np.sin(2 * beta) ** 2
+            * np.cos(gamma) ** (d_u + d_v - 2 * t)
+            * (1 - np.cos(2 * gamma) ** t)
+        )
+    return total
+
+
 def permutation_matrix(wire_to_logical, n) -> np.ndarray:
     """Maps a logical-basis state to the wire-basis state holding it."""
     dim = 2**n

@@ -3,8 +3,11 @@
 Its traced mode (``perfbench/run.py --trace 1``) wraps the functions that
 ``perfbench/tracer.py`` lists in ``LAYER_FUNCTIONS``, looking each up by
 name, and reads the readout-mitigation quasi-probabilities with
-``.values()``.  A rename or a changed return type breaks that mode without
-failing anything else, so the contract is checked here.  The tracer is
+``.values()``.  It times training by wrapping the closures that
+``optimize.exact_expectation_evaluator`` returns, so training must get its
+evaluator through that module-level name.  A rename, a changed return type
+or an evaluator built some other way breaks that mode without failing
+anything else, so the contract is checked here.  The tracer is
 loaded by path and only read.
 """
 
@@ -15,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bqaoa import sim
+from bqaoa import data_path, optimize, qaoa, sim
+from bqaoa.optimize import OptimizerConfig
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -50,3 +54,26 @@ def test_mitigation_quasi_values_are_the_quasi_probabilities():
     expected = inverse @ (counts / counts.sum())
     assert sorted(quasi.values()) == pytest.approx(sorted(expected[expected != 0]))
     assert any(v < 0 for v in quasi.values())  # the tracer counts negative mass
+
+
+def test_depth_sweep_evaluates_through_the_traced_evaluator_name(monkeypatch):
+    built, calls = [], []
+    original = optimize.exact_expectation_evaluator
+
+    def counting_factory(prob, sense):
+        evaluate = original(prob, sense)
+        built.append(prob)
+
+        def counting(params):
+            calls.append(params)
+            return evaluate(params)
+
+        return counting
+
+    monkeypatch.setattr(optimize, "exact_expectation_evaluator", counting_factory)
+    problem = qaoa.load_problem(data_path("portopt3.json"))
+    sweep = optimize.optimize_depth_sweep(
+        problem.ising, problem.sense, [1, 2], OptimizerConfig(max_evals=300)
+    )
+    assert built == [problem.ising]
+    assert len(calls) == sum(result.evaluations for result in sweep.values())

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from bqaoa import qaoa, sim
+from problem_strategies import maxcut_problems, portfolio_problems
 
 TOL = dict(rel=1e-12, abs=1e-12)
 
@@ -31,29 +32,14 @@ def weight_vectors(draw, n):
 
 @st.composite
 def maxcut_cases(draw):
-    n = draw(st.integers(2, 6))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = draw(st.sets(st.sampled_from(pairs), min_size=1))
-    prob = qaoa.encode_maxcut(qaoa.MaxCutInstance(n, frozenset(edges)))
-    costs = np.array([oracles.cut_size(z, n, edges) for z in range(2**n)], float)
-    return prob, costs, "max", draw(weight_vectors(n))
+    prob, costs, sense = draw(maxcut_problems())
+    return prob, costs, sense, draw(weight_vectors(prob.n))
 
 
 @st.composite
 def portfolio_cases(draw):
-    n = draw(st.integers(3, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mu = rng.uniform(0.03, 0.15, n)
-    factors = rng.normal(0.0, 0.05, (n, n))
-    sigma = factors @ factors.T / n + np.diag(rng.uniform(0.002, 0.01, n))
-    sigma = (sigma + sigma.T) / 2
-    q, penalty, lam = rng.uniform(0.2, 0.6), rng.uniform(0.0, 0.1), rng.uniform(1, 20)
-    budget = draw(st.integers(1, n - 1))
-    inst = qaoa.PortfolioInstance(
-        n, tuple(mu), tuple(map(tuple, sigma)), q, budget, penalty, lam
-    )
-    costs = oracles.portfolio_cost_table(mu, sigma, q, budget, penalty, lam)
-    return qaoa.encode_portopt(inst), costs, "min", draw(weight_vectors(n))
+    prob, costs, sense = draw(portfolio_problems())
+    return prob, costs, sense, draw(weight_vectors(prob.n))
 
 
 @settings(max_examples=60, deadline=None)

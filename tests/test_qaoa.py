@@ -122,6 +122,15 @@ def test_ising_rejects_non_finite_fields_and_constant():
         qaoa.IsingProblem(n=1, j=(), h=(0.0,), constant=float("inf"))
 
 
+def test_ising_rejects_feasible_weight_no_outcome_has():
+    # an empty feasible set would leave the optimum undefined
+    for weight in (-1, 3):
+        with pytest.raises(ValidationError, match="feasible weight"):
+            qaoa.IsingProblem(n=2, j=(), h=(0.0, 0.0), feasible_weight=weight)
+    for weight in (0, 2):
+        qaoa.IsingProblem(n=2, j=(), h=(0.0, 0.0), feasible_weight=weight)
+
+
 def test_maxcut_rejects_self_loop():
     with pytest.raises(ValidationError):
         qaoa.MaxCutInstance(3, frozenset({(1, 1)}))
