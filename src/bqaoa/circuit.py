@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import MeasureInUnitaryError, TooLargeError, ValidationError
+from .errors import TooLargeError, ValidationError
 
 MAX_DENSE_QUBITS = 10
 
@@ -161,10 +161,6 @@ class CircuitIR:
                     raise ValidationError(f"measure clbit {g.clbit} used twice")
                 seen_clbits.add(g.clbit)
 
-    def without_measurements(self) -> "CircuitIR":
-        kept = tuple(g for g in self.gates if g.kind is not GateKind.MEASURE)
-        return CircuitIR(self.num_qubits, kept, num_clbits=0)
-
     def measure_map(self) -> dict[int, int]:
         """wire -> classical bit, from the measurement gates."""
         return {
@@ -290,20 +286,6 @@ def require_dense(num_qubits: int) -> None:
         )
 
 
-def unitary_of(c: CircuitIR) -> np.ndarray:
-    """Dense unitary of a measurement-free circuit, little-endian."""
-    require_dense(c.num_qubits)
-    dim = 2**c.num_qubits
-    u = np.eye(dim, dtype=complex)
-    for g in c.gates:
-        if g.kind is GateKind.MEASURE:
-            raise MeasureInUnitaryError("circuit contains measurements")
-        if g.kind is GateKind.BARRIER:
-            continue
-        u = apply_gate(u, g, c.num_qubits)
-    return u
-
-
 def statevector(c: CircuitIR, initial: np.ndarray | None = None) -> np.ndarray:
     """State after the circuit from |0...0> (measurements are ignored)."""
     require_dense(c.num_qubits)
@@ -317,14 +299,6 @@ def statevector(c: CircuitIR, initial: np.ndarray | None = None) -> np.ndarray:
             continue
         state = apply_gate(state, g, c.num_qubits)
     return state
-
-
-def equal_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
-    """|tr(U^dag V)| == dim within tol, the phase-insensitive equality."""
-    if u.shape != v.shape:
-        return False
-    dim = u.shape[0]
-    return abs(abs(np.trace(u.conj().T @ v)) - dim) <= tol * dim
 
 
 def to_text(c: CircuitIR) -> str:

@@ -359,6 +359,8 @@ def simulate(device_path, problem_path, chain_text, p, gammas, betas, shots,
 @handles_errors
 def optimize_cmd(problem_path, p, grid, max_evals, seed, output):
     """Noiseless parameter optimization (exact expectations)."""
+    if p < 1:
+        raise ConfigError(f"--p must be >= 1, got {p}")
     problem = load_problem(problem_path)
     cfg = OptimizerConfig(max_evals=max_evals, initial_grid=grid, seed=seed)
     sweep = opt_mod.optimize_depth_sweep(

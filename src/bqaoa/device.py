@@ -198,9 +198,6 @@ class DeviceModel:
             doc["edges"].append(entry)
         return doc
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
 
 @dataclass(frozen=True)
 class FlavorSummary:

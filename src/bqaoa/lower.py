@@ -33,6 +33,7 @@ factor (1 - cx_error * u / D), and the single-qubit overhead contributes
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,6 +82,10 @@ class RuleApplication:
     """One lowered two-qubit (or pulse) composite in the chain's wire frame."""
 
     label: str
+    #: the target kind, angle and polarity the composite realizes
+    kind: GateKind
+    angle: float | None
+    polarity: Polarity
     gates: tuple[Gate, ...]
     duration_ns: float
     cx_count: int
@@ -89,6 +94,16 @@ class RuleApplication:
     segments: tuple[float, ...] = ()
     #: surviving single-qubit layers of a pulse form
     overhead_1q: int = 0
+
+    def unit(self, wires, physical, edge, dev) -> LoweredUnit:
+        """The composite as the scheduled unit on ``wires`` (qubits ``physical``)."""
+        return LoweredUnit(
+            kind=self.kind, wires=wires, physical=physical,
+            gates=self.gates, duration_ns=self.duration_ns, cx_count=self.cx_count,
+            error=effective_error(self, edge, dev), label=self.label,
+            angle=self.angle, flavor=edge.flavor, polarity=self.polarity,
+            pulse=self.pulse,
+        )
 
 
 def _zz_default_duration(edge: EdgeCalibration) -> float:
@@ -164,17 +179,18 @@ def apply_rule(
     flavor = edge.flavor.value
     tc_extra = 2.0 * s if polarity is Polarity.TC else 0.0
     pulse = uses_pulse(edge, opt, target)
+    rule = functools.partial(RuleApplication, kind=target, angle=theta, polarity=polarity)
 
     if target is GateKind.CX:
         if polarity is Polarity.CT:
-            return RuleApplication(
+            return rule(
                 label=f"cx.{flavor}.ct",
                 gates=(cir.cx(c, t),),
                 duration_ns=edge.cx_duration_ns,
                 cx_count=1,
                 pulse=False,
             )
-        return RuleApplication(
+        return rule(
             label=f"cx.{flavor}.tc",
             gates=tuple(_reversed_cx(c, t)),
             duration_ns=edge.cx_duration_ns + tc_extra,
@@ -188,7 +204,7 @@ def apply_rule(
             overhead = dev.cr_scale.intercept_ns
             seg = max(0.0, (pulse_ns - overhead) / 2.0)
             n_overhead = int(round(overhead / s)) if s > 0 else 0
-            return RuleApplication(
+            return rule(
                 label=f"zz.{flavor}.opt.{polarity.value}",
                 gates=(Gate(GateKind.ZZ, (c, t), param=theta),),
                 duration_ns=pulse_ns + tc_extra,
@@ -201,7 +217,7 @@ def apply_rule(
             gates = [cir.cx(c, t), cir.rz(theta, t), cir.cx(c, t)]
         else:
             gates = _reversed_cx(c, t) + [cir.rz(theta, c)] + _reversed_cx(c, t)
-        return RuleApplication(
+        return rule(
             label=f"zz.{flavor}.default.{polarity.value}",
             gates=tuple(gates),
             duration_ns=_zz_default_duration(edge) + tc_extra,
@@ -213,7 +229,7 @@ def apply_rule(
         if pulse:
             pulse_ns = _cz_opt_duration(edge, dev)
             seg = max(0.0, (pulse_ns - s) / 2.0)
-            return RuleApplication(
+            return rule(
                 label=f"cz.{flavor}.opt.{polarity.value}",
                 gates=(Gate(GateKind.CZ, (c, t)),),
                 duration_ns=pulse_ns + tc_extra,
@@ -226,7 +242,7 @@ def apply_rule(
             gates = _h_gates(t) + [cir.cx(c, t)] + _h_gates(t)
         else:
             gates = _h_gates(c) + _reversed_cx(c, t) + _h_gates(c)
-        return RuleApplication(
+        return rule(
             label=f"cz.{flavor}.default.{polarity.value}",
             gates=tuple(gates),
             duration_ns=_cz_default_duration(edge, dev) + tc_extra,
@@ -237,7 +253,7 @@ def apply_rule(
     if target is GateKind.ZZ_SWAP:
         if pulse:
             seg = max(0.0, (_cz_opt_duration(edge, dev) - s) / 2.0)
-            return RuleApplication(
+            return rule(
                 label=f"zz_swap.{flavor}.opt.{polarity.value}",
                 gates=(Gate(GateKind.ZZ_SWAP, (c, t), param=theta),),
                 duration_ns=_zz_swap_opt_duration(edge, dev) + tc_extra,
@@ -260,7 +276,7 @@ def apply_rule(
                 + [cir.rz(theta, c), cir.cx(c, t)]
                 + _reversed_cx(c, t)
             )
-        return RuleApplication(
+        return rule(
             label=f"zz_swap.{flavor}.default.{polarity.value}",
             gates=tuple(gates),
             duration_ns=_zz_swap_default_duration(edge, dev) + tc_extra,
@@ -337,16 +353,6 @@ class LoweredCircuit:
     @property
     def num_qubits(self) -> int:
         return len(self.chain)
-
-    def flatten(self) -> CircuitIR:
-        """Hardware-gate circuit on chain wires (pulse composites kept whole)."""
-        gates: list[Gate] = []
-        for unit in self.units:
-            if unit.kind is GateKind.MEASURE:
-                gates.append(cir.measure(unit.wires[0], unit.clbit))
-            else:
-                gates.extend(unit.gates)
-        return CircuitIR(len(self.chain), tuple(gates), num_clbits=self.num_clbits)
 
     def measure_map(self) -> dict[int, int]:
         return {
@@ -497,25 +503,8 @@ def lower_circuit(
                 polarity = Polarity.CT if g.qubits[0] == c_wire else Polarity.TC
             else:
                 polarity = Polarity.CT
-            app = apply_rule(
-                g.kind, g.param, c_wire, t_wire, edge, dev, opt, polarity
-            )
-            units.append(
-                LoweredUnit(
-                    kind=g.kind,
-                    wires=g.qubits,
-                    physical=(qa, qb),
-                    gates=app.gates,
-                    duration_ns=app.duration_ns,
-                    cx_count=app.cx_count,
-                    error=effective_error(app, edge, dev),
-                    label=app.label,
-                    angle=g.param,
-                    flavor=edge.flavor,
-                    polarity=polarity,
-                    pulse=app.pulse,
-                )
-            )
+            app = apply_rule(g.kind, g.param, c_wire, t_wire, edge, dev, opt, polarity)
+            units.append(app.unit(g.qubits, (qa, qb), edge, dev))
             continue
         raise ValidationError(f"no lowering rule for kind {g.kind.value}")
 

@@ -81,10 +81,6 @@ class MaxCutInstance:
             if i > j:
                 raise ValidationError(f"edge ({i}, {j}) must be ordered i < j")
 
-    @classmethod
-    def complete(cls, n: int) -> "MaxCutInstance":
-        return cls(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
-
 
 @dataclass(frozen=True)
 class IsingProblem:
@@ -225,14 +221,6 @@ def build_swap_network(prob: IsingProblem, params: ParamVector) -> CircuitIR:
     for w in range(n):
         gates.append(cir.measure(w, resident[w]))
     return CircuitIR(num_qubits=n, gates=tuple(gates), num_clbits=n)
-
-
-def final_wire_to_logical(c: CircuitIR) -> tuple[int, ...]:
-    """Recover the final wire -> logical permutation from the measurements."""
-    mapping = c.measure_map()
-    if sorted(mapping) != list(range(c.num_qubits)):
-        raise ValidationError("circuit does not measure every wire exactly once")
-    return tuple(mapping[w] for w in range(c.num_qubits))
 
 
 def cost_vector(prob: IsingProblem) -> np.ndarray:

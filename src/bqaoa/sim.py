@@ -15,6 +15,13 @@ matrix and applies it to rho once; QPT repeats a channel with a matrix
 power and reads its Choi matrix off by reshuffling (Wood, Biamonte & Cory,
 arXiv:1111.6950).
 
+Each piece has a closed form.  The unit's unitary is ``local_matrix`` of
+its kind and angle, not the product of its lowered gates: lowering is exact
+up to a global phase e^{ia}, and U (x) conj(U) cancels it.  With the
+depolarizing channel it reads (1-lam) U (x) conj(U) + (lam/d) |vec I><vec I|.
+Relaxation of one qubit over time t moves the excited population
+1 - e^{-t/T1} to |0> and scales the coherences by e^{-t/T2}.
+
 Outcome distributions and counts are vectors indexed by the little-endian
 basis integer: qubit (or classical bit) 0 is bit 0 of the index.
 """
@@ -35,7 +42,7 @@ from .errors import (
     TooLargeError,
     ValidationError,
 )
-from .lower import LoweredCircuit, LoweredUnit, RuleApplication, effective_error
+from .lower import LoweredCircuit, LoweredUnit, RuleApplication
 
 MAX_DENSITY_QUBITS = 10
 
@@ -54,12 +61,6 @@ class DensityMatrix:
         rho[0, 0] = 1.0
         return cls(n, rho)
 
-    @classmethod
-    def from_statevector(cls, psi: np.ndarray) -> "DensityMatrix":
-        psi = np.asarray(psi, dtype=complex)
-        n = int(round(np.log2(psi.size)))
-        return cls(n, np.outer(psi, psi.conj()))
-
     def probabilities(self) -> np.ndarray:
         p = np.clip(np.real(np.diag(self.data)), 0.0, None)
         total = p.sum()
@@ -75,49 +76,7 @@ class DensityMatrix:
             raise ValidationError(f"negative eigenvalue {eigenvalues.min()}")
 
 
-# --- elementary channels ---
-
-
-def depolarizing_kraus(lam: float, k: int) -> list[np.ndarray]:
-    """Kraus family of rho -> (1-lam) rho + lam I/d on k qubits."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"depolarizing strength {lam} not in [0, 1]")
-    dim = 2**k
-    pauli_1q = np.array(
-        [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
-        dtype=complex,
-    )
-    paulis = pauli_1q
-    for _ in range(k - 1):
-        # every kron(a, b), a outermost
-        size = 2 * paulis.shape[1]
-        paulis = np.einsum("aij,bkl->abikjl", pauli_1q, paulis)
-        paulis = paulis.reshape(-1, size, size)
-    weight = lam / dim**2
-    kraus = [np.sqrt(1.0 - lam + weight) * np.eye(dim, dtype=complex)]
-    kraus.extend(np.sqrt(weight) * p for p in paulis[1:])
-    return kraus
-
-
-def relaxation_kraus(duration_ns: float, t1_us: float, t2_us: float) -> list[np.ndarray]:
-    """Amplitude damping + pure dephasing over duration (requires T2 <= 2 T1)."""
-    if duration_ns <= 0:
-        return [np.eye(2, dtype=complex)]
-    t = duration_ns * 1e-3  # us
-    gamma = 1.0 - np.exp(-t / t1_us)
-    # extra dephasing beyond the T1 contribution: 1/Tphi = 1/T2 - 1/(2 T1)
-    rate_phi = 1.0 / t2_us - 1.0 / (2.0 * t1_us)
-    rate_phi = max(rate_phi, 0.0)
-    lam_phi = 1.0 - np.exp(-2.0 * t * rate_phi)
-    amp = [
-        np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex),
-        np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex),
-    ]
-    phase = [
-        np.array([[1, 0], [0, np.sqrt(1 - lam_phi)]], dtype=complex),
-        np.array([[0, 0], [0, np.sqrt(lam_phi)]], dtype=complex),
-    ]
-    return [p @ a for a in amp for p in phase]
+# --- channels as Liouville superoperators ---
 
 
 class Channel:
@@ -126,7 +85,7 @@ class Channel:
     ``superop`` is the 4^k x 4^k matrix S = sum_K K (x) conj(K), so that
     vec(channel(rho)) = S vec(rho) for the row-major vec(rho), whose entry
     i*d + j is rho[i, j] (d = 2^k).  Local qubit 0 is the least-significant
-    bit of both i and j.  ``add_unitary`` and ``add_kraus`` compose after
+    bit of both i and j.  ``compose`` applies a local superoperator after
     what is already there; ``apply`` is one tensordot over the row and
     column axes of the wires it acts on.
     """
@@ -137,13 +96,8 @@ class Channel:
             superop = np.eye(4**num_qubits, dtype=complex)
         self.superop = superop
 
-    def add_unitary(self, mat: np.ndarray, qubits) -> "Channel":
-        return self.add_kraus([mat], qubits)
-
-    def add_kraus(self, kraus, qubits) -> "Channel":
-        ops = np.asarray(kraus)
-        dim = ops.shape[1]
-        local = np.einsum("mia,mjb->ijab", ops, ops.conj()).reshape(dim**2, dim**2)
+    def compose(self, local: np.ndarray, qubits) -> "Channel":
+        """Follow the channel with superoperator ``local`` on local ``qubits``."""
         k = self.num_qubits
         self.superop = apply_matrix(self.superop, local, _vec_qubits(qubits, k), 2 * k)
         return self
@@ -170,15 +124,31 @@ def _vec_qubits(wires, n: int) -> tuple[int, ...]:
     return wires + tuple(n + w for w in wires)
 
 
-def _gate_unitary(gates, frame: tuple[int, ...]) -> np.ndarray:
-    """Product of the gates' matrices, frame[i] being local qubit i."""
-    local = {w: i for i, w in enumerate(frame)}
-    u = np.eye(2 ** len(frame), dtype=complex)
-    for g in gates:
-        if g.kind is not GateKind.BARRIER:
-            qubits = tuple(local[q] for q in g.qubits)
-            u = apply_matrix(u, local_matrix(g.kind, g.param), qubits, len(frame))
-    return u
+def depolarized_unitary(u: np.ndarray, lam: float) -> np.ndarray:
+    """Superoperator of rho -> (1-lam) U rho U^dag + lam tr(rho) I/d.
+
+    (1-lam) U (x) conj(U) + (lam/d) |vec I><vec I|; the entries of vec I
+    that are 1 sit at the multiples of d + 1.
+    """
+    dim = u.shape[0]
+    superop = (1.0 - lam) * np.kron(u, u.conj())
+    superop[:: dim + 1, :: dim + 1] += lam / dim
+    return superop
+
+
+def relaxation_superop(duration_ns: float, t1_us: float, t2_us: float) -> np.ndarray:
+    """Amplitude damping and dephasing of one qubit over ``duration_ns``.
+
+    The excited population decays as e^{-t/T1} into |0> and the coherences
+    as e^{-t/T2}; a T2 above its physical bound 2 T1 counts as 2 T1.
+    """
+    t = duration_ns * 1e-3  # us
+    decay = 1.0 - np.exp(-t / t1_us)
+    coherence = np.exp(-t / min(t2_us, 2.0 * t1_us))
+    # over vec(rho) = (rho00, rho01, rho10, rho11)
+    superop = np.diag([1.0, coherence, coherence, 1.0 - decay]).astype(complex)
+    superop[0, 3] = decay
+    return superop
 
 
 # --- calibration-derived noise model ---
@@ -224,13 +194,10 @@ class NoiseModel:
         lam = self.scale * error * dim / (dim - 1)
         return min(1.0, max(0.0, lam))
 
-    def relaxation(self, position: int, duration_ns: float) -> list[np.ndarray]:
-        if self.scale == 0 or duration_ns <= 0:
-            return [np.eye(2, dtype=complex)]
+    def relaxation(self, position: int, duration_ns: float) -> np.ndarray:
+        """Relaxation superoperator of one qubit, its time scaled."""
         noise = self.qubits[position]
-        return relaxation_kraus(
-            duration_ns * self.scale, noise.t1_us, noise.t2_us
-        )
+        return relaxation_superop(duration_ns * self.scale, noise.t1_us, noise.t2_us)
 
     def scaled_confusion(self, position: int) -> np.ndarray:
         """Confusion interpolated/extrapolated by the noise scale."""
@@ -247,25 +214,24 @@ def unit_channel(unit: LoweredUnit, idle_ns, noise: NoiseModel) -> Channel:
     """One scheduled unit as a channel on its wires (local qubit i = wires[i]).
 
     In order: relaxation for each wire's idle time ``idle_ns[i]`` since it
-    was last busy, the product of the unit's gate unitaries, a depolarizing
-    channel for the unit's effective error, then relaxation for the unit's
-    own duration.
+    was last busy, the unit's unitary ``local_matrix(kind, angle)`` with a
+    depolarizing channel for its effective error, then relaxation for the
+    unit's own duration.  A unit without gates (a measurement) has no
+    unitary and no error, so it only relaxes.
     """
     k = len(unit.wires)
     channel = Channel(k)
     noisy = noise.scale > 0
     for i, (w, idle) in enumerate(zip(unit.wires, idle_ns)):
         if idle > 0 and noisy:
-            channel.add_kraus(noise.relaxation(w, idle), (i,))
+            channel.compose(noise.relaxation(w, idle), (i,))
     if unit.gates:
-        channel.add_unitary(_gate_unitary(unit.gates, unit.wires), range(k))
-    if unit.error > 0 and noisy:
+        u = local_matrix(unit.kind, unit.angle)
         lam = noise.depolarizing_strength(unit.error, k)
-        if lam > 0:
-            channel.add_kraus(depolarizing_kraus(lam, k), range(k))
+        channel.compose(depolarized_unitary(u, lam), range(k))
     if unit.duration_ns > 0 and noisy:
         for i, w in enumerate(unit.wires):
-            channel.add_kraus(noise.relaxation(w, unit.duration_ns), (i,))
+            channel.compose(noise.relaxation(w, unit.duration_ns), (i,))
     return channel
 
 
@@ -296,8 +262,7 @@ def evolve(
         if unit.kind is GateKind.BARRIER:
             for w, t in zip(unit.wires, idle):
                 if t > 0 and noise.scale > 0:
-                    relax = Channel(1).add_kraus(noise.relaxation(w, t), (0,))
-                    rho = relax.apply(rho, (w,))
+                    rho = Channel(1, noise.relaxation(w, t)).apply(rho, (w,))
             continue
         rho = unit_channel(unit, idle, noise).apply(rho, unit.wires)
     return DensityMatrix(n, rho)
@@ -434,7 +399,7 @@ def choi_of(channel: Channel) -> ChoiMatrix:
 
 def unitary_channel(mat: np.ndarray) -> Channel:
     n = int(round(np.log2(mat.shape[0])))
-    return Channel(n).add_unitary(mat, tuple(range(n)))
+    return Channel(n, depolarized_unitary(mat, 0.0))
 
 
 def composite_channel(
@@ -446,18 +411,15 @@ def composite_channel(
     """Noisy channel of one lowered composite on a two-wire frame (0, 1).
 
     Wire 0 is the edge's native control, wire 1 its target (the frame
-    apply_rule builds expansions in).
+    apply_rule builds expansions in).  It is the ``unit_channel`` of the
+    composite's unit with no idle time.  A CX composite is refused: its
+    direction depends on the polarity, which the frame does not carry.
     """
-    noise = NoiseModel.from_device(dev, (edge.control, edge.target), scale=scale)
-    channel = Channel(2).add_unitary(_gate_unitary(app.gates, (0, 1)), (0, 1))
-    error = effective_error(app, edge, dev)
-    lam = noise.depolarizing_strength(error, 2)
-    if lam > 0:
-        channel.add_kraus(depolarizing_kraus(lam, 2), (0, 1))
-    if scale > 0 and app.duration_ns > 0:
-        for w in (0, 1):
-            channel.add_kraus(noise.relaxation(w, app.duration_ns), (w,))
-    return channel
+    if app.kind is GateKind.CX:
+        raise ValidationError("cx is directed; composite channels are undirected")
+    unit = app.unit((0, 1), (edge.control, edge.target), edge, dev)
+    noise = NoiseModel.from_device(dev, unit.physical, scale=scale)
+    return unit_channel(unit, (0.0, 0.0), noise)
 
 
 def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import helpers
 import oracles
 from bqaoa import circuit as cir
 from bqaoa import data_path, device, lower, mapper, optimize, qaoa, sim
@@ -46,7 +47,7 @@ def random_problem(rng, n):
 def test_criterion_01_depth_formula():
     start = time.monotonic()
     for n in range(2, 9):
-        prob = qaoa.encode_maxcut(qaoa.MaxCutInstance.complete(n))
+        prob = qaoa.encode_maxcut(helpers.complete_maxcut(n))
         for p in range(1, 6):
             params = qaoa.ParamVector((0.37,) * p, (0.21,) * p)
             circ = qaoa.build_swap_network(prob, params)
@@ -65,8 +66,8 @@ def test_criterion_02_swap_network_unitary_equivalence():
                 tuple(rng.uniform(0, np.pi / 2, p)),
             )
             circ = qaoa.build_swap_network(prob, params)
-            u = cir.unitary_of(circ.without_measurements())
-            tau = qaoa.final_wire_to_logical(circ)
+            u = helpers.unitary_of(helpers.without_measurements(circ))
+            tau = helpers.final_wire_to_logical(circ)
             expected = oracles.permutation_matrix(tau, n) @ oracles.qaoa_unitary(
                 n, prob.j, prob.h, prob.constant, params.gammas, params.betas
             )
@@ -185,7 +186,7 @@ def test_criterion_07_decomposition_equivalence():
                         app = apply_rule(
                             target, float(theta), 0, 1, edge, dev, opt, polarity
                         )
-                        u = cir.unitary_of(CircuitIR(2, app.gates))
+                        u = helpers.unitary_of(CircuitIR(2, app.gates))
                         param = float(theta) if target is not GateKind.CZ else None
                         expected = cir.local_matrix(target, param)
                         overlap = abs(np.trace(u.conj().T @ expected)) / 4.0
@@ -251,9 +252,7 @@ def test_criterion_09_process_fidelity_values():
     ideal = sim.choi_of(sim.unitary_channel(np.eye(4, dtype=complex)))
     assert sim.process_fidelity(ideal, ideal) == pytest.approx(1.0, abs=1e-9)
     for lam in (0.1, 0.37, 0.9):
-        noisy = sim.choi_of(
-            sim.Channel(2).add_kraus(sim.depolarizing_kraus(lam, 2), (0, 1))
-        )
+        noisy = sim.choi_of(sim.Channel(2, sim.depolarized_unitary(np.eye(4), lam)))
         assert sim.process_fidelity(ideal, noisy) == pytest.approx(
             1.0 - 15.0 * lam / 16.0, abs=1e-9
         )
@@ -333,7 +332,7 @@ def _oracle_select(dev, k, strategy, circ, opt):
 def test_criterion_10_chain_selection_matches_oracle():
     rng = np.random.default_rng(1010)
     k = 4
-    prob = qaoa.encode_maxcut(qaoa.MaxCutInstance.complete(k))
+    prob = qaoa.encode_maxcut(helpers.complete_maxcut(k))
     circ = qaoa.build_swap_network(prob, qaoa.ParamVector((0.8,), (0.4,)))
     for _ in range(20):
         dev = _random_bipotent_device(rng)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from bqaoa import circuit as cir
 from bqaoa import qaoa
 from bqaoa.circuit import CircuitIR, GateKind
@@ -45,10 +46,10 @@ def test_depth_disjoint_gates():
 
 
 def test_depth_swap_network_formula():
-    prob = qaoa.encode_maxcut(qaoa.MaxCutInstance.complete(5))
+    prob = qaoa.encode_maxcut(helpers.complete_maxcut(5))
     c = qaoa.build_swap_network(prob, qaoa.ParamVector((0.3,), (0.2,)))
     assert cir.depth(c, COUNTED) == 9
-    prob3 = qaoa.encode_maxcut(qaoa.MaxCutInstance.complete(3))
+    prob3 = qaoa.encode_maxcut(helpers.complete_maxcut(3))
     c3 = qaoa.build_swap_network(prob3, qaoa.ParamVector((0.3, 0.1), (0.2, 0.4)))
     assert cir.depth(c3, COUNTED) == 2 + (3 + 2) * 2
 
@@ -57,7 +58,7 @@ def test_depth_barrier_and_subset_monotonicity():
     c = CircuitIR(2, (cir.h(0), cir.barrier(0, 1), cir.h(1)))
     assert cir.depth(c, COUNTED) == 2  # barrier forces the second H later
     assert cir.depth(c, {GateKind.H}) == 2
-    prob = qaoa.encode_maxcut(qaoa.MaxCutInstance.complete(4))
+    prob = qaoa.encode_maxcut(helpers.complete_maxcut(4))
     circ = qaoa.build_swap_network(prob, qaoa.ParamVector((0.3,), (0.2,)))
     full = cir.depth(circ, COUNTED)
     assert cir.depth(circ, COUNTED - {GateKind.RZ}) <= full
@@ -106,24 +107,24 @@ def test_schedule_rejects_non_edge(fragment):
 
 
 def test_unitary_of_trivial_cases():
-    assert np.allclose(cir.unitary_of(CircuitIR(2, ())), np.eye(4))
+    assert np.allclose(helpers.unitary_of(CircuitIR(2, ())), np.eye(4))
     assert np.allclose(
-        cir.unitary_of(CircuitIR(2, (cir.zz(0.0, 0, 1),))), np.eye(4)
+        helpers.unitary_of(CircuitIR(2, (cir.zz(0.0, 0, 1),))), np.eye(4)
     )
-    u = cir.unitary_of(CircuitIR(2, (cir.zz(math.pi, 0, 1),)))
+    u = helpers.unitary_of(CircuitIR(2, (cir.zz(math.pi, 0, 1),)))
     assert np.allclose(u, np.diag([-1j, 1j, 1j, -1j]))
 
 
 def test_unitary_errors():
     with pytest.raises(MeasureInUnitaryError):
-        cir.unitary_of(CircuitIR(1, (cir.measure(0, 0),), num_clbits=1))
+        helpers.unitary_of(CircuitIR(1, (cir.measure(0, 0),), num_clbits=1))
     with pytest.raises(TooLargeError):
-        cir.unitary_of(CircuitIR(11, ()))
+        helpers.unitary_of(CircuitIR(11, ()))
 
 
 def test_cx_control_convention():
     # control is qubits[0]: |01> (qubit 0 = 1) flips qubit 1 under CX(0, 1)
-    u = cir.unitary_of(CircuitIR(2, (cir.cx(0, 1),)))
+    u = helpers.unitary_of(CircuitIR(2, (cir.cx(0, 1),)))
     state = np.zeros(4)
     state[0b01] = 1.0
     assert np.allclose(u @ state, np.eye(4)[0b11])
@@ -152,14 +153,14 @@ def test_random_circuits_are_unitary(data):
             b = data.draw(st.integers(0, n - 1).filter(lambda x: x != a))
             param = data.draw(st.floats(-6.3, 6.3)) if kind in cir.PARAM_KINDS else None
             gates.append(cir.Gate(kind, (a, b), param=param))
-    u = cir.unitary_of(CircuitIR(n, tuple(gates)))
+    u = helpers.unitary_of(CircuitIR(n, tuple(gates)))
     assert np.allclose(u.conj().T @ u, np.eye(2**n), atol=1e-12)
 
 
 def test_statevector_matches_unitary():
     c = CircuitIR(3, (cir.h(0), cir.cx(0, 1), cir.zz(0.7, 1, 2), cir.rx(0.4, 2)))
     psi = cir.statevector(c)
-    assert np.allclose(psi, cir.unitary_of(c)[:, 0])
+    assert np.allclose(psi, helpers.unitary_of(c)[:, 0])
 
 
 def test_text_dump_roundtrip_format():

@@ -12,6 +12,7 @@ FRAGMENT = str(data_path("ehningen_fragment.json"))
 EHNINGEN = str(data_path("ehningen.json"))
 SYNTH5 = str(data_path("synthetic5.json"))
 K5 = str(data_path("k5_maxcut.json"))
+PORTOPT3 = str(data_path("portopt3.json"))
 PORTOPT5 = str(data_path("portopt5.json"))
 
 
@@ -105,6 +106,10 @@ def test_config_error_exits_2(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "max-evals" in result.output
+    for p in ("0", "-1"):
+        result = runner.invoke(main, ["optimize", "--problem", PORTOPT3, "--p", p])
+        assert result.exit_code == 2, result.output
+        assert "--p" in result.output
     for field, value in (("cx_duration_ns", float("inf")), ("cx_error", "abc")):
         doc = json.loads(open(FRAGMENT).read())
         doc["edges"][0][field] = value

@@ -1,5 +1,6 @@
 import pytest
 
+import helpers
 from bqaoa import data_path
 from bqaoa.device import (
     DeviceModel,
@@ -104,7 +105,7 @@ def test_malformed_file_is_parse_error(tmp_path):
 
 def test_round_trip_serialization(tmp_path, ehningen):
     out = tmp_path / "copy.json"
-    ehningen.save(out)
+    helpers.save_device(ehningen, out)
     again = load_device(out)
     assert again == ehningen
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from bqaoa import circuit as cir
 from bqaoa import lower, qaoa
 from bqaoa.circuit import CircuitIR, GateKind
@@ -116,8 +117,8 @@ def test_expansions_match_targets(target, edge, opt, polarity):
     rng = np.random.default_rng(11)
     for theta in rng.uniform(-2 * math.pi, 2 * math.pi, 50):
         app = apply_rule(target, float(theta), 0, 1, edge, DEV, opt, polarity)
-        u = cir.unitary_of(CircuitIR(2, app.gates))
-        assert cir.equal_up_to_phase(u, target_unitary(target, float(theta)), 1e-9)
+        u = helpers.unitary_of(CircuitIR(2, app.gates))
+        assert helpers.equal_up_to_phase(u, target_unitary(target, float(theta)), 1e-9)
 
 
 def polarity_pair(target, edge, theta=None):
@@ -130,9 +131,9 @@ def polarity_pair(target, edge, theta=None):
 
 def test_polarity_variants_zz_swap():
     ct, tc = polarity_pair(GateKind.ZZ_SWAP, ECR, theta=0.9)
-    u_ct = cir.unitary_of(CircuitIR(2, ct.gates))
-    u_tc = cir.unitary_of(CircuitIR(2, tc.gates))
-    assert cir.equal_up_to_phase(u_ct, u_tc, 1e-9)
+    u_ct = helpers.unitary_of(CircuitIR(2, ct.gates))
+    u_tc = helpers.unitary_of(CircuitIR(2, tc.gates))
+    assert helpers.equal_up_to_phase(u_ct, u_tc, 1e-9)
     assert tc.duration_ns > ct.duration_ns
 
 
@@ -144,8 +145,8 @@ def test_polarity_variants_cz_duration_arithmetic():
 
 def test_polarity_variants_zz_zero_angle():
     for app in polarity_pair(GateKind.ZZ, ECR, theta=0.0):
-        u = cir.unitary_of(CircuitIR(2, app.gates))
-        assert cir.equal_up_to_phase(u, np.eye(4), 1e-9)
+        u = helpers.unitary_of(CircuitIR(2, app.gates))
+        assert helpers.equal_up_to_phase(u, np.eye(4), 1e-9)
 
 
 # --- effective error ---
@@ -193,12 +194,12 @@ def test_error_cx_form_counts_single_qubit_gates():
 
 
 def test_lower_circuit_preserves_unitary_and_counts():
-    prob = qaoa.encode_maxcut(qaoa.MaxCutInstance.complete(3))
+    prob = qaoa.encode_maxcut(helpers.complete_maxcut(3))
     circ = qaoa.build_swap_network(prob, qaoa.ParamVector((0.4,), (0.7,)))
     lowered = lower.lower_circuit(circ, (0, 1, 2), DEV, OptLevel.DEFAULT)
-    u_low = cir.unitary_of(lowered.flatten().without_measurements())
-    u_log = cir.unitary_of(circ.without_measurements())
-    assert cir.equal_up_to_phase(u_low, u_log, 1e-9)
+    u_low = helpers.unitary_of(helpers.without_measurements(helpers.flatten(lowered)))
+    u_log = helpers.unitary_of(helpers.without_measurements(circ))
+    assert helpers.equal_up_to_phase(u_low, u_log, 1e-9)
     # ZZ layers: 2 plain ZZ (2 CX each) + 1 ZZ_SWAP (3 CX)
     assert lowered.cx_count == 7
     assert lowered.measure_map() == circ.measure_map()
@@ -212,7 +213,7 @@ def test_lower_all_ecr_chain_zzswapopt_is_cx_free():
         EdgeCalibration(2, 3, GateFlavor.ECR_CX, 0.007, 330.0),
     )
     dev = DeviceModel("ecrline", 4, (qubit,) * 4, edges)
-    prob = qaoa.encode_maxcut(qaoa.MaxCutInstance.complete(4))
+    prob = qaoa.encode_maxcut(helpers.complete_maxcut(4))
     circ = qaoa.build_swap_network(prob, qaoa.ParamVector((0.4, 0.2), (0.7, 0.3)))
     lowered = lower.lower_circuit(circ, (0, 1, 2, 3), dev, OptLevel.ZZ_SWAP_OPT)
     assert lowered.cx_count == 0
@@ -266,8 +267,8 @@ def test_logical_cx_native_and_reversed():
     assert unit.polarity is Polarity.TC
     assert unit.duration_ns == 320.0 + 2 * 32.0
     assert unit.cx_count == 1
-    u = cir.unitary_of(lowered.flatten())
-    assert cir.equal_up_to_phase(u, cir.unitary_of(circ_reversed), 1e-9)
+    u = helpers.unitary_of(helpers.flatten(lowered))
+    assert helpers.equal_up_to_phase(u, helpers.unitary_of(circ_reversed), 1e-9)
 
 
 def test_barrier_lowers_to_zero_duration_sync():

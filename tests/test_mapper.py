@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import helpers
 import oracles
 from bqaoa import mapper, qaoa
 from bqaoa.device import DeviceModel, EdgeCalibration, GateFlavor, QubitCalibration
@@ -32,7 +33,7 @@ def build_device(num_qubits, edge_specs, sx_errors=None, readout=0.01):
 
 
 def benchmark_circuit(k):
-    prob = qaoa.encode_maxcut(qaoa.MaxCutInstance.complete(k))
+    prob = qaoa.encode_maxcut(helpers.complete_maxcut(k))
     return qaoa.build_swap_network(prob, qaoa.ParamVector((0.8,), (0.4,)))
 
 

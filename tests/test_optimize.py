@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import helpers
 import oracles
 from bqaoa import data_path, optimize, qaoa
 from bqaoa.errors import ConfigError
@@ -13,7 +14,7 @@ from bqaoa.qaoa import ParamVector
 
 
 def k5():
-    return qaoa.encode_maxcut(qaoa.MaxCutInstance.complete(5))
+    return qaoa.encode_maxcut(helpers.complete_maxcut(5))
 
 
 def test_k5_p1_reaches_published_floor():

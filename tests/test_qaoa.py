@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 import oracles
 from bqaoa import circuit as cir
 from bqaoa import data_path, qaoa
@@ -24,7 +25,7 @@ COUNTED = {
 
 
 def k5_problem():
-    return qaoa.encode_maxcut(qaoa.MaxCutInstance.complete(5))
+    return qaoa.encode_maxcut(helpers.complete_maxcut(5))
 
 
 def random_problem(rng, n):
@@ -148,7 +149,7 @@ def test_build_n5_layer_structure():
 
 
 def test_build_n3_layers_and_pairs():
-    prob = qaoa.encode_maxcut(qaoa.MaxCutInstance.complete(3))
+    prob = qaoa.encode_maxcut(helpers.complete_maxcut(3))
     c = qaoa.build_swap_network(prob, qaoa.ParamVector((0.3,), (0.2,)))
     kinds = [g.kind for g in c.gates if g.kind in (GateKind.ZZ, GateKind.ZZ_SWAP)]
     assert kinds == [GateKind.ZZ, GateKind.ZZ_SWAP, GateKind.ZZ]
@@ -168,12 +169,12 @@ def test_build_zero_angles_is_h_then_permutation():
     rng = np.random.default_rng(5)
     prob = random_problem(rng, 4)
     c = qaoa.build_swap_network(prob, qaoa.ParamVector((0.0,), (0.0,)))
-    u = cir.unitary_of(c.without_measurements())
-    tau = qaoa.final_wire_to_logical(c)
+    u = helpers.unitary_of(helpers.without_measurements(c))
+    tau = helpers.final_wire_to_logical(c)
     expected = oracles.permutation_matrix(tau, 4) @ oracles.kron_all(
         [oracles.H_MATRIX] * 4
     )
-    assert cir.equal_up_to_phase(u, expected, 1e-12)
+    assert helpers.equal_up_to_phase(u, expected, 1e-12)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -213,12 +214,12 @@ def test_unitary_matches_exponential_oracle(n, p):
         tuple(rng.uniform(0, np.pi, p)), tuple(rng.uniform(0, np.pi / 2, p))
     )
     c = qaoa.build_swap_network(prob, params)
-    u = cir.unitary_of(c.without_measurements())
-    tau = qaoa.final_wire_to_logical(c)
+    u = helpers.unitary_of(helpers.without_measurements(c))
+    tau = helpers.final_wire_to_logical(c)
     expected = oracles.permutation_matrix(tau, n) @ oracles.qaoa_unitary(
         n, prob.j, prob.h, prob.constant, params.gammas, params.betas
     )
-    assert cir.equal_up_to_phase(u, expected, 1e-8)
+    assert helpers.equal_up_to_phase(u, expected, 1e-8)
 
 
 # --- costs and metrics ---

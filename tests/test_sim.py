@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from bqaoa import circuit as cir
 from bqaoa import lower, qaoa, sim
 from bqaoa.circuit import CircuitIR, GateKind
@@ -12,7 +13,7 @@ from bqaoa.errors import (
     SingularConfusionError,
     ValidationError,
 )
-from bqaoa.lower import OptLevel, apply_rule
+from bqaoa.lower import OptLevel, Polarity, apply_rule
 
 
 def make_device(t1=150.0, t2=140.0, sx_error=0.0002, cx_error=0.0083,
@@ -56,37 +57,41 @@ def test_evolve_noiseless_h_layer_uniform():
 
 
 def test_evolve_matches_statevector_at_zero_scale():
-    prob = qaoa.encode_maxcut(qaoa.MaxCutInstance.complete(4))
+    prob = qaoa.encode_maxcut(helpers.complete_maxcut(4))
     circ = qaoa.build_swap_network(prob, qaoa.ParamVector((0.9,), (0.3,)))
     lowered = lower.lower_circuit(circ, (0, 1, 2, 3), DEV, OptLevel.ZZ_OPT)
     noise = sim.NoiseModel.from_device(DEV, lowered.chain, scale=0.0)
     rho = sim.evolve(lowered, noise)
-    psi = cir.statevector(lowered.flatten().without_measurements())
+    psi = cir.statevector(helpers.without_measurements(helpers.flatten(lowered)))
     assert np.allclose(rho.data, np.outer(psi, psi.conj()), atol=1e-9)
 
 
 def test_full_depolarizing_gives_mixed_marginals():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    out = sim.Channel(2).add_kraus(sim.depolarizing_kraus(1.0, 2), (0, 1)).apply(rho)
+    out = sim.Channel(2, sim.depolarized_unitary(np.eye(4), 1.0)).apply(rho)
     assert np.allclose(out, np.eye(4) / 4, atol=1e-12)
 
 
 def test_amplitude_damping_population():
     t1, t2, duration = 120.0, 100.0, 60000.0
-    kraus = sim.relaxation_kraus(duration, t1, t2)
-    rho = np.array([[0, 0], [0, 1]], dtype=complex)
-    out = sum(k @ rho @ k.conj().T for k in kraus)
+    relax = sim.Channel(1, sim.relaxation_superop(duration, t1, t2))
+    out = relax.apply(np.array([[0, 0], [0, 1]], dtype=complex))
     assert out[1, 1].real == pytest.approx(math.exp(-duration * 1e-3 / t1))
 
 
 def test_relaxation_dephasing_rate():
     t1, t2, duration = 200.0, 150.0, 40000.0
-    kraus = sim.relaxation_kraus(duration, t1, t2)
-    plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    out = sum(k @ plus @ k.conj().T for k in kraus)
+    relax = sim.Channel(1, sim.relaxation_superop(duration, t1, t2))
+    out = relax.apply(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
     # coherence starts at 1/2 and decays with the full T2 rate
     assert 2 * abs(out[0, 1]) == pytest.approx(math.exp(-duration * 1e-3 / t2))
+
+
+def test_relaxation_caps_t2_at_twice_t1():
+    # no qubit dephases slower than 2 T1; a larger T2 counts as 2 T1
+    capped = sim.relaxation_superop(700.0, 50.0, 100.0)
+    assert np.abs(sim.relaxation_superop(700.0, 50.0, 400.0) - capped).max() < 1e-15
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -94,7 +99,7 @@ def test_evolve_preserves_trace_and_hermiticity(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 5))
     prob_n = max(n, 2)
-    prob = qaoa.encode_maxcut(qaoa.MaxCutInstance.complete(prob_n))
+    prob = qaoa.encode_maxcut(helpers.complete_maxcut(prob_n))
     circ = qaoa.build_swap_network(
         prob,
         qaoa.ParamVector(
@@ -124,14 +129,14 @@ def test_t2_clamp_warns():
 def test_sample_pure_state_identity_confusion():
     psi = np.zeros(4, dtype=complex)
     psi[0b01] = 1.0
-    rho = sim.DensityMatrix.from_statevector(psi)
+    rho = helpers.density_from_statevector(psi)
     counts = sim.sample(rho, 1000, [np.eye(2), np.eye(2)], seed=3)
     assert counts.tolist() == [0, 1000, 0, 0]
 
 
 def test_sample_confusion_binomial():
     psi = np.array([1.0, 0.0], dtype=complex)
-    rho = sim.DensityMatrix.from_statevector(psi)
+    rho = helpers.density_from_statevector(psi)
     confusion = [np.array([[0.9, 0.0], [0.1, 1.0]])]
     shots = 10**6
     counts = sim.sample(rho, shots, confusion, seed=11)
@@ -229,7 +234,7 @@ def test_choi_identity_is_maximally_entangled():
 
 
 def test_choi_fully_depolarizing():
-    channel = sim.Channel(1).add_kraus(sim.depolarizing_kraus(1.0, 1), (0,))
+    channel = sim.Channel(1, sim.depolarized_unitary(np.eye(2), 1.0))
     choi = sim.choi_of(channel)
     assert np.allclose(choi.data, np.eye(4) / 4, atol=1e-12)
 
@@ -249,6 +254,14 @@ def test_choi_noisy_zz_is_cptp():
     assert np.allclose(partial, np.eye(d) / d, atol=1e-9)
 
 
+def test_composite_channel_refuses_cx():
+    # a reversed CX has its control on wire 1, which frame (0, 1) cannot say
+    for polarity in Polarity:
+        app = apply_rule(GateKind.CX, None, 0, 1, ECR, DEV, OptLevel.DEFAULT, polarity)
+        with pytest.raises(ValidationError, match="cx"):
+            sim.composite_channel(app, ECR, DEV)
+
+
 def test_process_fidelity_self_is_one():
     app = apply_rule(GateKind.ZZ, 0.8, 0, 1, ECR, DEV, OptLevel.DEFAULT)
     choi = sim.choi_of(sim.composite_channel(app, ECR, DEV, scale=1.0))
@@ -258,9 +271,7 @@ def test_process_fidelity_self_is_one():
 def test_process_fidelity_depolarizing_analytic():
     lam = 0.37
     ideal = sim.choi_of(sim.unitary_channel(np.eye(4, dtype=complex)))
-    noisy = sim.choi_of(
-        sim.Channel(2).add_kraus(sim.depolarizing_kraus(lam, 2), (0, 1))
-    )
+    noisy = sim.choi_of(sim.Channel(2, sim.depolarized_unitary(np.eye(4), lam)))
     expected = 1.0 - 15.0 * lam / 16.0
     assert sim.process_fidelity(ideal, noisy) == pytest.approx(expected, abs=1e-9)
     assert sim.process_fidelity(noisy, ideal) == pytest.approx(expected, abs=1e-9)

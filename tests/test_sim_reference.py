@@ -5,6 +5,7 @@ import types
 import numpy as np
 import pytest
 
+import helpers
 import oracles
 from bqaoa import circuit as cir
 from bqaoa import data_path, device, lower, mapper, qaoa, sim
@@ -20,11 +21,12 @@ CHAINS = [
     ("fragment", (4, 1)),
     ("fragment", (0, 1, 4)),
 ] + [("synthetic5", mapper.enumerate_chains(SYNTH5, n)[0]) for n in range(2, 6)]
-DEVICES = {"fragment": FRAGMENT, "synthetic5": SYNTH5}
+EHNINGEN = device.load_device(data_path("ehningen.json"))
+DEVICES = {"fragment": FRAGMENT, "synthetic5": SYNTH5, "ehningen": EHNINGEN}
 
 
 def swap_network(n):
-    prob = qaoa.encode_maxcut(qaoa.MaxCutInstance.complete(n))
+    prob = qaoa.encode_maxcut(helpers.complete_maxcut(n))
     return qaoa.build_swap_network(prob, qaoa.ParamVector((0.41, 1.2), (0.26, 0.9)))
 
 
@@ -54,6 +56,39 @@ def test_evolve_barrier_and_idle_match_kraus_reference():
         fused = sim.evolve(lowered, noise).data
         reference = oracles.kraus_evolve(lowered, noise, local_matrix)
         assert np.abs(fused - reference).max() < TOL, scale
+
+
+def assert_units_equal_local_matrix(lowered):
+    """Every gate-carrying unit's gates multiply to local_matrix(kind, angle),
+    up to phase: the invariant ``unit_channel`` builds on."""
+    for unit in lowered.units:
+        if unit.gates and unit.kind is not GateKind.BARRIER:
+            u = helpers.gate_product(unit.gates, unit.wires)
+            expected = local_matrix(unit.kind, unit.angle)
+            assert helpers.equal_up_to_phase(u, expected, TOL), (unit.label, unit.wires)
+
+
+@pytest.mark.parametrize("opt", list(OptLevel), ids=lambda o: o.value)
+@pytest.mark.parametrize("name", ["ehningen", "synthetic5"])
+def test_lowered_units_equal_local_matrix_up_to_phase(name, opt):
+    dev = DEVICES[name]
+    for n in range(2, 6):
+        circ = swap_network(n)
+        for chain in mapper.enumerate_chains(dev, n):
+            assert_units_equal_local_matrix(lower.lower_circuit(circ, chain, dev, opt))
+
+
+def test_barrier_and_cx_units_equal_local_matrix_up_to_phase():
+    # the circuit of test_evolve_barrier_and_idle_match_kraus_reference; its
+    # two CX units run in the native and in the reversed direction
+    gates = (
+        cir.x(0), cir.sx(1), cir.sx(1), cir.barrier(0, 1, 2), cir.cx(1, 2),
+        cir.rz(0.3, 0), cir.barrier(0, 2), cir.cx(0, 1),
+        cir.measure(0, 0), cir.measure(1, 1), cir.measure(2, 2),
+    )
+    lowered = lower.lower_circuit(CircuitIR(3, gates, num_clbits=3), (0, 1, 4), FRAGMENT)
+    assert {u.polarity for u in lowered.units if u.kind is GateKind.CX} == set(Polarity)
+    assert_units_equal_local_matrix(lowered)
 
 
 def probe_steps(steps, dim):
@@ -93,9 +128,9 @@ def test_choi_of_single_qubit_channels_matches_probing():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     u, _ = np.linalg.qr(a)
-    kraus = sim.relaxation_kraus(500.0, 80.0, 60.0)
-    channel = sim.Channel(1).add_unitary(u, (0,)).add_kraus(kraus, (0,))
-    probed = probe_steps([[u], kraus], 2)
+    relax = sim.relaxation_superop(500.0, 80.0, 60.0)
+    channel = sim.Channel(1, sim.depolarized_unitary(u, 0.0)).compose(relax, (0,))
+    probed = probe_steps([[u], oracles.relaxation_family(500.0, 80.0, 60.0)], 2)
     assert np.abs(sim.choi_of(channel).data - probed).max() < TOL
 
 
