@@ -131,6 +131,14 @@ class DeviceModel:
         sorted(DEFAULT_SINGLE_QUBIT_DURATIONS_NS.items())
     )
     cr_scale: CrScaleModel = field(default_factory=CrScaleModel)
+    #: sorted endpoint pair -> first edge on it, for ``edge_between``
+    _edges_by_pair: dict = field(init=False, repr=False, compare=False, hash=False)
+
+    def __post_init__(self) -> None:
+        index: dict[tuple[int, int], EdgeCalibration] = {}
+        for edge in self.edges:
+            index.setdefault(edge.pair, edge)
+        object.__setattr__(self, "_edges_by_pair", index)
 
     def single_qubit_duration(self, kind: str) -> float:
         for name, value in self.single_qubit_durations_ns:
@@ -139,11 +147,7 @@ class DeviceModel:
         raise KeyError(f"no duration for single-qubit kind {kind!r}")
 
     def edge_between(self, a: int, b: int) -> EdgeCalibration | None:
-        key = (min(a, b), max(a, b))
-        for edge in self.edges:
-            if edge.pair == key:
-                return edge
-        return None
+        return self._edges_by_pair.get((min(a, b), max(a, b)))
 
     def incident_edges(self, q: int) -> list[EdgeCalibration]:
         return [e for e in self.edges if q in e.pair]

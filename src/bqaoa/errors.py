@@ -59,10 +59,6 @@ class TooLargeError(BqaoaError):
     """Problem size exceeds what dense simulation supports."""
 
 
-class MeasureInUnitaryError(BqaoaError):
-    """A circuit containing measurements was passed to a unitary builder."""
-
-
 # --- infeasible requests (CLI exit code 3) ---
 
 
@@ -104,5 +100,4 @@ CONFIG_ERRORS = (
     DimensionError,
     ConfigError,
     TooLargeError,
-    MeasureInUnitaryError,
 )

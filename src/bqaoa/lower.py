@@ -24,10 +24,18 @@ the single-qubit conjugation that reverses its direction and costs one
 extra single-qubit layer per side (duration CT + 2s).
 
 Effective error of a CX-based form is 1 - (1-cx_error)^#CX * prod over
-non-virtual single-qubit gates of (1-sx_error).  Pulse forms scale the CX
-error by duration: each constituent CR segment of length u contributes a
-factor (1 - cx_error * u / D), and the single-qubit overhead contributes
+non-virtual single-qubit gates of (1-sx_error).  The per-side gate counts
+depend only on the target kind and polarity, so they sit in a table built
+once from the expansions.  Pulse forms scale the CX error by duration:
+each constituent CR segment of length u contributes a factor
+(1 - cx_error * u / D), and the single-qubit overhead contributes
 (1 - mean sx_error) per surviving 32 ns layer.
+
+Lowering builds no gates.  A ``RuleApplication`` and a ``LoweredUnit``
+carry the rule record (kind, angle, polarity, pulse and the wire of the
+edge's native control), which is all that durations, errors, scheduling
+and the simulator read.  Their ``gates`` property builds the hardware-gate
+expansion from that record on demand, for inspection and tests.
 """
 
 from __future__ import annotations
@@ -77,6 +85,73 @@ def _reversed_cx(c: int, t: int) -> list[Gate]:
     return _h_gates(c) + _h_gates(t) + [cir.cx(c, t)] + _h_gates(c) + _h_gates(t)
 
 
+def expansion(
+    kind: GateKind,
+    theta: float | None,
+    polarity: Polarity,
+    pulse: bool,
+    c: int,
+    t: int,
+) -> tuple[Gate, ...]:
+    """Hardware gates realizing a two-qubit target; c and t hold the edge's
+    native control and target.  A pulse form stays one gate of its kind."""
+    if pulse:
+        return (Gate(kind, (c, t), param=None if kind is GateKind.CZ else theta),)
+    tc = polarity is Polarity.TC
+    if kind is GateKind.CX:
+        gates = _reversed_cx(c, t) if tc else [cir.cx(c, t)]
+    elif kind is GateKind.ZZ:
+        if tc:
+            gates = _reversed_cx(c, t) + [cir.rz(theta, c)] + _reversed_cx(c, t)
+        else:
+            gates = [cir.cx(c, t), cir.rz(theta, t), cir.cx(c, t)]
+    elif kind is GateKind.CZ:
+        if tc:
+            gates = _h_gates(c) + _reversed_cx(c, t) + _h_gates(c)
+        else:
+            gates = _h_gates(t) + [cir.cx(c, t)] + _h_gates(t)
+    elif kind is GateKind.ZZ_SWAP:
+        # Time order CX(c,t), RZ(t), CX(t,c), CX(c,t) realizes SWAP.ZZ(theta);
+        # under TC the roles of the wires exchange.
+        if tc:
+            gates = (
+                _reversed_cx(c, t)
+                + [cir.rz(theta, c), cir.cx(c, t)]
+                + _reversed_cx(c, t)
+            )
+        else:
+            gates = (
+                [cir.cx(c, t), cir.rz(theta, t)]
+                + _reversed_cx(c, t)
+                + [cir.cx(c, t)]
+            )
+    else:
+        raise ValidationError(f"no lowering rule for two-qubit kind {kind.value}")
+    return tuple(gates)
+
+
+def _single_qubit_counts(
+    kind: GateKind, polarity: Polarity
+) -> tuple[tuple[bool, int], ...]:
+    """(on the native control?, count) of the non-virtual single-qubit gates
+    of a CX-based form, per side in order of first appearance."""
+    counts: dict[int, int] = {}
+    for g in expansion(kind, 0.0, polarity, False, 0, 1):
+        if g.kind in (GateKind.RZ, GateKind.CX) or len(g.qubits) != 1:
+            continue
+        counts[g.qubits[0]] = counts.get(g.qubits[0], 0) + 1
+    return tuple((wire == 0, count) for wire, count in counts.items())
+
+
+#: per-side single-qubit gate counts of every CX-based form, which
+#: ``effective_error`` reads instead of expanding each composite
+_SX_COUNTS = {
+    (kind, polarity): _single_qubit_counts(kind, polarity)
+    for kind in (GateKind.CX, GateKind.ZZ, GateKind.CZ, GateKind.ZZ_SWAP)
+    for polarity in Polarity
+}
+
+
 @dataclass(frozen=True)
 class RuleApplication:
     """One lowered two-qubit (or pulse) composite in the chain's wire frame."""
@@ -86,7 +161,9 @@ class RuleApplication:
     kind: GateKind
     angle: float | None
     polarity: Polarity
-    gates: tuple[Gate, ...]
+    #: the wires holding the edge's native control and target
+    control_wire: int
+    target_wire: int
     duration_ns: float
     cx_count: int
     pulse: bool
@@ -95,14 +172,22 @@ class RuleApplication:
     #: surviving single-qubit layers of a pulse form
     overhead_1q: int = 0
 
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """The hardware-gate expansion, built on demand."""
+        return expansion(
+            self.kind, self.angle, self.polarity, self.pulse,
+            self.control_wire, self.target_wire,
+        )
+
     def unit(self, wires, physical, edge, dev) -> LoweredUnit:
         """The composite as the scheduled unit on ``wires`` (qubits ``physical``)."""
         return LoweredUnit(
             kind=self.kind, wires=wires, physical=physical,
-            gates=self.gates, duration_ns=self.duration_ns, cx_count=self.cx_count,
+            duration_ns=self.duration_ns, cx_count=self.cx_count,
             error=effective_error(self, edge, dev), label=self.label,
             angle=self.angle, flavor=edge.flavor, polarity=self.polarity,
-            pulse=self.pulse,
+            pulse=self.pulse, control_wire=self.control_wire,
         )
 
 
@@ -155,7 +240,8 @@ def uses_pulse(edge: EdgeCalibration, opt: OptLevel, target: GateKind) -> bool:
         return False
     if target is GateKind.ZZ_SWAP:
         return opt is OptLevel.ZZ_SWAP_OPT
-    return True  # ZZ and CZ are optimized at both opt levels
+    # ZZ and CZ are optimized at both opt levels; a directed CX never is
+    return target in (GateKind.ZZ, GateKind.CZ)
 
 
 def apply_rule(
@@ -168,34 +254,27 @@ def apply_rule(
     opt: OptLevel,
     polarity: Polarity = Polarity.CT,
 ) -> RuleApplication:
-    """Expansion + duration of one two-qubit target on one edge.
+    """Duration and cost of one two-qubit target on one edge.
 
     control_wire/target_wire are the circuit wires holding the edge's native
     control and target.  TC realizations build every CX in the reversed
-    direction and add one conjugation layer per side to the duration.
+    direction and add one conjugation layer per side to the duration.  The
+    gate expansion is not built here; ``RuleApplication.gates`` builds it.
     """
-    c, t = control_wire, target_wire
     s = dev.single_qubit_duration("sx")
     flavor = edge.flavor.value
     tc_extra = 2.0 * s if polarity is Polarity.TC else 0.0
     pulse = uses_pulse(edge, opt, target)
-    rule = functools.partial(RuleApplication, kind=target, angle=theta, polarity=polarity)
+    rule = functools.partial(
+        RuleApplication, kind=target, angle=theta, polarity=polarity,
+        control_wire=control_wire, target_wire=target_wire, pulse=pulse,
+    )
 
     if target is GateKind.CX:
-        if polarity is Polarity.CT:
-            return rule(
-                label=f"cx.{flavor}.ct",
-                gates=(cir.cx(c, t),),
-                duration_ns=edge.cx_duration_ns,
-                cx_count=1,
-                pulse=False,
-            )
         return rule(
-            label=f"cx.{flavor}.tc",
-            gates=tuple(_reversed_cx(c, t)),
+            label=f"cx.{flavor}.{polarity.value}",
             duration_ns=edge.cx_duration_ns + tc_extra,
             cx_count=1,
-            pulse=False,
         )
 
     if target is GateKind.ZZ:
@@ -206,23 +285,15 @@ def apply_rule(
             n_overhead = int(round(overhead / s)) if s > 0 else 0
             return rule(
                 label=f"zz.{flavor}.opt.{polarity.value}",
-                gates=(Gate(GateKind.ZZ, (c, t), param=theta),),
                 duration_ns=pulse_ns + tc_extra,
                 cx_count=0,
-                pulse=True,
                 segments=(seg, seg),
                 overhead_1q=n_overhead + (2 if polarity is Polarity.TC else 0),
             )
-        if polarity is Polarity.CT:
-            gates = [cir.cx(c, t), cir.rz(theta, t), cir.cx(c, t)]
-        else:
-            gates = _reversed_cx(c, t) + [cir.rz(theta, c)] + _reversed_cx(c, t)
         return rule(
             label=f"zz.{flavor}.default.{polarity.value}",
-            gates=tuple(gates),
             duration_ns=_zz_default_duration(edge) + tc_extra,
             cx_count=2,
-            pulse=False,
         )
 
     if target is GateKind.CZ:
@@ -231,23 +302,15 @@ def apply_rule(
             seg = max(0.0, (pulse_ns - s) / 2.0)
             return rule(
                 label=f"cz.{flavor}.opt.{polarity.value}",
-                gates=(Gate(GateKind.CZ, (c, t)),),
                 duration_ns=pulse_ns + tc_extra,
                 cx_count=0,
-                pulse=True,
                 segments=(seg, seg),
                 overhead_1q=1 + (2 if polarity is Polarity.TC else 0),
             )
-        if polarity is Polarity.CT:
-            gates = _h_gates(t) + [cir.cx(c, t)] + _h_gates(t)
-        else:
-            gates = _h_gates(c) + _reversed_cx(c, t) + _h_gates(c)
         return rule(
             label=f"cz.{flavor}.default.{polarity.value}",
-            gates=tuple(gates),
             duration_ns=_cz_default_duration(edge, dev) + tc_extra,
             cx_count=1,
-            pulse=False,
         )
 
     if target is GateKind.ZZ_SWAP:
@@ -255,33 +318,15 @@ def apply_rule(
             seg = max(0.0, (_cz_opt_duration(edge, dev) - s) / 2.0)
             return rule(
                 label=f"zz_swap.{flavor}.opt.{polarity.value}",
-                gates=(Gate(GateKind.ZZ_SWAP, (c, t), param=theta),),
                 duration_ns=_zz_swap_opt_duration(edge, dev) + tc_extra,
                 cx_count=0,
-                pulse=True,
                 segments=(seg,) * 6,  # three CZ_OPT constituents
                 overhead_1q=3 + (2 if polarity is Polarity.TC else 0),
             )
-        # Time order CX(c,t), RZ(t), CX(t,c), CX(c,t) realizes SWAP.ZZ(theta);
-        # under TC the roles of the wires exchange.
-        if polarity is Polarity.CT:
-            gates = (
-                [cir.cx(c, t), cir.rz(theta, t)]
-                + _reversed_cx(c, t)
-                + [cir.cx(c, t)]
-            )
-        else:
-            gates = (
-                _reversed_cx(c, t)
-                + [cir.rz(theta, c), cir.cx(c, t)]
-                + _reversed_cx(c, t)
-            )
         return rule(
             label=f"zz_swap.{flavor}.default.{polarity.value}",
-            gates=tuple(gates),
             duration_ns=_zz_swap_default_duration(edge, dev) + tc_extra,
             cx_count=3,
-            pulse=False,
         )
 
     raise ValidationError(f"no lowering rule for two-qubit kind {target.value}")
@@ -301,21 +346,8 @@ def effective_error(
             survival *= max(0.0, 1.0 - edge.cx_error * seg / edge.cx_duration_ns)
         return min(1.0, max(0.0, 1.0 - survival))
     survival = (1.0 - edge.cx_error) ** app.cx_count
-    # Non-virtual single-qubit gates, per wire; the expansion's CX gates
-    # identify which wire carries the native control.
-    control_wire = None
-    for g in app.gates:
-        if g.kind is GateKind.CX:
-            control_wire = g.qubits[0]
-            break
-    counts: dict[int, int] = {}
-    for g in app.gates:
-        if g.kind in (GateKind.RZ, GateKind.CX) or len(g.qubits) != 1:
-            continue
-        counts[g.qubits[0]] = counts.get(g.qubits[0], 0) + 1
-    for wire, count in counts.items():
-        sx = sx_a if wire == control_wire else sx_b
-        survival *= (1.0 - sx) ** count
+    for on_control, count in _SX_COUNTS[app.kind, app.polarity]:
+        survival *= (1.0 - (sx_a if on_control else sx_b)) ** count
     return min(1.0, max(0.0, 1.0 - survival))
 
 
@@ -326,7 +358,6 @@ class LoweredUnit:
     kind: GateKind
     wires: tuple[int, ...]
     physical: tuple[int, ...]
-    gates: tuple[Gate, ...]
     duration_ns: float
     cx_count: int
     error: float
@@ -336,6 +367,21 @@ class LoweredUnit:
     polarity: Polarity | None = None
     pulse: bool = False
     clbit: int | None = None
+    #: of a two-qubit unit, the wire holding the edge's native control
+    control_wire: int | None = None
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """The unit's hardware gates, built on demand (none for a measurement)."""
+        if self.kind is GateKind.MEASURE:
+            return ()
+        if self.kind is GateKind.BARRIER:
+            return (cir.barrier(*self.wires),)
+        if self.kind in _SINGLE_QUBIT_LOWERING:
+            return _SINGLE_QUBIT_LOWERING[self.kind](self.angle, self.wires[0])
+        c = self.control_wire
+        t = self.wires[1] if self.wires[0] == c else self.wires[0]
+        return expansion(self.kind, self.angle, self.polarity, self.pulse, c, t)
 
 
 @dataclass(frozen=True)
@@ -438,7 +484,6 @@ def lower_circuit(
                     kind=g.kind,
                     wires=(w,),
                     physical=(chain[w],),
-                    gates=(),
                     duration_ns=dev.qubits[chain[w]].readout_length_ns,
                     cx_count=0,
                     error=0.0,
@@ -453,7 +498,6 @@ def lower_circuit(
                     kind=g.kind,
                     wires=g.qubits,
                     physical=tuple(chain[w] for w in g.qubits),
-                    gates=(g,),
                     duration_ns=0.0,
                     cx_count=0,
                     error=0.0,
@@ -472,7 +516,6 @@ def lower_circuit(
                     kind=g.kind,
                     wires=(w,),
                     physical=(q,),
-                    gates=_SINGLE_QUBIT_LOWERING[g.kind](g.param, w),
                     duration_ns=dev.single_qubit_duration(
                         _SINGLE_QUBIT_DURATION_KEY[g.kind]
                     ),

@@ -216,8 +216,8 @@ def unit_channel(unit: LoweredUnit, idle_ns, noise: NoiseModel) -> Channel:
     In order: relaxation for each wire's idle time ``idle_ns[i]`` since it
     was last busy, the unit's unitary ``local_matrix(kind, angle)`` with a
     depolarizing channel for its effective error, then relaxation for the
-    unit's own duration.  A unit without gates (a measurement) has no
-    unitary and no error, so it only relaxes.
+    unit's own duration.  A measurement has no unitary and no error, so it
+    only relaxes.
     """
     k = len(unit.wires)
     channel = Channel(k)
@@ -225,7 +225,7 @@ def unit_channel(unit: LoweredUnit, idle_ns, noise: NoiseModel) -> Channel:
     for i, (w, idle) in enumerate(zip(unit.wires, idle_ns)):
         if idle > 0 and noisy:
             channel.compose(noise.relaxation(w, idle), (i,))
-    if unit.gates:
+    if unit.kind is not GateKind.MEASURE:
         u = local_matrix(unit.kind, unit.angle)
         lam = noise.depolarizing_strength(unit.error, k)
         channel.compose(depolarized_unitary(u, lam), range(k))

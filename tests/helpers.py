@@ -10,7 +10,11 @@ import numpy as np
 from bqaoa import circuit as cir
 from bqaoa import qaoa, sim
 from bqaoa.circuit import CircuitIR, Gate, GateKind
-from bqaoa.errors import MeasureInUnitaryError, ValidationError
+from bqaoa.errors import BqaoaError, ValidationError
+
+
+class MeasureInUnitaryError(BqaoaError):
+    """A circuit containing measurements was passed to ``unitary_of``."""
 
 
 def unitary_of(c: CircuitIR) -> np.ndarray:

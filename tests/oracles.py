@@ -215,11 +215,42 @@ def relaxation_family(duration_ns, t1_us, t2_us) -> list[np.ndarray]:
     """Amplitude damping, then the dephasing T2 adds beyond T1 (T2 <= 2 T1)."""
     t = duration_ns * 1e-3
     decay = 1.0 - np.exp(-t / t1_us)
-    dephase = 1.0 - np.exp(-2.0 * t * max(1.0 / t2_us - 0.5 / t1_us, 0.0))
+    rate = max(1.0 / t2_us - 0.5 / t1_us, 0.0)
+    # the dephasing weights sqrt(1 - d) and sqrt(d), d = 1 - exp(-2 t rate),
+    # formed without the cancellation in 1 - d when d is near 1
+    kept, lost = np.exp(-t * rate), np.sqrt(-np.expm1(-2.0 * t * rate))
     lowering = np.array([[0.0, 1.0], [0.0, 0.0]])  # |0><1|
     damping = [np.diag([1.0, np.sqrt(1.0 - decay)]), np.sqrt(decay) * lowering]
-    phasing = [np.diag([1.0, np.sqrt(1.0 - dephase)]), np.diag([0.0, np.sqrt(dephase)])]
+    phasing = [np.diag([1.0, kept]), np.diag([0.0, lost])]
     return [p @ a for a in damping for p in phasing]
+
+
+def effective_error(app, edge, dev) -> float:
+    """Failure probability of a lowered composite, counted off its gate list.
+
+    Pulse forms scale the CX error by segment length; CX-based forms take
+    (1 - cx_error) per CX and (1 - sx_error) per non-virtual single-qubit
+    gate on each side, the side holding the CX control being the edge's
+    native control.  Same arithmetic, in the same order, as the package.
+    """
+    sx_a = dev.qubits[edge.control].sx_error
+    sx_b = dev.qubits[edge.target].sx_error
+    if app.pulse:
+        survival = (1.0 - 0.5 * (sx_a + sx_b)) ** app.overhead_1q
+        for seg in app.segments:
+            survival *= max(0.0, 1.0 - edge.cx_error * seg / edge.cx_duration_ns)
+        return min(1.0, max(0.0, 1.0 - survival))
+    survival = (1.0 - edge.cx_error) ** app.cx_count
+    gates = app.gates
+    control_wire = next(g.qubits[0] for g in gates if g.kind.value == "cx")
+    counts = {}
+    for g in gates:
+        if g.kind.value in ("rz", "cx") or len(g.qubits) != 1:
+            continue
+        counts[g.qubits[0]] = counts.get(g.qubits[0], 0) + 1
+    for wire, count in counts.items():
+        survival *= (1.0 - (sx_a if wire == control_wire else sx_b)) ** count
+    return min(1.0, max(0.0, 1.0 - survival))
 
 
 def unit_kraus_steps(unit, idle_ns, noise, n, gate_matrix) -> list[list[np.ndarray]]:

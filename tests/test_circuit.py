@@ -6,15 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import MeasureInUnitaryError
 from bqaoa import circuit as cir
 from bqaoa import qaoa
 from bqaoa.circuit import CircuitIR, GateKind
-from bqaoa.errors import (
-    MeasureInUnitaryError,
-    MissingEdgeError,
-    TooLargeError,
-    ValidationError,
-)
+from bqaoa.errors import MissingEdgeError, TooLargeError, ValidationError
 from bqaoa.lower import lower_circuit
 
 COUNTED = {

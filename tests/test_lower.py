@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import helpers
+import oracles
 from bqaoa import circuit as cir
-from bqaoa import lower, qaoa
+from bqaoa import data_path, device, lower, mapper, optimize, qaoa
 from bqaoa.circuit import CircuitIR, GateKind
 from bqaoa.device import DeviceModel, EdgeCalibration, GateFlavor, QubitCalibration
 from bqaoa.errors import MissingEdgeError, NonAdjacentGateError
@@ -188,6 +189,62 @@ def test_error_cx_form_counts_single_qubit_gates():
     app = apply_rule(GateKind.CZ, None, 0, 1, DIRECT, DEV, OptLevel.DEFAULT)
     expected = 1 - (1 - DIRECT.cx_error) * (1 - 0.0002) ** 2
     assert effective_error(app, DIRECT, DEV) == pytest.approx(expected)
+
+
+SHIPPED = {name: device.load_device(data_path(f"{name}.json"))
+           for name in ("ehningen", "ehningen_fragment")}
+
+
+@pytest.mark.parametrize("opt", list(OptLevel), ids=lambda o: o.value)
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_effective_error_bitwise_equals_gate_counting_reference(name, opt):
+    # the count table must give exactly the errors counting the expansion gives
+    dev = SHIPPED[name]
+    assert any(edge.composite_durations_ns for edge in dev.edges)
+    for edge in dev.edges:
+        for target in (GateKind.CX, *TWO_QUBIT_TARGETS):
+            for polarity in Polarity:
+                for theta in (-2.5, 0.0, math.pi / 2, 3.0):
+                    for c, t in ((0, 1), (1, 0)):
+                        app = apply_rule(target, theta, c, t, edge, dev, opt, polarity)
+                        expected = oracles.effective_error(app, edge, dev)
+                        assert effective_error(app, edge, dev) == expected, app.label
+
+
+def side_counts(unit):
+    """(on the native control?, count) of the unit's non-virtual single-qubit
+    gates, per side in order of first appearance."""
+    counts = {}
+    for g in unit.gates:
+        if g.kind in (GateKind.RZ, GateKind.CX) or len(g.qubits) != 1:
+            continue
+        counts[g.qubits[0]] = counts.get(g.qubits[0], 0) + 1
+    return tuple((wire == unit.control_wire, n) for wire, n in counts.items())
+
+
+def assert_gates_match_count_table(lowered):
+    for unit in lowered.units:
+        if len(unit.wires) != 2:
+            continue
+        cxs = [g for g in unit.gates if g.kind is GateKind.CX]
+        assert len(cxs) == unit.cx_count, unit.label
+        assert all(g.qubits[0] == unit.control_wire for g in cxs), unit.label
+        if not unit.pulse:
+            assert side_counts(unit) == lower._SX_COUNTS[unit.kind, unit.polarity]
+
+
+@pytest.mark.parametrize("opt", list(OptLevel), ids=lambda o: o.value)
+def test_lowered_unit_gates_match_count_table(opt):
+    dev = SHIPPED["ehningen"]
+    template = optimize.selection_template(qaoa.encode_maxcut(helpers.complete_maxcut(4)))
+    for chain in mapper.enumerate_chains(dev, 4):
+        assert_gates_match_count_table(lower.lower_circuit(template, chain, dev, opt))
+    # directed CX in both polarities, plus CZ, on the fragment's two flavors
+    gates = (cir.cx(0, 1), cir.cx(2, 1), cir.cx(1, 0), cir.cz(1, 2), cir.zz(0.3, 0, 1))
+    fragment = SHIPPED["ehningen_fragment"]
+    lowered = lower.lower_circuit(CircuitIR(3, gates), (0, 1, 4), fragment, opt)
+    assert {u.polarity for u in lowered.units if u.kind is GateKind.CX} == set(Polarity)
+    assert_gates_match_count_table(lowered)
 
 
 # --- whole-circuit lowering ---

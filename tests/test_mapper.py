@@ -3,7 +3,9 @@ import pytest
 
 import helpers
 import oracles
-from bqaoa import mapper, qaoa
+from bqaoa import circuit as cir
+from bqaoa import mapper, optimize, qaoa
+from bqaoa.circuit import Gate, GateKind
 from bqaoa.device import DeviceModel, EdgeCalibration, GateFlavor, QubitCalibration
 from bqaoa.errors import NoChainError
 from bqaoa.lower import OptLevel, lower_circuit
@@ -262,3 +264,22 @@ def test_select_matches_brute_force_oracle(seed):
                 select(dev, k, strategy, circ, opt)
         else:
             assert select(dev, k, strategy, circ, opt).chain == expected
+
+
+def test_selection_builds_no_gates(ehningen, monkeypatch):
+    """Scoring a chain needs no hardware-gate expansion: selection over every
+    8-qubit chain of ehningen constructs no ``Gate``."""
+    template = optimize.selection_template(qaoa.encode_maxcut(helpers.complete_maxcut(8)))
+    built = []
+    original = Gate.__post_init__
+
+    def counting(self):
+        built.append(self.kind)
+        original(self)
+
+    monkeypatch.setattr(Gate, "__post_init__", counting)
+    for opt in OptLevel:
+        select(ehningen, 8, Strategy.GLOBAL, template, opt)
+    assert built == []
+    cir.h(0)  # the counter does see a construction
+    assert built == [GateKind.H]

@@ -103,13 +103,8 @@ def test_depolarized_unitary_matches_kraus_family(k, lam, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(qubit_times(), st.data())
-def test_relaxation_superop_matches_kraus_family(times, data):
-    # Durations up to 3 us, and up to 9 T2: beyond that the coherence falls
-    # below 1e-4, and the Kraus family, which forms it from sqrt(1 - d) with
-    # the dephasing probability d = 1 - e^{-x} near 1, loses more than 1e-12
-    # to rounding.
-    duration = data.draw(st.floats(0.0, min(3000.0, 9e3 * times[1])))
+@given(qubit_times(), durations)
+def test_relaxation_superop_matches_kraus_family(times, duration):
     closed = sim.relaxation_superop(duration, *times)
     family = superop_of(oracles.relaxation_family(duration, *times))
     assert np.abs(closed - family).max() < TOL
