@@ -456,6 +456,8 @@ def qpt(device_path, edge_text, gate, reps, angles, noise_scale, opt_name, fmt, 
         raise ConfigError(f"device has no edge between {a} and {b}")
     target = GateKind(gate)
     repetitions = _parse_range(reps, "reps")
+    if angles < 1:
+        raise ConfigError(f"--angles must be >= 1, got {angles}")
     angle_grid = [np.pi * (i + 1) / angles for i in range(angles)]
     rows = sim.qpt_infidelities(
         dev, edge, target, OPT_CHOICES[opt_name], repetitions, angle_grid,

@@ -133,18 +133,20 @@ class DeviceModel:
     cr_scale: CrScaleModel = field(default_factory=CrScaleModel)
     #: sorted endpoint pair -> first edge on it, for ``edge_between``
     _edges_by_pair: dict = field(init=False, repr=False, compare=False, hash=False)
+    #: single-qubit kind -> duration, for ``single_qubit_duration``
+    _durations: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         index: dict[tuple[int, int], EdgeCalibration] = {}
         for edge in self.edges:
             index.setdefault(edge.pair, edge)
         object.__setattr__(self, "_edges_by_pair", index)
+        # reversed, so the first duration given for a kind wins
+        durations = dict(reversed(self.single_qubit_durations_ns))
+        object.__setattr__(self, "_durations", durations)
 
     def single_qubit_duration(self, kind: str) -> float:
-        for name, value in self.single_qubit_durations_ns:
-            if name == kind:
-                return value
-        raise KeyError(f"no duration for single-qubit kind {kind!r}")
+        return self._durations[kind]
 
     def edge_between(self, a: int, b: int) -> EdgeCalibration | None:
         return self._edges_by_pair.get((min(a, b), max(a, b)))

@@ -92,6 +92,7 @@ INFEASIBLE_ERRORS = (
     MissingEdgeError,
     NoChainError,
     NoFeasibleOutcomeError,
+    SingularConfusionError,
 )
 
 CONFIG_ERRORS = (

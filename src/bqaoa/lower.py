@@ -25,28 +25,28 @@ extra single-qubit layer per side (duration CT + 2s).
 
 Effective error of a CX-based form is 1 - (1-cx_error)^#CX * prod over
 non-virtual single-qubit gates of (1-sx_error).  The per-side gate counts
-depend only on the target kind and polarity, so they sit in a table built
-once from the expansions.  Pulse forms scale the CX error by duration:
+depend only on the target kind and polarity, so a literal table
+(``_SX_COUNTS``) holds them.  Pulse forms scale the CX error by duration:
 each constituent CR segment of length u contributes a factor
 (1 - cx_error * u / D), and the single-qubit overhead contributes
 (1 - mean sx_error) per surviving 32 ns layer.
 
-Lowering builds no gates.  A ``RuleApplication`` and a ``LoweredUnit``
-carry the rule record (kind, angle, polarity, pulse and the wire of the
-edge's native control), which is all that durations, errors, scheduling
-and the simulator read.  Their ``gates`` property builds the hardware-gate
-expansion from that record on demand, for inspection and tests.
+Lowering builds no gates.  ``apply_rule`` returns the scheduled
+``LoweredUnit`` of a composite (kind, angle, polarity, pulse flag, and the
+duration, CX count and effective error of its rule), which is all that
+scheduling and the simulator read.  The hardware-gate expansion each rule
+stands for is the test suite's reference (``tests/helpers.py``): it is
+checked against the target unitary and against ``_SX_COUNTS``.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
 from . import circuit as cir
-from .circuit import CircuitIR, Gate, GateKind
+from .circuit import CircuitIR, GateKind
 from .device import DeviceModel, EdgeCalibration, GateFlavor
 from .errors import (
     MissingEdgeError,
@@ -74,121 +74,37 @@ def wrap_angle(theta: float) -> float:
     return wrapped - math.pi
 
 
-def _h_gates(q: int) -> list[Gate]:
-    # H = RZ(pi/2) . SX . RZ(pi/2) up to global phase (one timed pulse).
-    half_pi = math.pi / 2.0
-    return [cir.rz(half_pi, q), cir.sx(q), cir.rz(half_pi, q)]
-
-
-def _reversed_cx(c: int, t: int) -> list[Gate]:
-    """CX with control t and target c, via the native CX(c, t)."""
-    return _h_gates(c) + _h_gates(t) + [cir.cx(c, t)] + _h_gates(c) + _h_gates(t)
-
-
-def expansion(
-    kind: GateKind,
-    theta: float | None,
-    polarity: Polarity,
-    pulse: bool,
-    c: int,
-    t: int,
-) -> tuple[Gate, ...]:
-    """Hardware gates realizing a two-qubit target; c and t hold the edge's
-    native control and target.  A pulse form stays one gate of its kind."""
-    if pulse:
-        return (Gate(kind, (c, t), param=None if kind is GateKind.CZ else theta),)
-    tc = polarity is Polarity.TC
-    if kind is GateKind.CX:
-        gates = _reversed_cx(c, t) if tc else [cir.cx(c, t)]
-    elif kind is GateKind.ZZ:
-        if tc:
-            gates = _reversed_cx(c, t) + [cir.rz(theta, c)] + _reversed_cx(c, t)
-        else:
-            gates = [cir.cx(c, t), cir.rz(theta, t), cir.cx(c, t)]
-    elif kind is GateKind.CZ:
-        if tc:
-            gates = _h_gates(c) + _reversed_cx(c, t) + _h_gates(c)
-        else:
-            gates = _h_gates(t) + [cir.cx(c, t)] + _h_gates(t)
-    elif kind is GateKind.ZZ_SWAP:
-        # Time order CX(c,t), RZ(t), CX(t,c), CX(c,t) realizes SWAP.ZZ(theta);
-        # under TC the roles of the wires exchange.
-        if tc:
-            gates = (
-                _reversed_cx(c, t)
-                + [cir.rz(theta, c), cir.cx(c, t)]
-                + _reversed_cx(c, t)
-            )
-        else:
-            gates = (
-                [cir.cx(c, t), cir.rz(theta, t)]
-                + _reversed_cx(c, t)
-                + [cir.cx(c, t)]
-            )
-    else:
-        raise ValidationError(f"no lowering rule for two-qubit kind {kind.value}")
-    return tuple(gates)
-
-
-def _single_qubit_counts(
-    kind: GateKind, polarity: Polarity
-) -> tuple[tuple[bool, int], ...]:
-    """(on the native control?, count) of the non-virtual single-qubit gates
-    of a CX-based form, per side in order of first appearance."""
-    counts: dict[int, int] = {}
-    for g in expansion(kind, 0.0, polarity, False, 0, 1):
-        if g.kind in (GateKind.RZ, GateKind.CX) or len(g.qubits) != 1:
-            continue
-        counts[g.qubits[0]] = counts.get(g.qubits[0], 0) + 1
-    return tuple((wire == 0, count) for wire, count in counts.items())
-
-
-#: per-side single-qubit gate counts of every CX-based form, which
-#: ``effective_error`` reads instead of expanding each composite
+#: (on the native control?, count) of the non-virtual single-qubit gates
+#: (the SX of each H conjugation) of every CX-based form, per side in order
+#: of first appearance, which fixes the order ``apply_rule`` multiplies in
 _SX_COUNTS = {
-    (kind, polarity): _single_qubit_counts(kind, polarity)
-    for kind in (GateKind.CX, GateKind.ZZ, GateKind.CZ, GateKind.ZZ_SWAP)
-    for polarity in Polarity
+    (GateKind.CX, Polarity.CT): (),
+    (GateKind.CX, Polarity.TC): ((True, 2), (False, 2)),
+    (GateKind.ZZ, Polarity.CT): (),
+    (GateKind.ZZ, Polarity.TC): ((True, 4), (False, 4)),
+    (GateKind.CZ, Polarity.CT): ((False, 2),),
+    (GateKind.CZ, Polarity.TC): ((True, 4), (False, 2)),
+    (GateKind.ZZ_SWAP, Polarity.CT): ((True, 2), (False, 2)),
+    (GateKind.ZZ_SWAP, Polarity.TC): ((True, 4), (False, 4)),
 }
 
 
 @dataclass(frozen=True)
-class RuleApplication:
-    """One lowered two-qubit (or pulse) composite in the chain's wire frame."""
+class LoweredUnit:
+    """One scheduled unit of a lowered circuit (gate or composite)."""
 
-    label: str
-    #: the target kind, angle and polarity the composite realizes
     kind: GateKind
-    angle: float | None
-    polarity: Polarity
-    #: the wires holding the edge's native control and target
-    control_wire: int
-    target_wire: int
+    wires: tuple[int, ...]
+    physical: tuple[int, ...]
     duration_ns: float
     cx_count: int
-    pulse: bool
-    #: durations of the constituent CR segments of a pulse form (ns)
-    segments: tuple[float, ...] = ()
-    #: surviving single-qubit layers of a pulse form
-    overhead_1q: int = 0
-
-    @property
-    def gates(self) -> tuple[Gate, ...]:
-        """The hardware-gate expansion, built on demand."""
-        return expansion(
-            self.kind, self.angle, self.polarity, self.pulse,
-            self.control_wire, self.target_wire,
-        )
-
-    def unit(self, wires, physical, edge, dev) -> LoweredUnit:
-        """The composite as the scheduled unit on ``wires`` (qubits ``physical``)."""
-        return LoweredUnit(
-            kind=self.kind, wires=wires, physical=physical,
-            duration_ns=self.duration_ns, cx_count=self.cx_count,
-            error=effective_error(self, edge, dev), label=self.label,
-            angle=self.angle, flavor=edge.flavor, polarity=self.polarity,
-            pulse=self.pulse, control_wire=self.control_wire,
-        )
+    error: float
+    label: str
+    angle: float | None = None
+    flavor: GateFlavor | None = None
+    polarity: Polarity | None = None
+    pulse: bool = False
+    clbit: int | None = None
 
 
 def _zz_default_duration(edge: EdgeCalibration) -> float:
@@ -247,141 +163,69 @@ def uses_pulse(edge: EdgeCalibration, opt: OptLevel, target: GateKind) -> bool:
 def apply_rule(
     target: GateKind,
     theta: float | None,
-    control_wire: int,
-    target_wire: int,
+    wires: tuple[int, int],
+    physical: tuple[int, int],
     edge: EdgeCalibration,
     dev: DeviceModel,
     opt: OptLevel,
     polarity: Polarity = Polarity.CT,
-) -> RuleApplication:
-    """Duration and cost of one two-qubit target on one edge.
+) -> LoweredUnit:
+    """The scheduled unit realizing one two-qubit target on one edge.
 
-    control_wire/target_wire are the circuit wires holding the edge's native
-    control and target.  TC realizations build every CX in the reversed
-    direction and add one conjugation layer per side to the duration.  The
-    gate expansion is not built here; ``RuleApplication.gates`` builds it.
+    ``wires`` are the circuit wires the target acts on, in its own order, and
+    ``physical`` the qubits holding them.  Duration, CX count and effective
+    error follow the rule table; TC adds one conjugation layer per side to
+    the duration and, of a pulse form, to its single-qubit overhead.
     """
     s = dev.single_qubit_duration("sx")
-    flavor = edge.flavor.value
-    tc_extra = 2.0 * s if polarity is Polarity.TC else 0.0
     pulse = uses_pulse(edge, opt, target)
-    rule = functools.partial(
-        RuleApplication, kind=target, angle=theta, polarity=polarity,
-        control_wire=control_wire, target_wire=target_wire, pulse=pulse,
-    )
-
+    tc = polarity is Polarity.TC
+    # a pulse form is ``segments`` CR segments of ``segment`` ns each plus
+    # ``overhead_1q`` single-qubit layers
+    cx_count, segment, segments, overhead_1q = 0, 0.0, 0, 0
     if target is GateKind.CX:
-        return rule(
-            label=f"cx.{flavor}.{polarity.value}",
-            duration_ns=edge.cx_duration_ns + tc_extra,
-            cx_count=1,
-        )
+        duration, cx_count = edge.cx_duration_ns, 1
+    elif target is GateKind.ZZ and pulse:
+        duration = zz_opt_duration(theta, edge, dev)
+        intercept = dev.cr_scale.intercept_ns
+        segment, segments = max(0.0, (duration - intercept) / 2.0), 2
+        overhead_1q = int(round(intercept / s)) if s > 0 else 0
+    elif target is GateKind.ZZ:
+        duration, cx_count = _zz_default_duration(edge), 2
+    elif target is GateKind.CZ and pulse:
+        duration = _cz_opt_duration(edge, dev)
+        segment, segments, overhead_1q = max(0.0, (duration - s) / 2.0), 2, 1
+    elif target is GateKind.CZ:
+        duration, cx_count = _cz_default_duration(edge, dev), 1
+    elif target is GateKind.ZZ_SWAP and pulse:
+        # three CZ_OPT constituents
+        duration = _zz_swap_opt_duration(edge, dev)
+        segment = max(0.0, (_cz_opt_duration(edge, dev) - s) / 2.0)
+        segments, overhead_1q = 6, 3
+    elif target is GateKind.ZZ_SWAP:
+        duration, cx_count = _zz_swap_default_duration(edge, dev), 3
+    else:
+        raise ValidationError(f"no lowering rule for two-qubit kind {target.value}")
 
-    if target is GateKind.ZZ:
-        if pulse:
-            pulse_ns = zz_opt_duration(theta, edge, dev)
-            overhead = dev.cr_scale.intercept_ns
-            seg = max(0.0, (pulse_ns - overhead) / 2.0)
-            n_overhead = int(round(overhead / s)) if s > 0 else 0
-            return rule(
-                label=f"zz.{flavor}.opt.{polarity.value}",
-                duration_ns=pulse_ns + tc_extra,
-                cx_count=0,
-                segments=(seg, seg),
-                overhead_1q=n_overhead + (2 if polarity is Polarity.TC else 0),
-            )
-        return rule(
-            label=f"zz.{flavor}.default.{polarity.value}",
-            duration_ns=_zz_default_duration(edge) + tc_extra,
-            cx_count=2,
-        )
-
-    if target is GateKind.CZ:
-        if pulse:
-            pulse_ns = _cz_opt_duration(edge, dev)
-            seg = max(0.0, (pulse_ns - s) / 2.0)
-            return rule(
-                label=f"cz.{flavor}.opt.{polarity.value}",
-                duration_ns=pulse_ns + tc_extra,
-                cx_count=0,
-                segments=(seg, seg),
-                overhead_1q=1 + (2 if polarity is Polarity.TC else 0),
-            )
-        return rule(
-            label=f"cz.{flavor}.default.{polarity.value}",
-            duration_ns=_cz_default_duration(edge, dev) + tc_extra,
-            cx_count=1,
-        )
-
-    if target is GateKind.ZZ_SWAP:
-        if pulse:
-            seg = max(0.0, (_cz_opt_duration(edge, dev) - s) / 2.0)
-            return rule(
-                label=f"zz_swap.{flavor}.opt.{polarity.value}",
-                duration_ns=_zz_swap_opt_duration(edge, dev) + tc_extra,
-                cx_count=0,
-                segments=(seg,) * 6,  # three CZ_OPT constituents
-                overhead_1q=3 + (2 if polarity is Polarity.TC else 0),
-            )
-        return rule(
-            label=f"zz_swap.{flavor}.default.{polarity.value}",
-            duration_ns=_zz_swap_default_duration(edge, dev) + tc_extra,
-            cx_count=3,
-        )
-
-    raise ValidationError(f"no lowering rule for two-qubit kind {target.value}")
-
-
-def effective_error(
-    app: RuleApplication, edge: EdgeCalibration, dev: DeviceModel
-) -> float:
-    """Probability that the rule-applied composite fails (fidelity proxy)."""
-    qa, qb = edge.control, edge.target
-    sx_a = dev.qubits[qa].sx_error
-    sx_b = dev.qubits[qb].sx_error
-    if app.pulse:
-        mean_sx = 0.5 * (sx_a + sx_b)
-        survival = (1.0 - mean_sx) ** app.overhead_1q
-        for seg in app.segments:
-            survival *= max(0.0, 1.0 - edge.cx_error * seg / edge.cx_duration_ns)
-        return min(1.0, max(0.0, 1.0 - survival))
-    survival = (1.0 - edge.cx_error) ** app.cx_count
-    for on_control, count in _SX_COUNTS[app.kind, app.polarity]:
-        survival *= (1.0 - (sx_a if on_control else sx_b)) ** count
-    return min(1.0, max(0.0, 1.0 - survival))
-
-
-@dataclass(frozen=True)
-class LoweredUnit:
-    """One scheduled unit of a lowered circuit (gate or composite)."""
-
-    kind: GateKind
-    wires: tuple[int, ...]
-    physical: tuple[int, ...]
-    duration_ns: float
-    cx_count: int
-    error: float
-    label: str
-    angle: float | None = None
-    flavor: GateFlavor | None = None
-    polarity: Polarity | None = None
-    pulse: bool = False
-    clbit: int | None = None
-    #: of a two-qubit unit, the wire holding the edge's native control
-    control_wire: int | None = None
-
-    @property
-    def gates(self) -> tuple[Gate, ...]:
-        """The unit's hardware gates, built on demand (none for a measurement)."""
-        if self.kind is GateKind.MEASURE:
-            return ()
-        if self.kind is GateKind.BARRIER:
-            return (cir.barrier(*self.wires),)
-        if self.kind in _SINGLE_QUBIT_LOWERING:
-            return _SINGLE_QUBIT_LOWERING[self.kind](self.angle, self.wires[0])
-        c = self.control_wire
-        t = self.wires[1] if self.wires[0] == c else self.wires[0]
-        return expansion(self.kind, self.angle, self.polarity, self.pulse, c, t)
+    sx_a = dev.qubits[edge.control].sx_error
+    sx_b = dev.qubits[edge.target].sx_error
+    if pulse:
+        survival = (1.0 - 0.5 * (sx_a + sx_b)) ** (overhead_1q + (2 if tc else 0))
+        factor = max(0.0, 1.0 - edge.cx_error * segment / edge.cx_duration_ns)
+        for _ in range(segments):
+            survival *= factor
+    else:
+        survival = (1.0 - edge.cx_error) ** cx_count
+        for on_control, count in _SX_COUNTS[target, polarity]:
+            survival *= (1.0 - (sx_a if on_control else sx_b)) ** count
+    form = "" if target is GateKind.CX else ("opt." if pulse else "default.")
+    return LoweredUnit(
+        kind=target, wires=wires, physical=physical,
+        duration_ns=duration + (2.0 * s if tc else 0.0), cx_count=cx_count,
+        error=min(1.0, max(0.0, 1.0 - survival)),
+        label=f"{target.value}.{edge.flavor.value}.{form}{polarity.value}",
+        angle=theta, flavor=edge.flavor, polarity=polarity, pulse=pulse,
+    )
 
 
 @dataclass(frozen=True)
@@ -426,15 +270,6 @@ class LoweredCircuit:
             )
         return rows
 
-
-_SINGLE_QUBIT_LOWERING = {
-    GateKind.H: lambda theta, w: tuple(_h_gates(w)),
-    GateKind.X: lambda theta, w: (cir.x(w),),
-    GateKind.SX: lambda theta, w: (cir.sx(w),),
-    GateKind.RX: lambda theta, w: (cir.rx(theta, w),),
-    GateKind.RY: lambda theta, w: (cir.ry(theta, w),),
-    GateKind.RZ: lambda theta, w: (cir.rz(theta, w),),
-}
 
 _SINGLE_QUBIT_DURATION_KEY = {
     GateKind.H: "sx",
@@ -505,7 +340,7 @@ def lower_circuit(
                 )
             )
             continue
-        if g.kind in _SINGLE_QUBIT_LOWERING:
+        if g.kind in _SINGLE_QUBIT_DURATION_KEY:
             w = g.qubits[0]
             q = chain[w]
             error = (
@@ -532,22 +367,15 @@ def lower_circuit(
                 raise NonAdjacentGateError(
                     f"{g.kind.value} on wires {g.qubits} is not nearest-neighbour"
                 )
-            qa, qb = chain[w1], chain[w2]
-            edge = dev.edge_between(qa, qb)
-            if edge is None:
-                raise MissingEdgeError(f"no device edge between {qa} and {qb}")
-            # wires holding the native control/target of this edge
-            if edge.control == qa:
-                c_wire, t_wire = w1, w2
-            else:
-                c_wire, t_wire = w2, w1
-            if g.kind is GateKind.CX:
-                # a directed CX forces the polarity
-                polarity = Polarity.CT if g.qubits[0] == c_wire else Polarity.TC
-            else:
-                polarity = Polarity.CT
-            app = apply_rule(g.kind, g.param, c_wire, t_wire, edge, dev, opt, polarity)
-            units.append(app.unit(g.qubits, (qa, qb), edge, dev))
+            physical = (chain[w1], chain[w2])
+            edge = dev.edge_between(*physical)  # validate_chain: never None
+            # a directed CX forces the polarity; undirected targets run native
+            reverse = g.kind is GateKind.CX and physical[0] != edge.control
+            polarity = Polarity.TC if reverse else Polarity.CT
+            unit = apply_rule(
+                g.kind, g.param, g.qubits, physical, edge, dev, opt, polarity
+            )
+            units.append(unit)
             continue
         raise ValidationError(f"no lowering rule for kind {g.kind.value}")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import io
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,6 +30,9 @@ from .qaoa import IsingProblem, MetricsResult, ParamVector, ProblemFile
 
 Evaluator = Callable[[ParamVector], MetricsResult]
 
+#: how many of the best distinct seed points Nelder-Mead refines
+REFINE_STARTS = 2
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -39,7 +42,6 @@ class OptimizerConfig:
     initial_grid: int = 8
     seed: int = 0
     tolerance: float = 1e-4
-    refine_starts: int = 2
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,7 @@ def optimize_params(
         if flat not in seen:
             seen.add(flat)
             refine_from.append(flat)
-        if len(refine_from) >= cfg.refine_starts:
+        if len(refine_from) >= REFINE_STARTS:
             break
 
     for start in refine_from:
@@ -276,13 +278,7 @@ def optimize_depth_sweep(
                     previous.params.betas + (0.0,) * (p - previous.params.p),
                 )
             )
-        level_cfg = OptimizerConfig(
-            max_evals=cfg.max_evals,
-            initial_grid=max(2, cfg.initial_grid // p),
-            seed=cfg.seed,
-            tolerance=cfg.tolerance,
-            refine_starts=cfg.refine_starts,
-        )
+        level_cfg = replace(cfg, initial_grid=max(2, cfg.initial_grid // p))
         result = optimize_params(prob, p, evaluator, level_cfg, warm_starts=warm)
         optimized[p] = result
         previous = result

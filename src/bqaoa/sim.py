@@ -42,7 +42,9 @@ from .errors import (
     TooLargeError,
     ValidationError,
 )
-from .lower import LoweredCircuit, LoweredUnit, RuleApplication
+from .lower import (
+    LoweredCircuit, LoweredUnit, OptLevel, Polarity, apply_rule, uses_pulse,
+)
 
 MAX_DENSITY_QUBITS = 10
 
@@ -314,7 +316,9 @@ def mitigate_readout(
     inverses = []
     for q, m in enumerate(confusions):
         if abs(np.linalg.det(m)) < 1e-12:
-            raise SingularConfusionError(f"confusion matrix of qubit {q} is singular")
+            raise SingularConfusionError(
+                f"readout confusion matrix of wire {q} is singular"
+            )
         inverses.append(np.linalg.inv(m))
     vec = np.asarray(counts, dtype=float)
     if vec.shape != (2**n,):
@@ -403,21 +407,17 @@ def unitary_channel(mat: np.ndarray) -> Channel:
 
 
 def composite_channel(
-    app: RuleApplication,
-    edge: EdgeCalibration,
-    dev: DeviceModel,
-    scale: float = 1.0,
+    unit: LoweredUnit, dev: DeviceModel, scale: float = 1.0
 ) -> Channel:
-    """Noisy channel of one lowered composite on a two-wire frame (0, 1).
+    """Noisy channel of one composite lowered on the two-wire frame (0, 1).
 
-    Wire 0 is the edge's native control, wire 1 its target (the frame
-    apply_rule builds expansions in).  It is the ``unit_channel`` of the
-    composite's unit with no idle time.  A CX composite is refused: its
-    direction depends on the polarity, which the frame does not carry.
+    It is the composite's ``unit_channel`` with no idle time, under the
+    noise of its ``physical`` qubits.  A CX composite is refused: its
+    direction depends on the polarity, and the channel stands for an
+    undirected target.
     """
-    if app.kind is GateKind.CX:
+    if unit.kind is GateKind.CX:
         raise ValidationError("cx is directed; composite channels are undirected")
-    unit = app.unit((0, 1), (edge.control, edge.target), edge, dev)
     noise = NoiseModel.from_device(dev, unit.physical, scale=scale)
     return unit_channel(unit, (0.0, 0.0), noise)
 
@@ -459,22 +459,23 @@ def qpt_infidelities(
     edge supports them.  The noisy channel repeats the composite; the ideal
     repeats the target unitary.
     """
-    from .lower import OptLevel, Polarity, apply_rule, uses_pulse
-
     if target not in (GateKind.ZZ, GateKind.CZ, GateKind.ZZ_SWAP):
         raise ValidationError(f"{target.value} is not an undirected two-qubit kind")
     variants: list[tuple[str, OptLevel, Polarity]] = [
         ("default-ct", OptLevel.DEFAULT, Polarity.CT),
         ("default-tc", OptLevel.DEFAULT, Polarity.TC),
     ]
-    if uses_pulse(edge, opt, target) and opt is not OptLevel.DEFAULT:
+    if uses_pulse(edge, opt, target):
         variants.append(("opt-ct", opt, Polarity.CT))
         variants.append(("opt-tc", opt, Polarity.TC))
     rows = []
     for name, level, polarity in variants:
         for theta in angles:
-            app = apply_rule(target, theta, 0, 1, edge, dev, level, polarity)
-            noisy = composite_channel(app, edge, dev, scale=noise_scale)
+            unit = apply_rule(
+                target, theta, (0, 1), (edge.control, edge.target), edge, dev,
+                level, polarity,
+            )
+            noisy = composite_channel(unit, dev, scale=noise_scale)
             ideal = unitary_channel(local_matrix(target, theta))
             for reps in repetitions:
                 fid = process_fidelity(
@@ -485,7 +486,7 @@ def qpt_infidelities(
                         "variant": name,
                         "angle": float(theta),
                         "repetitions": int(reps),
-                        "duration_ns": app.duration_ns,
+                        "duration_ns": unit.duration_ns,
                         "infidelity": 1.0 - fid,
                     }
                 )

@@ -1,8 +1,10 @@
 """Test-side constructions built on the package: dense unitaries of circuits,
-phase-insensitive equality, and small conveniences nothing in the package
-needs.  Unlike ``oracles``, this module imports ``bqaoa``."""
+phase-insensitive equality, the hardware-gate expansion of lowered units,
+and small conveniences nothing in the package needs.  Unlike ``oracles``,
+this module imports ``bqaoa``."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from bqaoa import circuit as cir
 from bqaoa import qaoa, sim
 from bqaoa.circuit import CircuitIR, Gate, GateKind
 from bqaoa.errors import BqaoaError, ValidationError
+from bqaoa.lower import Polarity, apply_rule
 
 
 class MeasureInUnitaryError(BqaoaError):
@@ -52,15 +55,105 @@ def without_measurements(c: CircuitIR) -> CircuitIR:
     return CircuitIR(c.num_qubits, kept, num_clbits=0)
 
 
-def flatten(lowered) -> CircuitIR:
+# --- the hardware-gate expansion of the lowering rules ---
+
+
+def h_gates(q: int) -> list[Gate]:
+    # H = RZ(pi/2) . SX . RZ(pi/2) up to global phase (one timed pulse).
+    half_pi = math.pi / 2.0
+    return [cir.rz(half_pi, q), cir.sx(q), cir.rz(half_pi, q)]
+
+
+def reversed_cx(c: int, t: int) -> list[Gate]:
+    """CX with control t and target c, via the native CX(c, t)."""
+    return h_gates(c) + h_gates(t) + [cir.cx(c, t)] + h_gates(c) + h_gates(t)
+
+
+def expansion(kind, theta, polarity, pulse, c, t) -> tuple[Gate, ...]:
+    """Hardware gates realizing a two-qubit target; c and t hold the edge's
+    native control and target.  A pulse form stays one gate of its kind."""
+    if pulse:
+        return (Gate(kind, (c, t), param=None if kind is GateKind.CZ else theta),)
+    tc = polarity is Polarity.TC
+    if kind is GateKind.CX:
+        gates = reversed_cx(c, t) if tc else [cir.cx(c, t)]
+    elif kind is GateKind.ZZ:
+        if tc:
+            gates = reversed_cx(c, t) + [cir.rz(theta, c)] + reversed_cx(c, t)
+        else:
+            gates = [cir.cx(c, t), cir.rz(theta, t), cir.cx(c, t)]
+    elif kind is GateKind.CZ:
+        if tc:
+            gates = h_gates(c) + reversed_cx(c, t) + h_gates(c)
+        else:
+            gates = h_gates(t) + [cir.cx(c, t)] + h_gates(t)
+    elif kind is GateKind.ZZ_SWAP:
+        # Time order CX(c,t), RZ(t), CX(t,c), CX(c,t) realizes SWAP.ZZ(theta);
+        # under TC the roles of the wires exchange.
+        if tc:
+            gates = reversed_cx(c, t) + [cir.rz(theta, c), cir.cx(c, t)] + reversed_cx(c, t)
+        else:
+            gates = [cir.cx(c, t), cir.rz(theta, t)] + reversed_cx(c, t) + [cir.cx(c, t)]
+    else:
+        raise ValidationError(f"no lowering rule for two-qubit kind {kind.value}")
+    return tuple(gates)
+
+
+SINGLE_QUBIT_GATES = {
+    GateKind.H: lambda theta, w: tuple(h_gates(w)),
+    GateKind.X: lambda theta, w: (cir.x(w),),
+    GateKind.SX: lambda theta, w: (cir.sx(w),),
+    GateKind.RX: lambda theta, w: (cir.rx(theta, w),),
+    GateKind.RY: lambda theta, w: (cir.ry(theta, w),),
+    GateKind.RZ: lambda theta, w: (cir.rz(theta, w),),
+}
+
+
+def native_control_wire(unit, dev) -> int:
+    """The wire of a two-qubit unit that holds its edge's native control."""
+    edge = dev.edge_between(*unit.physical)
+    return unit.wires[unit.physical.index(edge.control)]
+
+
+def unit_gates(unit, dev) -> tuple[Gate, ...]:
+    """The hardware gates a lowered unit stands for (none for a measurement)."""
+    if unit.kind is GateKind.MEASURE:
+        return ()
+    if unit.kind is GateKind.BARRIER:
+        return (cir.barrier(*unit.wires),)
+    if unit.kind in SINGLE_QUBIT_GATES:
+        return SINGLE_QUBIT_GATES[unit.kind](unit.angle, unit.wires[0])
+    c = native_control_wire(unit, dev)
+    t = unit.wires[1] if unit.wires[0] == c else unit.wires[0]
+    return expansion(unit.kind, unit.angle, unit.polarity, unit.pulse, c, t)
+
+
+def sx_counts(kind, polarity) -> tuple[tuple[bool, int], ...]:
+    """(on the native control?, count) of the non-virtual single-qubit gates
+    of a CX-based form, per side in order of first appearance."""
+    counts: dict[int, int] = {}
+    for g in expansion(kind, 0.0, polarity, False, 0, 1):
+        if g.kind in (GateKind.RZ, GateKind.CX) or len(g.qubits) != 1:
+            continue
+        counts[g.qubits[0]] = counts.get(g.qubits[0], 0) + 1
+    return tuple((wire == 0, count) for wire, count in counts.items())
+
+
+def flatten(lowered, dev) -> CircuitIR:
     """Hardware-gate circuit on chain wires (pulse composites kept whole)."""
     gates: list[Gate] = []
     for unit in lowered.units:
         if unit.kind is GateKind.MEASURE:
             gates.append(cir.measure(unit.wires[0], unit.clbit))
         else:
-            gates.extend(unit.gates)
+            gates.extend(unit_gates(unit, dev))
     return CircuitIR(len(lowered.chain), tuple(gates), num_clbits=lowered.num_clbits)
+
+
+def two_qubit_unit(target, theta, edge, dev, opt, polarity=Polarity.CT):
+    """``apply_rule`` on the frame (0, 1), wire 0 holding the native control."""
+    physical = (edge.control, edge.target)
+    return apply_rule(target, theta, (0, 1), physical, edge, dev, opt, polarity)
 
 
 def density_from_statevector(psi) -> sim.DensityMatrix:

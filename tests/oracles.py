@@ -5,6 +5,7 @@ enumeration) and deliberately avoids the package's own construction code.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -225,23 +226,58 @@ def relaxation_family(duration_ns, t1_us, t2_us) -> list[np.ndarray]:
     return [p @ a for a in damping for p in phasing]
 
 
-def effective_error(app, edge, dev) -> float:
-    """Failure probability of a lowered composite, counted off its gate list.
+def wrap_angle(theta) -> float:
+    """theta reduced to (-pi, pi]."""
+    wrapped = math.fmod(theta + math.pi, 2.0 * math.pi)
+    if wrapped <= 0.0:
+        wrapped += 2.0 * math.pi
+    return wrapped - math.pi
+
+
+def pulse_form(unit, edge, dev):
+    """(CR segment length, segment count, single-qubit layers) of a pulse
+    composite, from the rule table of ``bqaoa.lower``: a scaled ZZ pulse is
+    affine in |angle| (capped at the CX form) with two segments beside the
+    intercept; CZ_OPT lasts D + s (or its pin) with two segments beside one
+    layer; a pulse ZZ_SWAP is three CZ_OPT.  TC adds a layer per side."""
+    s = dev.single_qubit_duration("sx")
+    d = edge.cx_duration_ns
+
+    def pinned(name, default):
+        value = edge.composite_duration(name)
+        return default if value is None else value
+
+    tc_layers = 2 if unit.polarity.value == "tc" else 0
+    if unit.kind.value == "zz":
+        cr = dev.cr_scale
+        scaled = cr.intercept_ns + abs(wrap_angle(unit.angle)) / math.pi * cr.slope_ns_per_pi
+        length = min(scaled, pinned("zz", 2.0 * d))
+        layers = int(round(cr.intercept_ns / s)) if s > 0 else 0
+        return max(0.0, (length - cr.intercept_ns) / 2.0), 2, layers + tc_layers
+    cz_segment = max(0.0, (pinned("cz_opt", d + s) - s) / 2.0)
+    if unit.kind.value == "cz":
+        return cz_segment, 2, 1 + tc_layers
+    return cz_segment, 6, 3 + tc_layers
+
+
+def effective_error(unit, gates, edge, dev) -> float:
+    """Failure probability of a lowered composite realized by ``gates``.
 
     Pulse forms scale the CX error by segment length; CX-based forms take
     (1 - cx_error) per CX and (1 - sx_error) per non-virtual single-qubit
-    gate on each side, the side holding the CX control being the edge's
-    native control.  Same arithmetic, in the same order, as the package.
+    gate on each side, counted off the gate list, the side holding the CX
+    control being the edge's native control.  Same arithmetic, in the same
+    order, as the package.
     """
     sx_a = dev.qubits[edge.control].sx_error
     sx_b = dev.qubits[edge.target].sx_error
-    if app.pulse:
-        survival = (1.0 - 0.5 * (sx_a + sx_b)) ** app.overhead_1q
-        for seg in app.segments:
-            survival *= max(0.0, 1.0 - edge.cx_error * seg / edge.cx_duration_ns)
+    if unit.pulse:
+        segment, segments, layers = pulse_form(unit, edge, dev)
+        survival = (1.0 - 0.5 * (sx_a + sx_b)) ** layers
+        for _ in range(segments):
+            survival *= max(0.0, 1.0 - edge.cx_error * segment / edge.cx_duration_ns)
         return min(1.0, max(0.0, 1.0 - survival))
-    survival = (1.0 - edge.cx_error) ** app.cx_count
-    gates = app.gates
+    survival = (1.0 - edge.cx_error) ** unit.cx_count
     control_wire = next(g.qubits[0] for g in gates if g.kind.value == "cx")
     counts = {}
     for g in gates:
@@ -253,8 +289,9 @@ def effective_error(app, edge, dev) -> float:
     return min(1.0, max(0.0, 1.0 - survival))
 
 
-def unit_kraus_steps(unit, idle_ns, noise, n, gate_matrix) -> list[list[np.ndarray]]:
-    """Kraus families of one scheduled unit on all n qubits, in order.
+def unit_kraus_steps(unit, gates, idle_ns, noise, n, gate_matrix) -> list[list[np.ndarray]]:
+    """Kraus families of one scheduled unit, realized by ``gates``, on all n
+    qubits, in order.
 
     ``noise`` supplies ``scale`` and per-wire ``qubits[w].t1_us``/``t2_us``;
     ``gate_matrix(kind, param)`` gives each gate's local matrix.
@@ -271,7 +308,7 @@ def unit_kraus_steps(unit, idle_ns, noise, n, gate_matrix) -> list[list[np.ndarr
         for w, idle in zip(unit.wires, idle_ns):
             if idle > 0:
                 relax(w, idle)
-    for g in unit.gates:
+    for g in gates:
         if g.kind.value != "barrier":
             steps.append([embed(gate_matrix(g.kind, g.param), g.qubits, n)])
     dim = 2 ** len(unit.wires)
@@ -292,17 +329,18 @@ def apply_kraus_steps(rho, steps) -> np.ndarray:
     return rho
 
 
-def kraus_evolve(lowered, noise, gate_matrix) -> np.ndarray:
-    """Density matrix after a lowered circuit's schedule, from |0...0>."""
+def kraus_evolve(lowered, unit_gates, noise, gate_matrix) -> np.ndarray:
+    """Density matrix after a lowered circuit's schedule, from |0...0>;
+    ``unit_gates[i]`` are the hardware gates of unit i."""
     n = lowered.num_qubits
     rho = np.zeros((2**n, 2**n), dtype=complex)
     rho[0, 0] = 1.0
     last_busy = [0.0] * n
-    for unit, start in zip(lowered.units, lowered.start_times):
+    for unit, gates, start in zip(lowered.units, unit_gates, lowered.start_times):
         idle = [start - last_busy[w] for w in unit.wires]
         for w in unit.wires:
             last_busy[w] = start + unit.duration_ns
-        steps = unit_kraus_steps(unit, idle, noise, n, gate_matrix)
+        steps = unit_kraus_steps(unit, gates, idle, noise, n, gate_matrix)
         rho = apply_kraus_steps(rho, steps)
     return rho
 

@@ -18,7 +18,7 @@ from bqaoa import data_path, device, lower, mapper, optimize, qaoa, sim
 from bqaoa.circuit import CircuitIR, GateKind
 from bqaoa.device import DeviceModel, EdgeCalibration, GateFlavor, QubitCalibration
 from bqaoa.errors import NoChainError
-from bqaoa.lower import OptLevel, Polarity, apply_rule
+from bqaoa.lower import OptLevel, Polarity
 from bqaoa.mapper import Strategy
 from bqaoa.optimize import OptimizerConfig
 
@@ -84,7 +84,7 @@ def test_criterion_03_duration_table_exact():
     assert ecr.cx_duration_ns == 320.0
 
     def dur(target, edge, opt, theta=0.5):
-        return apply_rule(target, theta, 0, 1, edge, dev, opt).duration_ns
+        return helpers.two_qubit_unit(target, theta, edge, dev, opt).duration_ns
 
     assert dur(GateKind.ZZ, direct, OptLevel.DEFAULT) == 490.0
     assert dur(GateKind.ZZ, ecr, OptLevel.DEFAULT) == 640.0
@@ -93,9 +93,7 @@ def test_criterion_03_duration_table_exact():
     assert dur(GateKind.CZ, ecr, OptLevel.ZZ_OPT) == 352.0
     assert dur(GateKind.ZZ_SWAP, direct, OptLevel.DEFAULT) == 800.0
     assert dur(GateKind.ZZ_SWAP, ecr, OptLevel.DEFAULT) == 992.0
-    swap_opt = apply_rule(
-        GateKind.ZZ_SWAP, 0.5, 0, 1, ecr, dev, OptLevel.ZZ_SWAP_OPT
-    )
+    swap_opt = helpers.two_qubit_unit(GateKind.ZZ_SWAP, 0.5, ecr, dev, OptLevel.ZZ_SWAP_OPT)
     assert swap_opt.duration_ns == 992.0
     assert swap_opt.cx_count == 0
 
@@ -183,10 +181,11 @@ def test_criterion_07_decomposition_equivalence():
             for opt in OptLevel:
                 for polarity in Polarity:
                     for theta in angles:
-                        app = apply_rule(
-                            target, float(theta), 0, 1, edge, dev, opt, polarity
+                        unit = helpers.two_qubit_unit(
+                            target, float(theta), edge, dev, opt, polarity
                         )
-                        u = helpers.unitary_of(CircuitIR(2, app.gates))
+                        gates = helpers.unit_gates(unit, dev)
+                        u = helpers.unitary_of(CircuitIR(2, gates))
                         param = float(theta) if target is not GateKind.CZ else None
                         expected = cir.local_matrix(target, param)
                         overlap = abs(np.trace(u.conj().T @ expected)) / 4.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bqaoa import data_path, device, qaoa, sim
+from bqaoa import data_path, device, errors, qaoa, sim
 from bqaoa.cli import main
 from bqaoa.lower import lower_circuit
 
@@ -135,6 +135,12 @@ def test_config_error_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["qpt", "--device", FRAGMENT, "--edge", "1,0,4"])
     assert result.exit_code == 2
     assert "--edge" in result.output
+    for angles in ("0", "-2"):
+        result = runner.invoke(
+            main, ["qpt", "--device", FRAGMENT, "--edge", "1,0", "--angles", angles]
+        )
+        assert result.exit_code == 2, result.output
+        assert "--angles" in result.output
     portopt = json.loads(open(PORTOPT5).read())
     maxcut = json.loads(open(K5).read())
     bad_problems = [
@@ -154,6 +160,36 @@ def test_config_error_exits_2(runner, tmp_path):
         result = runner.invoke(main, ["optimize", "--problem", str(path)])
         assert result.exit_code == 2, (name, result.output)
         assert f"{name}:" in result.output
+
+
+def test_singular_readout_exits_3_unless_unmitigated(runner, tmp_path):
+    # qubit 0 reads out as a coin flip: its confusion matrix has no inverse
+    doc = json.loads(open(SYNTH5).read())
+    doc["qubits"][0] |= {
+        "prob_meas0_prep1": 0.5, "prob_meas1_prep0": 0.5, "readout_error": 0.5,
+    }
+    path = tmp_path / "coin_flip_readout.json"
+    path.write_text(json.dumps(doc))
+    args = ["simulate", "--device", str(path), "--problem", K5,
+            "--chain", "4,3,2,1,0", "--shots", "500", "--seed", "5"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert "wire 4" in result.output and "singular" in result.output
+    result = runner.invoke(main, args + ["--no-mitigate"])
+    assert result.exit_code == 0, result.output
+
+
+def test_every_package_error_has_one_exit_code():
+    # an error class in neither tuple would fall through to exit 4
+    package_errors = [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.BqaoaError)
+        and cls is not errors.BqaoaError
+    ]
+    assert package_errors
+    for cls in package_errors:
+        homes = (cls in errors.CONFIG_ERRORS) + (cls in errors.INFEASIBLE_ERRORS)
+        assert homes == 1, cls.__name__
 
 
 def test_simulate_metrics(runner):

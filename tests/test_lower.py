@@ -10,7 +10,7 @@ from bqaoa import data_path, device, lower, mapper, optimize, qaoa
 from bqaoa.circuit import CircuitIR, GateKind
 from bqaoa.device import DeviceModel, EdgeCalibration, GateFlavor, QubitCalibration
 from bqaoa.errors import MissingEdgeError, NonAdjacentGateError
-from bqaoa.lower import OptLevel, Polarity, apply_rule, effective_error
+from bqaoa.lower import OptLevel, Polarity, apply_rule
 
 TWO_QUBIT_TARGETS = (GateKind.ZZ, GateKind.CZ, GateKind.ZZ_SWAP)
 
@@ -60,27 +60,27 @@ DURATION_TABLE = [
 
 @pytest.mark.parametrize("target,edge,opt,expected", DURATION_TABLE)
 def test_reference_durations_exact(target, edge, opt, expected):
-    app = apply_rule(target, 0.5, 0, 1, edge, DEV, opt)
-    assert app.duration_ns == expected
+    unit = helpers.two_qubit_unit(target, 0.5, edge, DEV, opt)
+    assert unit.duration_ns == expected
 
 
 def test_zz_opt_reference_point():
-    app = apply_rule(GateKind.ZZ, math.pi, 0, 1, ECR, DEV, OptLevel.ZZ_OPT)
-    assert app.duration_ns == pytest.approx(241.8)
-    assert app.cx_count == 0
-    assert app.pulse
+    unit = helpers.two_qubit_unit(GateKind.ZZ, math.pi, ECR, DEV, OptLevel.ZZ_OPT)
+    assert unit.duration_ns == pytest.approx(241.8)
+    assert unit.cx_count == 0
+    assert unit.pulse
 
 
 def test_zz_swap_opt_has_no_cx():
-    app = apply_rule(GateKind.ZZ_SWAP, 0.7, 0, 1, ECR, DEV, OptLevel.ZZ_SWAP_OPT)
-    assert app.cx_count == 0
-    assert app.duration_ns == 992.0
+    unit = helpers.two_qubit_unit(GateKind.ZZ_SWAP, 0.7, ECR, DEV, OptLevel.ZZ_SWAP_OPT)
+    assert unit.cx_count == 0
+    assert unit.duration_ns == 992.0
 
 
 def test_direct_edges_ignore_opt_levels():
     for opt in OptLevel:
-        app = apply_rule(GateKind.ZZ, 0.7, 0, 1, DIRECT, DEV, opt)
-        assert app.cx_count == 2 and not app.pulse
+        unit = helpers.two_qubit_unit(GateKind.ZZ, 0.7, DIRECT, DEV, opt)
+        assert unit.cx_count == 2 and not unit.pulse
 
 
 def test_zz_opt_duration_monotone_in_angle():
@@ -117,23 +117,23 @@ def test_angle_wrapping_bounds_pulse_duration():
 def test_expansions_match_targets(target, edge, opt, polarity):
     rng = np.random.default_rng(11)
     for theta in rng.uniform(-2 * math.pi, 2 * math.pi, 50):
-        app = apply_rule(target, float(theta), 0, 1, edge, DEV, opt, polarity)
-        u = helpers.unitary_of(CircuitIR(2, app.gates))
+        unit = helpers.two_qubit_unit(target, float(theta), edge, DEV, opt, polarity)
+        u = helpers.unitary_of(CircuitIR(2, helpers.unit_gates(unit, DEV)))
         assert helpers.equal_up_to_phase(u, target_unitary(target, float(theta)), 1e-9)
 
 
 def polarity_pair(target, edge, theta=None):
     """CT and TC realizations of one target on a two-wire frame (0 = control)."""
     return tuple(
-        apply_rule(target, theta, 0, 1, edge, DEV, OptLevel.DEFAULT, polarity)
+        helpers.two_qubit_unit(target, theta, edge, DEV, OptLevel.DEFAULT, polarity)
         for polarity in (Polarity.CT, Polarity.TC)
     )
 
 
 def test_polarity_variants_zz_swap():
     ct, tc = polarity_pair(GateKind.ZZ_SWAP, ECR, theta=0.9)
-    u_ct = helpers.unitary_of(CircuitIR(2, ct.gates))
-    u_tc = helpers.unitary_of(CircuitIR(2, tc.gates))
+    u_ct = helpers.unitary_of(CircuitIR(2, helpers.unit_gates(ct, DEV)))
+    u_tc = helpers.unitary_of(CircuitIR(2, helpers.unit_gates(tc, DEV)))
     assert helpers.equal_up_to_phase(u_ct, u_tc, 1e-9)
     assert tc.duration_ns > ct.duration_ns
 
@@ -145,8 +145,8 @@ def test_polarity_variants_cz_duration_arithmetic():
 
 
 def test_polarity_variants_zz_zero_angle():
-    for app in polarity_pair(GateKind.ZZ, ECR, theta=0.0):
-        u = helpers.unitary_of(CircuitIR(2, app.gates))
+    for unit in polarity_pair(GateKind.ZZ, ECR, theta=0.0):
+        u = helpers.unitary_of(CircuitIR(2, helpers.unit_gates(unit, DEV)))
         assert helpers.equal_up_to_phase(u, np.eye(4), 1e-9)
 
 
@@ -156,81 +156,96 @@ def test_polarity_variants_zz_zero_angle():
 def test_error_two_cx_closed_form():
     dev = make_device(ecr_error=0.0083, sx_error=0.0)
     edge = dev.edge_between(0, 1)
-    app = apply_rule(GateKind.ZZ, 0.5, 0, 1, edge, dev, OptLevel.DEFAULT)
-    assert effective_error(app, edge, dev) == pytest.approx(1 - (1 - 0.0083) ** 2)
+    unit = helpers.two_qubit_unit(GateKind.ZZ, 0.5, edge, dev, OptLevel.DEFAULT)
+    assert unit.error == pytest.approx(1 - (1 - 0.0083) ** 2)
 
 
 def test_error_zero_error_edge():
     dev = make_device(ecr_error=0.0, sx_error=0.0)
     edge = dev.edge_between(0, 1)
-    app = apply_rule(GateKind.ZZ_SWAP, 0.5, 0, 1, edge, dev, OptLevel.DEFAULT)
-    assert effective_error(app, edge, dev) == 0.0
+    unit = helpers.two_qubit_unit(GateKind.ZZ_SWAP, 0.5, edge, dev, OptLevel.DEFAULT)
+    assert unit.error == 0.0
 
 
 def test_error_pulse_at_zero_angle_is_overhead_only():
-    app = apply_rule(GateKind.ZZ, 0.0, 0, 1, ECR, DEV, OptLevel.ZZ_OPT)
-    got = effective_error(app, ECR, DEV)
+    unit = helpers.two_qubit_unit(GateKind.ZZ, 0.0, ECR, DEV, OptLevel.ZZ_OPT)
     overhead_layers = round(DEV.cr_scale.intercept_ns / 32)
-    assert got == pytest.approx(1 - (1 - 0.0002) ** overhead_layers)
+    assert unit.error == pytest.approx(1 - (1 - 0.0002) ** overhead_layers)
 
 
 def test_error_opt_not_worse_than_default():
     for target in TWO_QUBIT_TARGETS:
         level = OptLevel.ZZ_SWAP_OPT if target is GateKind.ZZ_SWAP else OptLevel.ZZ_OPT
         for theta in np.linspace(-math.pi, math.pi, 21):
-            default = apply_rule(target, float(theta), 0, 1, ECR, DEV, OptLevel.DEFAULT)
-            optd = apply_rule(target, float(theta), 0, 1, ECR, DEV, level)
-            assert effective_error(optd, ECR, DEV) <= effective_error(
-                default, ECR, DEV
-            )
+            default = helpers.two_qubit_unit(target, float(theta), ECR, DEV, OptLevel.DEFAULT)
+            optd = helpers.two_qubit_unit(target, float(theta), ECR, DEV, level)
+            assert optd.error <= default.error
 
 
 def test_error_cx_form_counts_single_qubit_gates():
-    app = apply_rule(GateKind.CZ, None, 0, 1, DIRECT, DEV, OptLevel.DEFAULT)
+    unit = helpers.two_qubit_unit(GateKind.CZ, None, DIRECT, DEV, OptLevel.DEFAULT)
     expected = 1 - (1 - DIRECT.cx_error) * (1 - 0.0002) ** 2
-    assert effective_error(app, DIRECT, DEV) == pytest.approx(expected)
+    assert unit.error == pytest.approx(expected)
 
 
 SHIPPED = {name: device.load_device(data_path(f"{name}.json"))
            for name in ("ehningen", "ehningen_fragment")}
 
 
+def test_sx_count_table_matches_expansions():
+    assert len(lower._SX_COUNTS) == 8
+    for kind in (GateKind.CX, *TWO_QUBIT_TARGETS):
+        for polarity in Polarity:
+            expected = helpers.sx_counts(kind, polarity)
+            assert lower._SX_COUNTS[kind, polarity] == expected, (kind, polarity)
+
+
 @pytest.mark.parametrize("opt", list(OptLevel), ids=lambda o: o.value)
 @pytest.mark.parametrize("name", sorted(SHIPPED))
 def test_effective_error_bitwise_equals_gate_counting_reference(name, opt):
-    # the count table must give exactly the errors counting the expansion gives
+    # the count table and the pulse arithmetic must give exactly the errors
+    # the reference gives by counting the expansion and reading the rule table
     dev = SHIPPED[name]
     assert any(edge.composite_durations_ns for edge in dev.edges)
+    pulses = 0
     for edge in dev.edges:
         for target in (GateKind.CX, *TWO_QUBIT_TARGETS):
             for polarity in Polarity:
                 for theta in (-2.5, 0.0, math.pi / 2, 3.0):
-                    for c, t in ((0, 1), (1, 0)):
-                        app = apply_rule(target, theta, c, t, edge, dev, opt, polarity)
-                        expected = oracles.effective_error(app, edge, dev)
-                        assert effective_error(app, edge, dev) == expected, app.label
+                    for physical in (edge.pair, edge.pair[::-1]):
+                        unit = apply_rule(
+                            target, theta, (0, 1), physical, edge, dev, opt, polarity
+                        )
+                        gates = helpers.unit_gates(unit, dev)
+                        expected = oracles.effective_error(unit, gates, edge, dev)
+                        assert unit.error == expected, unit.label
+                        pulses += unit.pulse
+    assert (pulses > 0) is (opt is not OptLevel.DEFAULT)
 
 
-def side_counts(unit):
+def side_counts(unit, gates, control_wire):
     """(on the native control?, count) of the unit's non-virtual single-qubit
     gates, per side in order of first appearance."""
     counts = {}
-    for g in unit.gates:
+    for g in gates:
         if g.kind in (GateKind.RZ, GateKind.CX) or len(g.qubits) != 1:
             continue
         counts[g.qubits[0]] = counts.get(g.qubits[0], 0) + 1
-    return tuple((wire == unit.control_wire, n) for wire, n in counts.items())
+    return tuple((wire == control_wire, n) for wire, n in counts.items())
 
 
-def assert_gates_match_count_table(lowered):
+def assert_gates_match_count_table(lowered, dev):
     for unit in lowered.units:
         if len(unit.wires) != 2:
             continue
-        cxs = [g for g in unit.gates if g.kind is GateKind.CX]
+        gates = helpers.unit_gates(unit, dev)
+        control_wire = helpers.native_control_wire(unit, dev)
+        cxs = [g for g in gates if g.kind is GateKind.CX]
         assert len(cxs) == unit.cx_count, unit.label
-        assert all(g.qubits[0] == unit.control_wire for g in cxs), unit.label
+        assert all(g.qubits[0] == control_wire for g in cxs), unit.label
         if not unit.pulse:
-            assert side_counts(unit) == lower._SX_COUNTS[unit.kind, unit.polarity]
+            counts = side_counts(unit, gates, control_wire)
+            assert counts == lower._SX_COUNTS[unit.kind, unit.polarity]
 
 
 @pytest.mark.parametrize("opt", list(OptLevel), ids=lambda o: o.value)
@@ -238,13 +253,14 @@ def test_lowered_unit_gates_match_count_table(opt):
     dev = SHIPPED["ehningen"]
     template = optimize.selection_template(qaoa.encode_maxcut(helpers.complete_maxcut(4)))
     for chain in mapper.enumerate_chains(dev, 4):
-        assert_gates_match_count_table(lower.lower_circuit(template, chain, dev, opt))
+        lowered = lower.lower_circuit(template, chain, dev, opt)
+        assert_gates_match_count_table(lowered, dev)
     # directed CX in both polarities, plus CZ, on the fragment's two flavors
     gates = (cir.cx(0, 1), cir.cx(2, 1), cir.cx(1, 0), cir.cz(1, 2), cir.zz(0.3, 0, 1))
     fragment = SHIPPED["ehningen_fragment"]
     lowered = lower.lower_circuit(CircuitIR(3, gates), (0, 1, 4), fragment, opt)
     assert {u.polarity for u in lowered.units if u.kind is GateKind.CX} == set(Polarity)
-    assert_gates_match_count_table(lowered)
+    assert_gates_match_count_table(lowered, fragment)
 
 
 # --- whole-circuit lowering ---
@@ -254,7 +270,7 @@ def test_lower_circuit_preserves_unitary_and_counts():
     prob = qaoa.encode_maxcut(helpers.complete_maxcut(3))
     circ = qaoa.build_swap_network(prob, qaoa.ParamVector((0.4,), (0.7,)))
     lowered = lower.lower_circuit(circ, (0, 1, 2), DEV, OptLevel.DEFAULT)
-    u_low = helpers.unitary_of(helpers.without_measurements(helpers.flatten(lowered)))
+    u_low = helpers.unitary_of(helpers.without_measurements(helpers.flatten(lowered, DEV)))
     u_log = helpers.unitary_of(helpers.without_measurements(circ))
     assert helpers.equal_up_to_phase(u_low, u_log, 1e-9)
     # ZZ layers: 2 plain ZZ (2 CX each) + 1 ZZ_SWAP (3 CX)
@@ -324,7 +340,7 @@ def test_logical_cx_native_and_reversed():
     assert unit.polarity is Polarity.TC
     assert unit.duration_ns == 320.0 + 2 * 32.0
     assert unit.cx_count == 1
-    u = helpers.unitary_of(helpers.flatten(lowered))
+    u = helpers.unitary_of(helpers.flatten(lowered, DEV))
     assert helpers.equal_up_to_phase(u, helpers.unitary_of(circ_reversed), 1e-9)
 
 

@@ -13,7 +13,7 @@ from bqaoa.errors import (
     SingularConfusionError,
     ValidationError,
 )
-from bqaoa.lower import OptLevel, Polarity, apply_rule
+from bqaoa.lower import OptLevel, Polarity
 
 
 def make_device(t1=150.0, t2=140.0, sx_error=0.0002, cx_error=0.0083,
@@ -62,7 +62,7 @@ def test_evolve_matches_statevector_at_zero_scale():
     lowered = lower.lower_circuit(circ, (0, 1, 2, 3), DEV, OptLevel.ZZ_OPT)
     noise = sim.NoiseModel.from_device(DEV, lowered.chain, scale=0.0)
     rho = sim.evolve(lowered, noise)
-    psi = cir.statevector(helpers.without_measurements(helpers.flatten(lowered)))
+    psi = cir.statevector(helpers.without_measurements(helpers.flatten(lowered, DEV)))
     assert np.allclose(rho.data, np.outer(psi, psi.conj()), atol=1e-9)
 
 
@@ -240,8 +240,8 @@ def test_choi_fully_depolarizing():
 
 
 def test_choi_noisy_zz_is_cptp():
-    app = apply_rule(GateKind.ZZ, 0.8, 0, 1, ECR, DEV, OptLevel.DEFAULT)
-    channel = sim.composite_channel(app, ECR, DEV, scale=1.0)
+    unit = helpers.two_qubit_unit(GateKind.ZZ, 0.8, ECR, DEV, OptLevel.DEFAULT)
+    channel = sim.composite_channel(unit, DEV, scale=1.0)
     choi = sim.choi_of(channel)
     eigenvalues = np.linalg.eigvalsh(choi.data)
     assert eigenvalues.min() > -1e-9
@@ -257,14 +257,16 @@ def test_choi_noisy_zz_is_cptp():
 def test_composite_channel_refuses_cx():
     # a reversed CX has its control on wire 1, which frame (0, 1) cannot say
     for polarity in Polarity:
-        app = apply_rule(GateKind.CX, None, 0, 1, ECR, DEV, OptLevel.DEFAULT, polarity)
+        unit = helpers.two_qubit_unit(
+            GateKind.CX, None, ECR, DEV, OptLevel.DEFAULT, polarity
+        )
         with pytest.raises(ValidationError, match="cx"):
-            sim.composite_channel(app, ECR, DEV)
+            sim.composite_channel(unit, DEV)
 
 
 def test_process_fidelity_self_is_one():
-    app = apply_rule(GateKind.ZZ, 0.8, 0, 1, ECR, DEV, OptLevel.DEFAULT)
-    choi = sim.choi_of(sim.composite_channel(app, ECR, DEV, scale=1.0))
+    unit = helpers.two_qubit_unit(GateKind.ZZ, 0.8, ECR, DEV, OptLevel.DEFAULT)
+    choi = sim.choi_of(sim.composite_channel(unit, DEV, scale=1.0))
     assert sim.process_fidelity(choi, choi) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -280,8 +282,8 @@ def test_process_fidelity_depolarizing_analytic():
 def test_process_fidelity_ideal_vs_noiseless_lowered():
     for target in (GateKind.ZZ, GateKind.CZ, GateKind.ZZ_SWAP):
         theta = 1.3
-        app = apply_rule(target, theta, 0, 1, ECR, DEV, OptLevel.DEFAULT)
-        noiseless = sim.composite_channel(app, ECR, DEV, scale=0.0)
+        unit = helpers.two_qubit_unit(target, theta, ECR, DEV, OptLevel.DEFAULT)
+        noiseless = sim.composite_channel(unit, DEV, scale=0.0)
         param = theta if target is not GateKind.CZ else None
         ideal = sim.unitary_channel(cir.local_matrix(target, param))
         fid = sim.process_fidelity(sim.choi_of(ideal), sim.choi_of(noiseless))
@@ -296,8 +298,8 @@ def test_process_fidelity_dimension_mismatch():
 
 
 def test_infidelity_nondecreasing_in_repetitions():
-    app = apply_rule(GateKind.ZZ, 0.9, 0, 1, ECR, DEV, OptLevel.DEFAULT)
-    noisy = sim.composite_channel(app, ECR, DEV, scale=1.0)
+    unit = helpers.two_qubit_unit(GateKind.ZZ, 0.9, ECR, DEV, OptLevel.DEFAULT)
+    noisy = sim.composite_channel(unit, DEV, scale=1.0)
     ideal = sim.unitary_channel(cir.local_matrix(GateKind.ZZ, 0.9))
     infidelities = []
     for reps in (1, 5, 10):

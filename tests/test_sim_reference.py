@@ -1,7 +1,5 @@
 """The fused superoperator engine against the dense Kraus-path reference."""
 
-import types
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,7 @@ import oracles
 from bqaoa import circuit as cir
 from bqaoa import data_path, device, lower, mapper, qaoa, sim
 from bqaoa.circuit import CircuitIR, GateKind, local_matrix
-from bqaoa.lower import OptLevel, Polarity, apply_rule, effective_error
+from bqaoa.lower import OptLevel, Polarity
 
 TOL = 1e-12
 SCALES = (0.0, 0.5, 1.0, 2.0)
@@ -35,10 +33,11 @@ def swap_network(n):
 def test_evolve_matches_kraus_reference(name, chain, opt):
     dev = DEVICES[name]
     lowered = lower.lower_circuit(swap_network(len(chain)), chain, dev, opt)
+    unit_gates = [helpers.unit_gates(unit, dev) for unit in lowered.units]
     for scale in SCALES:
         noise = sim.NoiseModel.from_device(dev, lowered.chain, scale=scale)
         fused = sim.evolve(lowered, noise).data
-        reference = oracles.kraus_evolve(lowered, noise, local_matrix)
+        reference = oracles.kraus_evolve(lowered, unit_gates, noise, local_matrix)
         assert np.abs(fused - reference).max() < TOL, scale
 
 
@@ -51,19 +50,21 @@ def test_evolve_barrier_and_idle_match_kraus_reference():
     circ = CircuitIR(3, gates, num_clbits=3)
     lowered = lower.lower_circuit(circ, (0, 1, 4), FRAGMENT)
     assert any(u.kind is GateKind.BARRIER for u in lowered.units)
+    unit_gates = [helpers.unit_gates(unit, FRAGMENT) for unit in lowered.units]
     for scale in SCALES:
         noise = sim.NoiseModel.from_device(FRAGMENT, lowered.chain, scale=scale)
         fused = sim.evolve(lowered, noise).data
-        reference = oracles.kraus_evolve(lowered, noise, local_matrix)
+        reference = oracles.kraus_evolve(lowered, unit_gates, noise, local_matrix)
         assert np.abs(fused - reference).max() < TOL, scale
 
 
-def assert_units_equal_local_matrix(lowered):
+def assert_units_equal_local_matrix(lowered, dev):
     """Every gate-carrying unit's gates multiply to local_matrix(kind, angle),
     up to phase: the invariant ``unit_channel`` builds on."""
     for unit in lowered.units:
-        if unit.gates and unit.kind is not GateKind.BARRIER:
-            u = helpers.gate_product(unit.gates, unit.wires)
+        gates = helpers.unit_gates(unit, dev)
+        if gates and unit.kind is not GateKind.BARRIER:
+            u = helpers.gate_product(gates, unit.wires)
             expected = local_matrix(unit.kind, unit.angle)
             assert helpers.equal_up_to_phase(u, expected, TOL), (unit.label, unit.wires)
 
@@ -75,7 +76,7 @@ def test_lowered_units_equal_local_matrix_up_to_phase(name, opt):
     for n in range(2, 6):
         circ = swap_network(n)
         for chain in mapper.enumerate_chains(dev, n):
-            assert_units_equal_local_matrix(lower.lower_circuit(circ, chain, dev, opt))
+            assert_units_equal_local_matrix(lower.lower_circuit(circ, chain, dev, opt), dev)
 
 
 def test_barrier_and_cx_units_equal_local_matrix_up_to_phase():
@@ -88,23 +89,18 @@ def test_barrier_and_cx_units_equal_local_matrix_up_to_phase():
     )
     lowered = lower.lower_circuit(CircuitIR(3, gates, num_clbits=3), (0, 1, 4), FRAGMENT)
     assert {u.polarity for u in lowered.units if u.kind is GateKind.CX} == set(Polarity)
-    assert_units_equal_local_matrix(lowered)
+    assert_units_equal_local_matrix(lowered, FRAGMENT)
 
 
 def probe_steps(steps, dim):
     return oracles.probe_choi(lambda rho: oracles.apply_kraus_steps(rho, steps), dim)
 
 
-def composite_reference(app, edge, dev, scale):
+def composite_reference(unit, dev, scale):
     """Kraus steps of ``composite_channel`` on the frame (0, 1)."""
-    noise = sim.NoiseModel.from_device(dev, (edge.control, edge.target), scale=scale)
-    unit = types.SimpleNamespace(
-        wires=(0, 1),
-        gates=app.gates,
-        error=effective_error(app, edge, dev),
-        duration_ns=app.duration_ns,
-    )
-    return oracles.unit_kraus_steps(unit, (0.0, 0.0), noise, 2, local_matrix)
+    noise = sim.NoiseModel.from_device(dev, unit.physical, scale=scale)
+    gates = helpers.unit_gates(unit, dev)
+    return oracles.unit_kraus_steps(unit, gates, (0.0, 0.0), noise, 2, local_matrix)
 
 
 @pytest.mark.parametrize("edge", FRAGMENT.edges, ids=lambda e: f"{e.control}-{e.target}")
@@ -113,11 +109,11 @@ def test_choi_matches_probing(edge, target):
     theta = None if target is GateKind.CZ else 1.1
     for scale in SCALES:
         for polarity in Polarity:
-            app = apply_rule(
-                target, theta, 0, 1, edge, FRAGMENT, OptLevel.DEFAULT, polarity
+            unit = helpers.two_qubit_unit(
+                target, theta, edge, FRAGMENT, OptLevel.DEFAULT, polarity
             )
-            channel = sim.composite_channel(app, edge, FRAGMENT, scale=scale)
-            steps = composite_reference(app, edge, FRAGMENT, scale)
+            channel = sim.composite_channel(unit, FRAGMENT, scale=scale)
+            steps = composite_reference(unit, FRAGMENT, scale)
             for reps in (1, 3):
                 choi = sim.choi_of(channel.repeated(reps)).data
                 probed = probe_steps(steps * reps, 4)
@@ -144,8 +140,8 @@ def test_qpt_rows_match_kraus_reference(edge):
         for row in rows:
             level = OptLevel.DEFAULT if row["variant"].startswith("default") else opt
             polarity = Polarity.CT if row["variant"].endswith("ct") else Polarity.TC
-            app = apply_rule(target, row["angle"], 0, 1, edge, FRAGMENT, level, polarity)
-            steps = composite_reference(app, edge, FRAGMENT, 1.0)
+            unit = helpers.two_qubit_unit(target, row["angle"], edge, FRAGMENT, level, polarity)
+            steps = composite_reference(unit, FRAGMENT, 1.0)
             ideal = [[local_matrix(target, row["angle"])]]
             reps = row["repetitions"]
             fid = sim.process_fidelity(
