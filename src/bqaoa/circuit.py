@@ -286,14 +286,11 @@ def require_dense(num_qubits: int) -> None:
         )
 
 
-def statevector(c: CircuitIR, initial: np.ndarray | None = None) -> np.ndarray:
+def statevector(c: CircuitIR) -> np.ndarray:
     """State after the circuit from |0...0> (measurements are ignored)."""
     require_dense(c.num_qubits)
-    if initial is None:
-        state = np.zeros(2**c.num_qubits, dtype=complex)
-        state[0] = 1.0
-    else:
-        state = np.asarray(initial, dtype=complex).copy()
+    state = np.zeros(2**c.num_qubits, dtype=complex)
+    state[0] = 1.0
     for g in c.gates:
         if g.kind in (GateKind.MEASURE, GateKind.BARRIER):
             continue

@@ -91,6 +91,13 @@ def exact_expectation_evaluator(prob: IsingProblem, sense: str) -> Evaluator:
     return evaluate
 
 
+def _check_config(cfg: OptimizerConfig) -> None:
+    if cfg.max_evals < 1:
+        raise ConfigError(f"max-evals must be >= 1, got {cfg.max_evals}")
+    if cfg.initial_grid < 1:
+        raise ConfigError(f"--grid must be >= 1, got {cfg.initial_grid}")
+
+
 def optimize_params(
     prob: IsingProblem,
     p: int,
@@ -106,8 +113,7 @@ def optimize_params(
     """
     if p < 1:
         raise ConfigError(f"p must be >= 1, got {p}")
-    if cfg.max_evals < 1:
-        raise ConfigError(f"max-evals must be >= 1, got {cfg.max_evals}")
+    _check_config(cfg)
     trace: list[tuple[tuple[float, ...], float]] = []
     evaluations = 0
     exhausted = False
@@ -120,7 +126,7 @@ def optimize_params(
         trace.append((tuple(float(v) for v in flat), value))
         return -value
 
-    grid = max(1, cfg.initial_grid)
+    grid = cfg.initial_grid
     gamma_axis = [np.pi * i / grid for i in range(grid)]
     beta_axis = [np.pi / 2 * i / grid for i in range(grid)]
     mesh = np.meshgrid(*([gamma_axis] * p + [beta_axis] * p), indexing="ij")
@@ -266,6 +272,7 @@ def optimize_depth_sweep(
     prob: IsingProblem, sense: str, p_values: Sequence[int], cfg: OptimizerConfig
 ) -> dict[int, OptimizationResult]:
     """Noiseless optimum per depth, warm-starting each depth from the last."""
+    _check_config(cfg)
     evaluator = exact_expectation_evaluator(prob, sense)
     optimized: dict[int, OptimizationResult] = {}
     previous: OptimizationResult | None = None

@@ -7,20 +7,21 @@ effective error, then thermal relaxation for the unit's duration.  A global
 scale factor s multiplies the depolarizing infidelity and the relaxation
 rates and interpolates the readout confusion matrices; s = 0 is noiseless.
 
-Every channel is one Liouville superoperator (``Channel``): the 4^k x 4^k
+Every channel is a plain array, its Liouville superoperator: the 4^k x 4^k
 matrix sum_K K (x) conj(K) on k qubits, acting on the row-major vec(rho)
 whose entry i*d + j is rho[i, j], with local qubit 0 the least-significant
-bit of i and j.  ``evolve`` composes each scheduled unit into one such
-matrix and applies it to rho once; QPT repeats a channel with a matrix
-power and reads its Choi matrix off by reshuffling (Wood, Biamonte & Cory,
-arXiv:1111.6950).
+bit of i and j.  ``unit_channel`` builds each scheduled unit as one product
+of closed-form pieces and ``apply_superop`` applies it to rho once; QPT
+repeats a channel with a matrix power and reads its Choi matrix off by
+reshuffling (Wood, Biamonte & Cory, arXiv:1111.6950).
 
-Each piece has a closed form.  The unit's unitary is ``local_matrix`` of
-its kind and angle, not the product of its lowered gates: lowering is exact
-up to a global phase e^{ia}, and U (x) conj(U) cancels it.  With the
-depolarizing channel it reads (1-lam) U (x) conj(U) + (lam/d) |vec I><vec I|.
-Relaxation of one qubit over time t moves the excited population
-1 - e^{-t/T1} to |0> and scales the coherences by e^{-t/T2}.
+The pieces: the unit's unitary is ``local_matrix`` of its kind and angle,
+not the product of its lowered gates: lowering is exact up to a global
+phase e^{ia}, and U (x) conj(U) cancels it.  With the depolarizing channel
+it reads (1-lam) U (x) conj(U) + (lam/d) |vec I><vec I|.  Relaxation of one
+qubit over time t moves the excited population 1 - e^{-t/T1} to |0> and
+scales the coherences by e^{-t/T2}; the relaxations of a unit's wires join
+into one superoperator by an outer product.
 
 Outcome distributions and counts are vectors indexed by the little-endian
 basis integer: qubit (or classical bit) 0 is bit 0 of the index.
@@ -81,49 +82,17 @@ class DensityMatrix:
 # --- channels as Liouville superoperators ---
 
 
-class Channel:
-    """A CPTP map on k qubits, held as its Liouville superoperator.
+def apply_superop(rho: np.ndarray, superop: np.ndarray, wires) -> np.ndarray:
+    """rho with the superoperator applied to ``wires`` (local qubit i = wires[i]).
 
-    ``superop`` is the 4^k x 4^k matrix S = sum_K K (x) conj(K), so that
-    vec(channel(rho)) = S vec(rho) for the row-major vec(rho), whose entry
-    i*d + j is rho[i, j] (d = 2^k).  Local qubit 0 is the least-significant
-    bit of both i and j.  ``compose`` applies a local superoperator after
-    what is already there; ``apply`` is one tensordot over the row and
-    column axes of the wires it acts on.
+    Row-major vec(rho) carries 2n qubits: the column index is its low n bits
+    and the row index its high n, so a local superoperator's column qubits
+    come first.  One tensordot over the row and column axes of ``wires``.
     """
-
-    def __init__(self, num_qubits: int, superop: np.ndarray | None = None):
-        self.num_qubits = num_qubits
-        if superop is None:
-            superop = np.eye(4**num_qubits, dtype=complex)
-        self.superop = superop
-
-    def compose(self, local: np.ndarray, qubits) -> "Channel":
-        """Follow the channel with superoperator ``local`` on local ``qubits``."""
-        k = self.num_qubits
-        self.superop = apply_matrix(self.superop, local, _vec_qubits(qubits, k), 2 * k)
-        return self
-
-    def apply(self, rho: np.ndarray, wires=None) -> np.ndarray:
-        """The channel applied to ``wires`` of rho (default: all k qubits)."""
-        n = int(rho.shape[0]).bit_length() - 1
-        if wires is None:
-            wires = range(self.num_qubits)
-        out = apply_matrix(rho.reshape(-1), self.superop, _vec_qubits(wires, n), 2 * n)
-        return out.reshape(rho.shape)
-
-    def repeated(self, times: int) -> "Channel":
-        return Channel(self.num_qubits, np.linalg.matrix_power(self.superop, times))
-
-
-def _vec_qubits(wires, n: int) -> tuple[int, ...]:
-    """Qubits of row-major vec(rho), 2n of them, that carry ``wires``.
-
-    Column indices are the low n bits of vec(rho) and row indices the high
-    n, so a local superoperator's column qubits come first.
-    """
+    n = rho.shape[0].bit_length() - 1
     wires = tuple(wires)
-    return wires + tuple(n + w for w in wires)
+    vec_qubits = wires + tuple(n + w for w in wires)
+    return apply_matrix(rho.reshape(-1), superop, vec_qubits, 2 * n).reshape(rho.shape)
 
 
 def depolarized_unitary(u: np.ndarray, lam: float) -> np.ndarray:
@@ -133,7 +102,9 @@ def depolarized_unitary(u: np.ndarray, lam: float) -> np.ndarray:
     that are 1 sit at the multiples of d + 1.
     """
     dim = u.shape[0]
-    superop = (1.0 - lam) * np.kron(u, u.conj())
+    # np.kron(u, conj(u)) without its generic-shape overhead
+    kron = np.multiply.outer(u, u.conj()).transpose(0, 2, 1, 3).reshape(dim * dim, -1)
+    superop = (1.0 - lam) * kron
     superop[:: dim + 1, :: dim + 1] += lam / dim
     return superop
 
@@ -212,35 +183,38 @@ class NoiseModel:
         return [self.scaled_confusion(i) for i in range(len(self.qubits))]
 
 
-def unit_channel(unit: LoweredUnit, idle_ns, noise: NoiseModel) -> Channel:
-    """One scheduled unit as a channel on its wires (local qubit i = wires[i]).
+def _per_wire(superops: list[np.ndarray]) -> np.ndarray:
+    """One-qubit superoperators, the i-th on local qubit i, as one on all.
+
+    vec(rho) of two qubits orders its index bits (i1, i0, j1, j0); each 4x4
+    reshapes to (i', j', i, j), and the outer product interleaves them.
+    """
+    if len(superops) == 1:
+        return superops[0]
+    a0, a1 = (s.reshape(2, 2, 2, 2) for s in superops)
+    return np.multiply.outer(a1, a0).transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(16, 16)
+
+
+def unit_channel(unit: LoweredUnit, idle_ns, noise: NoiseModel) -> np.ndarray:
+    """Superoperator of one scheduled unit on its wires (local qubit i = wires[i]).
 
     In order: relaxation for each wire's idle time ``idle_ns[i]`` since it
     was last busy, the unit's unitary ``local_matrix(kind, angle)`` with a
     depolarizing channel for its effective error, then relaxation for the
     unit's own duration.  A measurement has no unitary and no error, so it
-    only relaxes.
+    only relaxes.  Relaxation over zero time is exactly the identity.
     """
-    k = len(unit.wires)
-    channel = Channel(k)
-    noisy = noise.scale > 0
-    for i, (w, idle) in enumerate(zip(unit.wires, idle_ns)):
-        if idle > 0 and noisy:
-            channel.compose(noise.relaxation(w, idle), (i,))
-    if unit.kind is not GateKind.MEASURE:
-        u = local_matrix(unit.kind, unit.angle)
-        lam = noise.depolarizing_strength(unit.error, k)
-        channel.compose(depolarized_unitary(u, lam), range(k))
-    if unit.duration_ns > 0 and noisy:
-        for i, w in enumerate(unit.wires):
-            channel.compose(noise.relaxation(w, unit.duration_ns), (i,))
-    return channel
+    before = _per_wire([noise.relaxation(w, t) for w, t in zip(unit.wires, idle_ns)])
+    after = _per_wire([noise.relaxation(w, unit.duration_ns) for w in unit.wires])
+    if unit.kind is GateKind.MEASURE:
+        return after @ before
+    u = local_matrix(unit.kind, unit.angle)
+    lam = noise.depolarizing_strength(unit.error, len(unit.wires))
+    return after @ depolarized_unitary(u, lam) @ before
 
 
-def evolve(
-    sc: LoweredCircuit, noise: NoiseModel, rho0: DensityMatrix | None = None
-) -> DensityMatrix:
-    """Run a lowered circuit's schedule as a density-matrix evolution.
+def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
+    """Run a lowered circuit's schedule as a density-matrix evolution from |0..0>.
 
     Each unit applies once, in program order, as its ``unit_channel``.
     Measurement units only relax (readout noise is applied at sampling
@@ -255,7 +229,7 @@ def evolve(
         raise DimensionError(
             f"noise model covers {len(noise.qubits)} qubits, circuit has {n}"
         )
-    rho = (rho0 or DensityMatrix.ground(n)).data.copy()
+    rho = DensityMatrix.ground(n).data
     last_busy = [0.0] * n
     for unit, start in zip(sc.units, sc.start_times):
         idle = [start - last_busy[w] for w in unit.wires]
@@ -264,9 +238,9 @@ def evolve(
         if unit.kind is GateKind.BARRIER:
             for w, t in zip(unit.wires, idle):
                 if t > 0 and noise.scale > 0:
-                    rho = Channel(1, noise.relaxation(w, t)).apply(rho, (w,))
+                    rho = apply_superop(rho, noise.relaxation(w, t), (w,))
             continue
-        rho = unit_channel(unit, idle, noise).apply(rho, unit.wires)
+        rho = apply_superop(rho, unit_channel(unit, idle, noise), unit.wires)
     return DensityMatrix(n, rho)
 
 
@@ -276,11 +250,9 @@ def evolve(
 def apply_confusion(probs: np.ndarray, confusions: list[np.ndarray]) -> np.ndarray:
     """Push a probability vector through per-qubit confusion matrices."""
     n = len(confusions)
-    t = probs.reshape((2,) * n)
     for q, m in enumerate(confusions):
-        axis = n - 1 - q
-        t = np.moveaxis(np.tensordot(m, t, axes=([1], [axis])), 0, axis)
-    return t.reshape(-1)
+        probs = apply_matrix(probs, m, (q,), n)
+    return probs
 
 
 def sample(
@@ -389,27 +361,22 @@ class ChoiMatrix:
     data: np.ndarray
 
 
-def choi_of(channel: Channel) -> ChoiMatrix:
+def choi_of(superop: np.ndarray) -> ChoiMatrix:
     """Choi state of a channel, reshuffled from its superoperator.
 
     Index layout: row = input*dim + output; tracing out the output subsystem
     of a CPTP channel leaves I/dim.
     """
-    dim = 2**channel.num_qubits
+    dim = math.isqrt(superop.shape[0])
     # superop[(a, b), (i, j)] = channel(|i><j|)[a, b] -> choi[(i, a), (j, b)]
-    choi = channel.superop.reshape(dim, dim, dim, dim).transpose(2, 0, 3, 1)
+    choi = superop.reshape(dim, dim, dim, dim).transpose(2, 0, 3, 1)
     return ChoiMatrix(dim=dim, data=choi.reshape(dim * dim, dim * dim) / dim)
-
-
-def unitary_channel(mat: np.ndarray) -> Channel:
-    n = int(round(np.log2(mat.shape[0])))
-    return Channel(n, depolarized_unitary(mat, 0.0))
 
 
 def composite_channel(
     unit: LoweredUnit, dev: DeviceModel, scale: float = 1.0
-) -> Channel:
-    """Noisy channel of one composite lowered on the two-wire frame (0, 1).
+) -> np.ndarray:
+    """Noisy superoperator of one composite lowered on the two-wire frame (0, 1).
 
     It is the composite's ``unit_channel`` with no idle time, under the
     noise of its ``physical`` qubits.  A CX composite is refused: its
@@ -476,10 +443,11 @@ def qpt_infidelities(
                 level, polarity,
             )
             noisy = composite_channel(unit, dev, scale=noise_scale)
-            ideal = unitary_channel(local_matrix(target, theta))
+            ideal = depolarized_unitary(local_matrix(target, theta), 0.0)
             for reps in repetitions:
                 fid = process_fidelity(
-                    choi_of(ideal.repeated(reps)), choi_of(noisy.repeated(reps))
+                    choi_of(np.linalg.matrix_power(ideal, reps)),
+                    choi_of(np.linalg.matrix_power(noisy, reps)),
                 )
                 rows.append(
                     {

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bqaoa import data_path, optimize, qaoa, sim
+from bqaoa import data_path, device, lower, optimize, qaoa, sim
+from bqaoa.circuit import GateKind
 from bqaoa.optimize import OptimizerConfig
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -54,6 +55,28 @@ def test_mitigation_quasi_values_are_the_quasi_probabilities():
     expected = inverse @ (counts / counts.sum())
     assert sorted(quasi.values()) == pytest.approx(sorted(expected[expected != 0]))
     assert any(v < 0 for v in quasi.values())  # the tracer counts negative mass
+
+
+def test_checked_matrices_are_square_complex_arrays():
+    # the benchmark's correctness check reads ``evolve(...).data`` and
+    # ``choi_of(...).data``; on a bare ndarray ``.data`` is a memoryview
+    dev = device.load_device(data_path("ehningen_fragment.json"))
+    circ = qaoa.build_swap_network(
+        qaoa.load_problem(data_path("portopt3.json")).ising,
+        qaoa.ParamVector((0.4,), (0.3,)),
+    )
+    lowered = lower.lower_circuit(circ, (0, 1, 4), dev)
+    rho = sim.evolve(lowered, sim.NoiseModel.from_device(dev, lowered.chain)).data
+    edge = dev.edges[0]
+    unit = lower.apply_rule(
+        GateKind.ZZ, 0.7, (0, 1), (edge.control, edge.target), edge, dev,
+        lower.OptLevel.DEFAULT,
+    )
+    choi = sim.choi_of(sim.composite_channel(unit, dev)).data
+    for matrix, dim in ((rho, 8), (choi, 16)):
+        assert isinstance(matrix, np.ndarray)
+        assert matrix.shape == (dim, dim)
+        assert np.iscomplexobj(matrix)
 
 
 def test_depth_sweep_evaluates_through_the_traced_evaluator_name(monkeypatch):

@@ -141,6 +141,14 @@ def test_config_error_exits_2(runner, tmp_path):
         )
         assert result.exit_code == 2, result.output
         assert "--angles" in result.output
+    for grid in ("0", "-3"):
+        for command in (
+            ["optimize", "--problem", K5, "--p", "2"],
+            ["benchmark", "--device", SYNTH5, "--problem", K5, "--p", "1..2"],
+        ):
+            result = runner.invoke(main, command + ["--grid", grid])
+            assert result.exit_code == 2, result.output
+            assert "--grid" in result.output
     portopt = json.loads(open(PORTOPT5).read())
     maxcut = json.loads(open(K5).read())
     bad_problems = [

@@ -69,21 +69,21 @@ def test_evolve_matches_statevector_at_zero_scale():
 def test_full_depolarizing_gives_mixed_marginals():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    out = sim.Channel(2, sim.depolarized_unitary(np.eye(4), 1.0)).apply(rho)
+    out = sim.apply_superop(rho, sim.depolarized_unitary(np.eye(4), 1.0), (0, 1))
     assert np.allclose(out, np.eye(4) / 4, atol=1e-12)
 
 
 def test_amplitude_damping_population():
     t1, t2, duration = 120.0, 100.0, 60000.0
-    relax = sim.Channel(1, sim.relaxation_superop(duration, t1, t2))
-    out = relax.apply(np.array([[0, 0], [0, 1]], dtype=complex))
+    excited = np.array([[0, 0], [0, 1]], dtype=complex)
+    out = sim.apply_superop(excited, sim.relaxation_superop(duration, t1, t2), (0,))
     assert out[1, 1].real == pytest.approx(math.exp(-duration * 1e-3 / t1))
 
 
 def test_relaxation_dephasing_rate():
     t1, t2, duration = 200.0, 150.0, 40000.0
-    relax = sim.Channel(1, sim.relaxation_superop(duration, t1, t2))
-    out = relax.apply(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
+    plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    out = sim.apply_superop(plus, sim.relaxation_superop(duration, t1, t2), (0,))
     # coherence starts at 1/2 and decays with the full T2 rate
     assert 2 * abs(out[0, 1]) == pytest.approx(math.exp(-duration * 1e-3 / t2))
 
@@ -224,7 +224,7 @@ def test_sp_converges_to_diagonal():
 
 
 def test_choi_identity_is_maximally_entangled():
-    channel = sim.unitary_channel(np.eye(4, dtype=complex))
+    channel = sim.depolarized_unitary(np.eye(4, dtype=complex), 0.0)
     choi = sim.choi_of(channel)
     phi = np.zeros(16, dtype=complex)
     for i in range(4):
@@ -234,7 +234,7 @@ def test_choi_identity_is_maximally_entangled():
 
 
 def test_choi_fully_depolarizing():
-    channel = sim.Channel(1, sim.depolarized_unitary(np.eye(2), 1.0))
+    channel = sim.depolarized_unitary(np.eye(2), 1.0)
     choi = sim.choi_of(channel)
     assert np.allclose(choi.data, np.eye(4) / 4, atol=1e-12)
 
@@ -272,8 +272,8 @@ def test_process_fidelity_self_is_one():
 
 def test_process_fidelity_depolarizing_analytic():
     lam = 0.37
-    ideal = sim.choi_of(sim.unitary_channel(np.eye(4, dtype=complex)))
-    noisy = sim.choi_of(sim.Channel(2, sim.depolarized_unitary(np.eye(4), lam)))
+    ideal = sim.choi_of(sim.depolarized_unitary(np.eye(4, dtype=complex), 0.0))
+    noisy = sim.choi_of(sim.depolarized_unitary(np.eye(4), lam))
     expected = 1.0 - 15.0 * lam / 16.0
     assert sim.process_fidelity(ideal, noisy) == pytest.approx(expected, abs=1e-9)
     assert sim.process_fidelity(noisy, ideal) == pytest.approx(expected, abs=1e-9)
@@ -285,14 +285,14 @@ def test_process_fidelity_ideal_vs_noiseless_lowered():
         unit = helpers.two_qubit_unit(target, theta, ECR, DEV, OptLevel.DEFAULT)
         noiseless = sim.composite_channel(unit, DEV, scale=0.0)
         param = theta if target is not GateKind.CZ else None
-        ideal = sim.unitary_channel(cir.local_matrix(target, param))
+        ideal = sim.depolarized_unitary(cir.local_matrix(target, param), 0.0)
         fid = sim.process_fidelity(sim.choi_of(ideal), sim.choi_of(noiseless))
         assert fid == pytest.approx(1.0, abs=1e-9)
 
 
 def test_process_fidelity_dimension_mismatch():
-    a = sim.choi_of(sim.unitary_channel(np.eye(2, dtype=complex)))
-    b = sim.choi_of(sim.unitary_channel(np.eye(4, dtype=complex)))
+    a = sim.choi_of(sim.depolarized_unitary(np.eye(2, dtype=complex), 0.0))
+    b = sim.choi_of(sim.depolarized_unitary(np.eye(4, dtype=complex), 0.0))
     with pytest.raises(DimensionError):
         sim.process_fidelity(a, b)
 
@@ -300,11 +300,12 @@ def test_process_fidelity_dimension_mismatch():
 def test_infidelity_nondecreasing_in_repetitions():
     unit = helpers.two_qubit_unit(GateKind.ZZ, 0.9, ECR, DEV, OptLevel.DEFAULT)
     noisy = sim.composite_channel(unit, DEV, scale=1.0)
-    ideal = sim.unitary_channel(cir.local_matrix(GateKind.ZZ, 0.9))
+    ideal = sim.depolarized_unitary(cir.local_matrix(GateKind.ZZ, 0.9), 0.0)
     infidelities = []
     for reps in (1, 5, 10):
         fid = sim.process_fidelity(
-            sim.choi_of(ideal.repeated(reps)), sim.choi_of(noisy.repeated(reps))
+            sim.choi_of(np.linalg.matrix_power(ideal, reps)),
+            sim.choi_of(np.linalg.matrix_power(noisy, reps)),
         )
         infidelities.append(1.0 - fid)
     assert infidelities[0] <= infidelities[1] <= infidelities[2]

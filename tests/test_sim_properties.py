@@ -55,6 +55,7 @@ def line_device(times, sx_error, cx_error, readout):
     return DeviceModel("line", len(times), qubits, edges)
 
 
+LINE = line_device([(100.0, 80.0)] * 3, 1e-3, 1e-2, 0.0)
 ONE_QUBIT_KINDS = [GateKind.H, GateKind.X, GateKind.SX, GateKind.RX, GateKind.RY,
                    GateKind.RZ]
 TWO_QUBIT_KINDS = [GateKind.CX, GateKind.CZ, GateKind.ZZ, GateKind.ZZ_SWAP]
@@ -77,8 +78,7 @@ def units(draw):
     angle = draw(angles) if kind in cir.PARAM_KINDS else None
     circ = cir.CircuitIR(3, (cir.Gate(kind, wires, param=angle),))
     opt = draw(st.sampled_from(list(lower.OptLevel)))
-    dev = line_device([(100.0, 80.0)] * 3, 1e-3, 1e-2, 0.0)
-    (unit,) = lower.lower_circuit(circ, (0, 1, 2), dev, opt).units
+    (unit,) = lower.lower_circuit(circ, (0, 1, 2), LINE, opt).units
     return dataclasses.replace(
         unit, duration_ns=draw(durations), error=draw(st.floats(0.0, 0.8))
     )
@@ -126,21 +126,38 @@ def test_unit_channel_is_cptp(unit, idle, noise):
     assert_cptp(sim.unit_channel(unit, idle, noise))
 
 
+@settings(max_examples=60, deadline=None)
+@given(units(), st.lists(durations, min_size=2, max_size=2), noise_models(3),
+       st.integers(0, 2**32 - 1))
+def test_unit_channel_matches_kraus_steps(unit, idle, noise, seed):
+    # a random mixed state on three qubits, so wires outside the unit and
+    # both wire orders of a two-qubit unit are seen
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho)
+    fused = sim.apply_superop(rho, sim.unit_channel(unit, idle, noise), unit.wires)
+    gates = helpers.unit_gates(unit, LINE)
+    steps = oracles.unit_kraus_steps(unit, gates, idle, noise, 3, cir.local_matrix)
+    assert np.abs(fused - oracles.apply_kraus_steps(rho, steps)).max() < TOL
+
+
 @settings(max_examples=30, deadline=None)
 @given(units(), st.lists(durations, min_size=2, max_size=2), noise_models(3),
        st.integers(1, 12))
 def test_repeated_matches_explicit_composition(unit, idle, noise, times):
     channel = sim.unit_channel(unit, idle, noise)
+    local = range(len(unit.wires))
 
     def compose(rho):
         for _ in range(times):
-            rho = channel.apply(rho)
+            rho = sim.apply_superop(rho, channel, local)
         return rho
 
-    explicit = oracles.probe_choi(compose, 2**channel.num_qubits)
-    repeated = sim.choi_of(channel.repeated(times)).data
-    assert np.abs(repeated - explicit).max() < TOL
-    assert_cptp(channel.repeated(times))
+    explicit = oracles.probe_choi(compose, 2 ** len(unit.wires))
+    repeated = np.linalg.matrix_power(channel, times)
+    assert np.abs(sim.choi_of(repeated).data - explicit).max() < TOL
+    assert_cptp(repeated)
 
 
 @settings(max_examples=25, deadline=None)

@@ -115,7 +115,7 @@ def test_choi_matches_probing(edge, target):
             channel = sim.composite_channel(unit, FRAGMENT, scale=scale)
             steps = composite_reference(unit, FRAGMENT, scale)
             for reps in (1, 3):
-                choi = sim.choi_of(channel.repeated(reps)).data
+                choi = sim.choi_of(np.linalg.matrix_power(channel, reps)).data
                 probed = probe_steps(steps * reps, 4)
                 assert np.abs(choi - probed).max() < TOL
 
@@ -125,7 +125,7 @@ def test_choi_of_single_qubit_channels_matches_probing():
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     u, _ = np.linalg.qr(a)
     relax = sim.relaxation_superop(500.0, 80.0, 60.0)
-    channel = sim.Channel(1, sim.depolarized_unitary(u, 0.0)).compose(relax, (0,))
+    channel = relax @ sim.depolarized_unitary(u, 0.0)
     probed = probe_steps([[u], oracles.relaxation_family(500.0, 80.0, 60.0)], 2)
     assert np.abs(sim.choi_of(channel).data - probed).max() < TOL
 
