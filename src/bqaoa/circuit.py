@@ -279,7 +279,8 @@ def apply_gate(array: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
 
 
 def require_dense(num_qubits: int) -> None:
-    """Refuse sizes beyond the dense state-vector and unitary limit."""
+    """Refuse sizes beyond the dense state-vector, unitary and density-matrix
+    limit."""
     if num_qubits > MAX_DENSE_QUBITS:
         raise TooLargeError(
             f"{num_qubits} qubits exceeds dense limit {MAX_DENSE_QUBITS}"

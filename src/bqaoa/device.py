@@ -18,8 +18,8 @@ Durations are nanoseconds, errors are fractions (0.0083, not 0.83 %).
 Edges may additionally carry ``composite_durations_ns`` pinning measured
 schedule durations of two-qubit composites (keys ``zz``, ``cz``, ``cz_opt``,
 ``zz_swap``, ``zz_swap_opt``); the device may carry a ``cr_scale_model``
-for pulse-scaled gates.  Both are optional calibration extras consumed by
-the lowering rules.
+(non-negative ``intercept_ns`` and ``slope_ns_per_pi``) for pulse-scaled
+gates.  Both are optional calibration extras consumed by the lowering rules.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .errors import (
     ValidationError,
     as_float,
     as_int,
+    as_list,
+    as_object,
 )
 
 DEFAULT_SINGLE_QUBIT_DURATIONS_NS = {
@@ -249,6 +251,7 @@ def _optional_finite(entry: dict, key: str, prefix: str) -> float | None:
 
 def _parse_qubit(entry: dict, index: int) -> QubitCalibration:
     prefix = f"qubits[{index}]"
+    entry = as_object(entry, prefix)
     try:
         t1 = as_float(entry["t1_us"], f"{prefix}.t1_us")
         t2 = as_float(entry["t2_us"], f"{prefix}.t2_us")
@@ -289,6 +292,7 @@ def _parse_qubit(entry: dict, index: int) -> QubitCalibration:
 
 def _parse_edge(entry: dict, index: int, num_qubits: int) -> EdgeCalibration:
     prefix = f"edges[{index}]"
+    entry = as_object(entry, prefix)
     try:
         control = as_int(entry["control"], f"{prefix}.control")
         target = as_int(entry["target"], f"{prefix}.target")
@@ -325,9 +329,12 @@ def _parse_edge(entry: dict, index: int, num_qubits: int) -> EdgeCalibration:
         f"{prefix}.flavor_source",
         f"must be 'paper' or 'assumed', got {flavor_source!r}",
     )
+    pins = as_object(
+        entry.get("composite_durations_ns", {}), f"{prefix}.composite_durations_ns"
+    )
     composites = {
         key: as_float(value, f"{prefix}.composite_durations_ns[{key}]")
-        for key, value in entry.get("composite_durations_ns", {}).items()
+        for key, value in pins.items()
     }
     for key, value in composites.items():
         _require(
@@ -353,8 +360,8 @@ def device_from_dict(doc: dict) -> DeviceModel:
     try:
         name = str(doc["name"])
         num_qubits = as_int(doc["num_qubits"], "num_qubits")
-        qubit_entries = doc["qubits"]
-        edge_entries = doc["edges"]
+        qubit_entries = as_list(doc["qubits"], "qubits")
+        edge_entries = as_list(doc["edges"], "edges")
     except KeyError as exc:
         raise ValidationError(f"missing top-level field {exc.args[0]!r}") from exc
     _require(num_qubits > 0, "num_qubits", f"must be positive, got {num_qubits}")
@@ -377,7 +384,10 @@ def device_from_dict(doc: dict) -> DeviceModel:
         seen.add(edge.pair)
 
     durations = dict(DEFAULT_SINGLE_QUBIT_DURATIONS_NS)
-    for key, value in doc.get("single_qubit_durations_ns", {}).items():
+    given = as_object(
+        doc.get("single_qubit_durations_ns", {}), "single_qubit_durations_ns"
+    )
+    for key, value in given.items():
         value = as_float(value, f"single_qubit_durations_ns[{key}]")
         _require(
             value >= 0,
@@ -388,27 +398,23 @@ def device_from_dict(doc: dict) -> DeviceModel:
         if key == "sx":
             # rx/ry track sx unless given explicitly.
             for alias in ("rx", "ry"):
-                if alias not in doc.get("single_qubit_durations_ns", {}):
+                if alias not in given:
                     durations[alias] = value
 
-    scale_doc = doc.get("cr_scale_model", {})
-    cr_scale = CrScaleModel(
-        intercept_ns=as_float(
-            scale_doc.get("intercept_ns", CrScaleModel.intercept_ns),
-            "cr_scale_model.intercept_ns",
-        ),
-        slope_ns_per_pi=as_float(
-            scale_doc.get("slope_ns_per_pi", CrScaleModel.slope_ns_per_pi),
-            "cr_scale_model.slope_ns_per_pi",
-        ),
-    )
+    scale_doc = as_object(doc.get("cr_scale_model", {}), "cr_scale_model")
+    scale = {}
+    for key in ("intercept_ns", "slope_ns_per_pi"):
+        field_name = f"cr_scale_model.{key}"
+        value = as_float(scale_doc.get(key, getattr(CrScaleModel, key)), field_name)
+        _require(value >= 0, field_name, f"must be non-negative, got {value}")
+        scale[key] = value
     return DeviceModel(
         name=name,
         num_qubits=num_qubits,
         qubits=qubits,
         edges=edges,
         single_qubit_durations_ns=tuple(sorted(durations.items())),
-        cr_scale=cr_scale,
+        cr_scale=CrScaleModel(**scale),
     )
 
 

@@ -2,8 +2,9 @@
 
 Grouped by how the CLI maps them to exit codes: configuration problems
 (exit 2), infeasible requests (exit 3), everything else unexpected (exit 4).
-The loaders coerce document fields with ``as_float`` and ``as_int``, which
-raise ``ValidationError`` naming the field.
+The loaders coerce document fields with ``as_float``, ``as_int``,
+``as_list`` and ``as_object``, which raise ``ValidationError`` naming the
+field.
 """
 
 import math
@@ -45,6 +46,20 @@ def as_int(value, field_name: str) -> int:
     if number is None or (isinstance(value, float) and value != number):
         raise ValidationError(f"{field_name}: expected an integer, got {value!r}")
     return number
+
+
+def as_list(value, field_name: str) -> list:
+    """A list-valued document field, or a ValidationError naming it."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{field_name}: expected a list, got {value!r}")
+    return list(value)
+
+
+def as_object(value, field_name: str) -> dict:
+    """An object-valued document field, or a ValidationError naming it."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{field_name}: expected an object, got {value!r}")
+    return value
 
 
 class DimensionError(BqaoaError):

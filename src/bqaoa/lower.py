@@ -18,8 +18,9 @@ ZZ_SWAP    ecr      zzswap       3 x CZ_OPT pulse, same duration as  0
                                  the default form on that edge
 =========  =======  ===========  =================================  ====
 
-An edge may pin measured composite durations (``composite_durations_ns``);
-pins take precedence over the formulas.  The TC polarity wraps each CX in
+An edge may pin measured composite durations (``composite_durations_ns``,
+keys ``zz``, ``cz``, ``cz_opt``, ``zz_swap``, ``zz_swap_opt``); a pin takes
+precedence over its formula (``_pinned``).  The TC polarity wraps each CX in
 the single-qubit conjugation that reverses its direction and costs one
 extra single-qubit layer per side (duration CT + 2s).
 
@@ -34,9 +35,12 @@ each constituent CR segment of length u contributes a factor
 Lowering builds no gates.  ``apply_rule`` returns the scheduled
 ``LoweredUnit`` of a composite (kind, angle, polarity, pulse flag, and the
 duration, CX count and effective error of its rule), which is all that
-scheduling and the simulator read.  The hardware-gate expansion each rule
-stands for is the test suite's reference (``tests/helpers.py``): it is
-checked against the target unitary and against ``_SX_COUNTS``.
+scheduling and the simulator read.  Measure, barrier and one-qubit gates
+each become one unit that differs only in duration and error.  A unit's
+report ``label`` is derived from its kind, flavor, pulse flag and polarity.
+The hardware-gate expansion each rule stands for is the test suite's
+reference (``tests/helpers.py``): it is checked against the target unitary
+and against ``_SX_COUNTS``.
 """
 
 from __future__ import annotations
@@ -48,11 +52,7 @@ from dataclasses import dataclass
 from . import circuit as cir
 from .circuit import CircuitIR, GateKind
 from .device import DeviceModel, EdgeCalibration, GateFlavor
-from .errors import (
-    MissingEdgeError,
-    NonAdjacentGateError,
-    ValidationError,
-)
+from .errors import MissingEdgeError, NonAdjacentGateError, ValidationError
 
 
 class OptLevel(enum.Enum):
@@ -99,47 +99,26 @@ class LoweredUnit:
     duration_ns: float
     cx_count: int
     error: float
-    label: str
     angle: float | None = None
     flavor: GateFlavor | None = None
     polarity: Polarity | None = None
     pulse: bool = False
     clbit: int | None = None
 
-
-def _zz_default_duration(edge: EdgeCalibration) -> float:
-    pinned = edge.composite_duration("zz")
-    return pinned if pinned is not None else 2.0 * edge.cx_duration_ns
-
-
-def _cz_default_duration(edge: EdgeCalibration, dev: DeviceModel) -> float:
-    pinned = edge.composite_duration("cz")
-    if pinned is not None:
-        return pinned
-    return edge.cx_duration_ns + 2.0 * dev.single_qubit_duration("sx")
+    @property
+    def label(self) -> str:
+        """The kind off an edge, else kind.flavor.[opt.|default.]polarity
+        (a directed CX has one form, so no form part)."""
+        if self.flavor is None:
+            return self.kind.value
+        form = "" if self.kind is GateKind.CX else ("opt." if self.pulse else "default.")
+        return f"{self.kind.value}.{self.flavor.value}.{form}{self.polarity.value}"
 
 
-def _cz_opt_duration(edge: EdgeCalibration, dev: DeviceModel) -> float:
-    pinned = edge.composite_duration("cz_opt")
-    if pinned is not None:
-        return pinned
-    return edge.cx_duration_ns + dev.single_qubit_duration("sx")
-
-
-def _zz_swap_default_duration(edge: EdgeCalibration, dev: DeviceModel) -> float:
-    pinned = edge.composite_duration("zz_swap")
-    if pinned is not None:
-        return pinned
-    s = dev.single_qubit_duration("sx")
-    layers = 1 if edge.flavor is GateFlavor.ECR_CX else 2
-    return 3.0 * edge.cx_duration_ns + layers * s
-
-
-def _zz_swap_opt_duration(edge: EdgeCalibration, dev: DeviceModel) -> float:
-    pinned = edge.composite_duration("zz_swap_opt")
-    if pinned is not None:
-        return pinned
-    return _zz_swap_default_duration(edge, dev)
+def _pinned(edge: EdgeCalibration, key: str, formula: float) -> float:
+    """The edge's pinned duration of a composite, else the rule's formula."""
+    pinned = edge.composite_duration(key)
+    return formula if pinned is None else pinned
 
 
 def zz_opt_duration(theta: float, edge: EdgeCalibration, dev: DeviceModel) -> float:
@@ -147,7 +126,7 @@ def zz_opt_duration(theta: float, edge: EdgeCalibration, dev: DeviceModel) -> fl
     scaled = dev.cr_scale.intercept_ns + abs(wrap_angle(theta)) / math.pi * (
         dev.cr_scale.slope_ns_per_pi
     )
-    return min(scaled, _zz_default_duration(edge))
+    return min(scaled, _pinned(edge, "zz", 2.0 * edge.cx_duration_ns))
 
 
 def uses_pulse(edge: EdgeCalibration, opt: OptLevel, target: GateKind) -> bool:
@@ -178,32 +157,34 @@ def apply_rule(
     the duration and, of a pulse form, to its single-qubit overhead.
     """
     s = dev.single_qubit_duration("sx")
+    d = edge.cx_duration_ns
     pulse = uses_pulse(edge, opt, target)
     tc = polarity is Polarity.TC
     # a pulse form is ``segments`` CR segments of ``segment`` ns each plus
     # ``overhead_1q`` single-qubit layers
     cx_count, segment, segments, overhead_1q = 0, 0.0, 0, 0
     if target is GateKind.CX:
-        duration, cx_count = edge.cx_duration_ns, 1
+        duration, cx_count = d, 1
     elif target is GateKind.ZZ and pulse:
         duration = zz_opt_duration(theta, edge, dev)
         intercept = dev.cr_scale.intercept_ns
         segment, segments = max(0.0, (duration - intercept) / 2.0), 2
         overhead_1q = int(round(intercept / s)) if s > 0 else 0
     elif target is GateKind.ZZ:
-        duration, cx_count = _zz_default_duration(edge), 2
+        duration, cx_count = _pinned(edge, "zz", 2.0 * d), 2
     elif target is GateKind.CZ and pulse:
-        duration = _cz_opt_duration(edge, dev)
+        duration = _pinned(edge, "cz_opt", d + s)
         segment, segments, overhead_1q = max(0.0, (duration - s) / 2.0), 2, 1
     elif target is GateKind.CZ:
-        duration, cx_count = _cz_default_duration(edge, dev), 1
-    elif target is GateKind.ZZ_SWAP and pulse:
-        # three CZ_OPT constituents
-        duration = _zz_swap_opt_duration(edge, dev)
-        segment = max(0.0, (_cz_opt_duration(edge, dev) - s) / 2.0)
-        segments, overhead_1q = 6, 3
+        duration, cx_count = _pinned(edge, "cz", d + 2.0 * s), 1
     elif target is GateKind.ZZ_SWAP:
-        duration, cx_count = _zz_swap_default_duration(edge, dev), 3
+        layers = 1 if edge.flavor is GateFlavor.ECR_CX else 2
+        duration, cx_count = _pinned(edge, "zz_swap", 3.0 * d + layers * s), 3
+        if pulse:
+            # three CZ_OPT constituents, as long as the 3-CX form unless pinned
+            duration, cx_count = _pinned(edge, "zz_swap_opt", duration), 0
+            segment = max(0.0, (_pinned(edge, "cz_opt", d + s) - s) / 2.0)
+            segments, overhead_1q = 6, 3
     else:
         raise ValidationError(f"no lowering rule for two-qubit kind {target.value}")
 
@@ -218,12 +199,10 @@ def apply_rule(
         survival = (1.0 - edge.cx_error) ** cx_count
         for on_control, count in _SX_COUNTS[target, polarity]:
             survival *= (1.0 - (sx_a if on_control else sx_b)) ** count
-    form = "" if target is GateKind.CX else ("opt." if pulse else "default.")
     return LoweredUnit(
         kind=target, wires=wires, physical=physical,
         duration_ns=duration + (2.0 * s if tc else 0.0), cx_count=cx_count,
         error=min(1.0, max(0.0, 1.0 - survival)),
-        label=f"{target.value}.{edge.flavor.value}.{form}{polarity.value}",
         angle=theta, flavor=edge.flavor, polarity=polarity, pulse=pulse,
     )
 
@@ -251,24 +230,22 @@ class LoweredCircuit:
 
     def report(self) -> list[dict]:
         """Per-unit lowering report rows (CLI/JSON surface)."""
-        rows = []
-        for unit, start in zip(self.units, self.start_times):
-            rows.append(
-                {
-                    "kind": unit.kind.value,
-                    "label": unit.label,
-                    "wires": list(unit.wires),
-                    "physical": list(unit.physical),
-                    "flavor": unit.flavor.value if unit.flavor else None,
-                    "polarity": unit.polarity.value if unit.polarity else None,
-                    "angle": unit.angle,
-                    "start_ns": start,
-                    "duration_ns": unit.duration_ns,
-                    "cx_cost": unit.cx_count,
-                    "error": unit.error,
-                }
-            )
-        return rows
+        return [
+            {
+                "kind": unit.kind.value,
+                "label": unit.label,
+                "wires": list(unit.wires),
+                "physical": list(unit.physical),
+                "flavor": unit.flavor.value if unit.flavor else None,
+                "polarity": unit.polarity.value if unit.polarity else None,
+                "angle": unit.angle,
+                "start_ns": start,
+                "duration_ns": unit.duration_ns,
+                "cx_cost": unit.cx_count,
+                "error": unit.error,
+            }
+            for unit, start in zip(self.units, self.start_times)
+        ]
 
 
 _SINGLE_QUBIT_DURATION_KEY = {
@@ -279,6 +256,9 @@ _SINGLE_QUBIT_DURATION_KEY = {
     GateKind.RY: "ry",
     GateKind.RZ: "rz",
 }
+
+#: the two-qubit targets ``apply_rule`` has a rule for (SWAP has none)
+_TWO_QUBIT_RULE_KINDS = {kind for kind, _ in _SX_COUNTS}
 
 
 def validate_chain(chain: tuple[int, ...], dev: DeviceModel) -> None:
@@ -312,56 +292,7 @@ def lower_circuit(
 
     units: list[LoweredUnit] = []
     for g in c.gates:
-        if g.kind is GateKind.MEASURE:
-            w = g.qubits[0]
-            units.append(
-                LoweredUnit(
-                    kind=g.kind,
-                    wires=(w,),
-                    physical=(chain[w],),
-                    duration_ns=dev.qubits[chain[w]].readout_length_ns,
-                    cx_count=0,
-                    error=0.0,
-                    label="measure",
-                    clbit=g.clbit,
-                )
-            )
-            continue
-        if g.kind is GateKind.BARRIER:
-            units.append(
-                LoweredUnit(
-                    kind=g.kind,
-                    wires=g.qubits,
-                    physical=tuple(chain[w] for w in g.qubits),
-                    duration_ns=0.0,
-                    cx_count=0,
-                    error=0.0,
-                    label="barrier",
-                )
-            )
-            continue
-        if g.kind in _SINGLE_QUBIT_DURATION_KEY:
-            w = g.qubits[0]
-            q = chain[w]
-            error = (
-                0.0 if g.kind is GateKind.RZ else dev.qubits[q].sx_error
-            )
-            units.append(
-                LoweredUnit(
-                    kind=g.kind,
-                    wires=(w,),
-                    physical=(q,),
-                    duration_ns=dev.single_qubit_duration(
-                        _SINGLE_QUBIT_DURATION_KEY[g.kind]
-                    ),
-                    cx_count=0,
-                    error=error,
-                    label=g.kind.value,
-                    angle=g.param,
-                )
-            )
-            continue
-        if g.kind in (GateKind.ZZ, GateKind.ZZ_SWAP, GateKind.CZ, GateKind.CX):
+        if g.kind in _TWO_QUBIT_RULE_KINDS:
             w1, w2 = g.qubits
             if abs(w1 - w2) != 1:
                 raise NonAdjacentGateError(
@@ -372,12 +303,26 @@ def lower_circuit(
             # a directed CX forces the polarity; undirected targets run native
             reverse = g.kind is GateKind.CX and physical[0] != edge.control
             polarity = Polarity.TC if reverse else Polarity.CT
-            unit = apply_rule(
-                g.kind, g.param, g.qubits, physical, edge, dev, opt, polarity
+            units.append(
+                apply_rule(g.kind, g.param, g.qubits, physical, edge, dev, opt, polarity)
             )
-            units.append(unit)
             continue
-        raise ValidationError(f"no lowering rule for kind {g.kind.value}")
+        physical = tuple(chain[w] for w in g.qubits)
+        if g.kind is GateKind.MEASURE:
+            duration, error = dev.qubits[physical[0]].readout_length_ns, 0.0
+        elif g.kind is GateKind.BARRIER:
+            duration, error = 0.0, 0.0
+        elif g.kind in _SINGLE_QUBIT_DURATION_KEY:
+            duration = dev.single_qubit_duration(_SINGLE_QUBIT_DURATION_KEY[g.kind])
+            error = 0.0 if g.kind is GateKind.RZ else dev.qubits[physical[0]].sx_error
+        else:
+            raise ValidationError(f"no lowering rule for kind {g.kind.value}")
+        units.append(
+            LoweredUnit(
+                kind=g.kind, wires=g.qubits, physical=physical, duration_ns=duration,
+                cx_count=0, error=error, angle=g.param, clbit=g.clbit,
+            )
+        )
 
     starts, total = cir.asap_start_times(
         [(u.wires, u.duration_ns) for u in units], len(chain)

@@ -116,6 +116,21 @@ def _scored(
     return rows
 
 
+#: strategy -> (link flavor filter, constraints, no-chain message); the
+#: strategies missing here enumerate every chain
+_ENUMERATION = {
+    Strategy.ECR_ONLY: (
+        GateFlavor.ECR_CX, ("links: ecr only",),
+        "no {k}-qubit chain with only ECR-CX links",
+    ),
+    Strategy.DIRECT_ONLY: (
+        GateFlavor.DIRECT_CX, ("links: direct only",),
+        "no {k}-qubit chain with only direct-CX links",
+    ),
+}
+_ANY_CHAIN = (None, (), "device has no {k}-qubit chain")
+
+
 def select(
     dev: DeviceModel,
     k: int,
@@ -128,21 +143,11 @@ def select(
         raise ValidationError(
             f"benchmark circuit has {benchmark.num_qubits} wires, expected {k}"
         )
-    constraints: list[str] = []
-    if strategy is Strategy.ECR_ONLY:
-        candidates = enumerate_chains(dev, k, GateFlavor.ECR_CX)
-        constraints.append("links: ecr only")
-        if not candidates:
-            raise NoChainError(f"no {k}-qubit chain with only ECR-CX links")
-    elif strategy is Strategy.DIRECT_ONLY:
-        candidates = enumerate_chains(dev, k, GateFlavor.DIRECT_CX)
-        constraints.append("links: direct only")
-        if not candidates:
-            raise NoChainError(f"no {k}-qubit chain with only direct-CX links")
-    else:
-        candidates = enumerate_chains(dev, k)
-        if not candidates:
-            raise NoChainError(f"device has no {k}-qubit chain")
+    flavor_filter, constraint, missing = _ENUMERATION.get(strategy, _ANY_CHAIN)
+    candidates = enumerate_chains(dev, k, flavor_filter)
+    if not candidates:
+        raise NoChainError(missing.format(k=k))
+    constraints = list(constraint)
 
     if strategy is Strategy.BIPOTENT:
         mean_sx = dev.mean_sx_error()

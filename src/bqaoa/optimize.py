@@ -196,17 +196,16 @@ def evaluate_noisy(
     shots: int,
     seed: int,
     noise_scale: float,
-    mitigated: bool = True,
 ) -> tuple[MetricsResult, LoweredCircuit]:
     """Noisy evaluation of frozen parameters on a fixed chain.
 
     Pipeline: build, lower, then ``sim.run_noisy`` (density-matrix
     evolution, sampling through the scaled confusion matrices, readout
-    mitigation unless ``mitigated`` is false), then budget post-selection.
+    mitigation), then budget post-selection.
     """
     circ = qaoa.build_swap_network(prob, params)
     lowered = lower_circuit(circ, tuple(chain), dev, opt)
-    _, logical = sim.run_noisy(lowered, dev, shots, seed, noise_scale, mitigated)
+    _, logical = sim.run_noisy(lowered, dev, shots, seed, noise_scale)
     return qaoa.metrics(prob, logical, sense), lowered
 
 

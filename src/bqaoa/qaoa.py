@@ -29,6 +29,7 @@ from .errors import (
     ValidationError,
     as_float,
     as_int,
+    as_list,
 )
 
 MAX_ENUMERATION_QUBITS = 20
@@ -349,13 +350,6 @@ class ProblemFile:
     label: str
 
 
-def _items(value, field_name: str) -> list:
-    """A list-valued document field, or a ValidationError naming it."""
-    if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"{field_name}: expected a list, got {value!r}")
-    return list(value)
-
-
 def problem_from_dict(doc: dict, label: str = "problem") -> ProblemFile:
     if not isinstance(doc, dict) or "type" not in doc:
         raise ParseError("problem document must be an object with a 'type' field")
@@ -363,14 +357,14 @@ def problem_from_dict(doc: dict, label: str = "problem") -> ProblemFile:
     if kind == "portopt":
         try:
             mu = tuple(
-                as_float(v, f"mu[{i}]") for i, v in enumerate(_items(doc["mu"], "mu"))
+                as_float(v, f"mu[{i}]") for i, v in enumerate(as_list(doc["mu"], "mu"))
             )
             sigma = tuple(
                 tuple(
                     as_float(v, f"sigma[{i}][{j}]")
-                    for j, v in enumerate(_items(row, f"sigma[{i}]"))
+                    for j, v in enumerate(as_list(row, f"sigma[{i}]"))
                 )
-                for i, row in enumerate(_items(doc["sigma"], "sigma"))
+                for i, row in enumerate(as_list(doc["sigma"], "sigma"))
             )
             inst = PortfolioInstance(
                 n=len(mu),
@@ -388,8 +382,8 @@ def problem_from_dict(doc: dict, label: str = "problem") -> ProblemFile:
         try:
             n = as_int(doc["n"], "n")
             edges = set()
-            for k, edge in enumerate(_items(doc["edges"], "edges")):
-                pair = _items(edge, f"edges[{k}]")
+            for k, edge in enumerate(as_list(doc["edges"], "edges")):
+                pair = as_list(edge, f"edges[{k}]")
                 if len(pair) != 2:
                     raise ValidationError(
                         f"edges[{k}]: expected 2 nodes, got {len(pair)}"

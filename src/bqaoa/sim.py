@@ -35,19 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitIR, GateKind, apply_matrix, local_matrix, statevector
-from .device import DeviceModel, EdgeCalibration
-from .errors import (
-    DimensionError,
-    SingularConfusionError,
-    TooLargeError,
-    ValidationError,
+from .circuit import (
+    CircuitIR, GateKind, apply_matrix, local_matrix, require_dense, statevector,
 )
+from .device import DeviceModel, EdgeCalibration
+from .errors import DimensionError, SingularConfusionError, ValidationError
 from .lower import (
     LoweredCircuit, LoweredUnit, OptLevel, Polarity, apply_rule, uses_pulse,
 )
-
-MAX_DENSITY_QUBITS = 10
 
 
 @dataclass
@@ -223,8 +218,7 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
     Deterministic.
     """
     n = sc.num_qubits
-    if n > MAX_DENSITY_QUBITS:
-        raise TooLargeError(f"{n} qubits exceeds density-matrix limit")
+    require_dense(n)
     if len(noise.qubits) != n:
         raise DimensionError(
             f"noise model covers {len(noise.qubits)} qubits, circuit has {n}"

@@ -126,6 +126,29 @@ def test_config_error_exits_2(runner, tmp_path):
         result = runner.invoke(main, ["device", "summarize", str(path)])
         assert result.exit_code == 2
         assert f"edges[0].{field}" in result.output
+    fragment = json.loads(open(FRAGMENT).read())
+    bad_devices = [
+        (fragment | {"qubits": 5}, "qubits"),
+        (fragment | {"qubits": [[]] + fragment["qubits"][1:]}, "qubits[0]"),
+        (fragment | {"edges": {"0": fragment["edges"][0]}}, "edges"),
+        (fragment | {"edges": [[1, 0]] + fragment["edges"][1:]}, "edges[0]"),
+        (fragment | {"single_qubit_durations_ns": [0, 32]}, "single_qubit_durations_ns"),
+        (
+            fragment
+            | {"edges": [fragment["edges"][0] | {"composite_durations_ns": [490]}]},
+            "edges[0].composite_durations_ns",
+        ),
+        (fragment | {"cr_scale_model": [64, 177.8]}, "cr_scale_model"),
+        # a negative model would schedule pulse units of negative duration
+        (fragment | {"cr_scale_model": {"intercept_ns": -500}}, "cr_scale_model.intercept_ns"),
+        (fragment | {"cr_scale_model": {"slope_ns_per_pi": -1}}, "cr_scale_model.slope_ns_per_pi"),
+    ]
+    for k, (doc, name) in enumerate(bad_devices):
+        path = tmp_path / f"bad_device_{k}.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["device", "summarize", str(path)])
+        assert result.exit_code == 2, (name, result.output)
+        assert f"{name}:" in result.output
     for option in ("--gammas", "--betas"):
         result = runner.invoke(
             main, ["circuit", "build", "--problem", K5, "--p", "1", option, "abc"]

@@ -351,3 +351,78 @@ def test_barrier_lowers_to_zero_duration_sync():
     assert barrier_unit.duration_ns == 0.0
     # the barrier pushes the second SX behind the first
     assert lowered.start_times[2] == 32.0
+
+
+# --- report labels ---
+
+#: (target, edge, opt level, polarity, report label)
+TWO_QUBIT_LABELS = [
+    (GateKind.CX, ECR, OptLevel.DEFAULT, Polarity.CT, "cx.ecr.ct"),
+    (GateKind.CX, ECR, OptLevel.DEFAULT, Polarity.TC, "cx.ecr.tc"),
+    (GateKind.CX, ECR, OptLevel.ZZ_OPT, Polarity.CT, "cx.ecr.ct"),
+    (GateKind.CX, ECR, OptLevel.ZZ_OPT, Polarity.TC, "cx.ecr.tc"),
+    (GateKind.CX, ECR, OptLevel.ZZ_SWAP_OPT, Polarity.CT, "cx.ecr.ct"),
+    (GateKind.CX, ECR, OptLevel.ZZ_SWAP_OPT, Polarity.TC, "cx.ecr.tc"),
+    (GateKind.CZ, ECR, OptLevel.DEFAULT, Polarity.CT, "cz.ecr.default.ct"),
+    (GateKind.CZ, ECR, OptLevel.DEFAULT, Polarity.TC, "cz.ecr.default.tc"),
+    (GateKind.CZ, ECR, OptLevel.ZZ_OPT, Polarity.CT, "cz.ecr.opt.ct"),
+    (GateKind.CZ, ECR, OptLevel.ZZ_OPT, Polarity.TC, "cz.ecr.opt.tc"),
+    (GateKind.CZ, ECR, OptLevel.ZZ_SWAP_OPT, Polarity.CT, "cz.ecr.opt.ct"),
+    (GateKind.CZ, ECR, OptLevel.ZZ_SWAP_OPT, Polarity.TC, "cz.ecr.opt.tc"),
+    (GateKind.ZZ, ECR, OptLevel.DEFAULT, Polarity.CT, "zz.ecr.default.ct"),
+    (GateKind.ZZ, ECR, OptLevel.DEFAULT, Polarity.TC, "zz.ecr.default.tc"),
+    (GateKind.ZZ, ECR, OptLevel.ZZ_OPT, Polarity.CT, "zz.ecr.opt.ct"),
+    (GateKind.ZZ, ECR, OptLevel.ZZ_OPT, Polarity.TC, "zz.ecr.opt.tc"),
+    (GateKind.ZZ, ECR, OptLevel.ZZ_SWAP_OPT, Polarity.CT, "zz.ecr.opt.ct"),
+    (GateKind.ZZ, ECR, OptLevel.ZZ_SWAP_OPT, Polarity.TC, "zz.ecr.opt.tc"),
+    (GateKind.ZZ_SWAP, ECR, OptLevel.DEFAULT, Polarity.CT, "zz_swap.ecr.default.ct"),
+    (GateKind.ZZ_SWAP, ECR, OptLevel.DEFAULT, Polarity.TC, "zz_swap.ecr.default.tc"),
+    (GateKind.ZZ_SWAP, ECR, OptLevel.ZZ_OPT, Polarity.CT, "zz_swap.ecr.default.ct"),
+    (GateKind.ZZ_SWAP, ECR, OptLevel.ZZ_OPT, Polarity.TC, "zz_swap.ecr.default.tc"),
+    (GateKind.ZZ_SWAP, ECR, OptLevel.ZZ_SWAP_OPT, Polarity.CT, "zz_swap.ecr.opt.ct"),
+    (GateKind.ZZ_SWAP, ECR, OptLevel.ZZ_SWAP_OPT, Polarity.TC, "zz_swap.ecr.opt.tc"),
+    (GateKind.CX, DIRECT, OptLevel.DEFAULT, Polarity.CT, "cx.direct.ct"),
+    (GateKind.CX, DIRECT, OptLevel.DEFAULT, Polarity.TC, "cx.direct.tc"),
+    (GateKind.CX, DIRECT, OptLevel.ZZ_OPT, Polarity.CT, "cx.direct.ct"),
+    (GateKind.CX, DIRECT, OptLevel.ZZ_OPT, Polarity.TC, "cx.direct.tc"),
+    (GateKind.CX, DIRECT, OptLevel.ZZ_SWAP_OPT, Polarity.CT, "cx.direct.ct"),
+    (GateKind.CX, DIRECT, OptLevel.ZZ_SWAP_OPT, Polarity.TC, "cx.direct.tc"),
+    (GateKind.CZ, DIRECT, OptLevel.DEFAULT, Polarity.CT, "cz.direct.default.ct"),
+    (GateKind.CZ, DIRECT, OptLevel.DEFAULT, Polarity.TC, "cz.direct.default.tc"),
+    (GateKind.CZ, DIRECT, OptLevel.ZZ_OPT, Polarity.CT, "cz.direct.default.ct"),
+    (GateKind.CZ, DIRECT, OptLevel.ZZ_OPT, Polarity.TC, "cz.direct.default.tc"),
+    (GateKind.CZ, DIRECT, OptLevel.ZZ_SWAP_OPT, Polarity.CT, "cz.direct.default.ct"),
+    (GateKind.CZ, DIRECT, OptLevel.ZZ_SWAP_OPT, Polarity.TC, "cz.direct.default.tc"),
+    (GateKind.ZZ, DIRECT, OptLevel.DEFAULT, Polarity.CT, "zz.direct.default.ct"),
+    (GateKind.ZZ, DIRECT, OptLevel.DEFAULT, Polarity.TC, "zz.direct.default.tc"),
+    (GateKind.ZZ, DIRECT, OptLevel.ZZ_OPT, Polarity.CT, "zz.direct.default.ct"),
+    (GateKind.ZZ, DIRECT, OptLevel.ZZ_OPT, Polarity.TC, "zz.direct.default.tc"),
+    (GateKind.ZZ, DIRECT, OptLevel.ZZ_SWAP_OPT, Polarity.CT, "zz.direct.default.ct"),
+    (GateKind.ZZ, DIRECT, OptLevel.ZZ_SWAP_OPT, Polarity.TC, "zz.direct.default.tc"),
+    (GateKind.ZZ_SWAP, DIRECT, OptLevel.DEFAULT, Polarity.CT, "zz_swap.direct.default.ct"),
+    (GateKind.ZZ_SWAP, DIRECT, OptLevel.DEFAULT, Polarity.TC, "zz_swap.direct.default.tc"),
+    (GateKind.ZZ_SWAP, DIRECT, OptLevel.ZZ_OPT, Polarity.CT, "zz_swap.direct.default.ct"),
+    (GateKind.ZZ_SWAP, DIRECT, OptLevel.ZZ_OPT, Polarity.TC, "zz_swap.direct.default.tc"),
+    (GateKind.ZZ_SWAP, DIRECT, OptLevel.ZZ_SWAP_OPT, Polarity.CT, "zz_swap.direct.default.ct"),
+    (GateKind.ZZ_SWAP, DIRECT, OptLevel.ZZ_SWAP_OPT, Polarity.TC, "zz_swap.direct.default.tc"),
+]
+
+
+@pytest.mark.parametrize("target,edge,opt,polarity,label", TWO_QUBIT_LABELS)
+def test_two_qubit_labels(target, edge, opt, polarity, label):
+    physical = (edge.control, edge.target)
+    unit = apply_rule(target, 0.5, (0, 1), physical, edge, DEV, opt, polarity)
+    assert unit.label == label
+
+
+def test_single_wire_labels():
+    circ = CircuitIR(
+        2,
+        (cir.h(0), cir.x(1), cir.sx(0), cir.rx(0.3, 1), cir.ry(0.2, 0), cir.rz(0.1, 1),
+         cir.barrier(0, 1), cir.measure(0, 0), cir.measure(1, 1)),
+        num_clbits=2,
+    )
+    lowered = lower.lower_circuit(circ, (0, 1), DEV)
+    assert [row["label"] for row in lowered.report()] == [
+        "h", "x", "sx", "rx", "ry", "rz", "barrier", "measure", "measure",
+    ]

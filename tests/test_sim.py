@@ -11,6 +11,7 @@ from bqaoa.device import DeviceModel, EdgeCalibration, GateFlavor, QubitCalibrat
 from bqaoa.errors import (
     DimensionError,
     SingularConfusionError,
+    TooLargeError,
     ValidationError,
 )
 from bqaoa.lower import OptLevel, Polarity
@@ -64,6 +65,18 @@ def test_evolve_matches_statevector_at_zero_scale():
     rho = sim.evolve(lowered, noise)
     psi = cir.statevector(helpers.without_measurements(helpers.flatten(lowered, DEV)))
     assert np.allclose(rho.data, np.outer(psi, psi.conj()), atol=1e-9)
+
+
+def test_evolve_refuses_more_wires_than_the_dense_limit():
+    n = cir.MAX_DENSE_QUBITS + 1
+    edges = tuple(
+        EdgeCalibration(q, q + 1, GateFlavor.DIRECT_CX, 0.006, 245.3) for q in range(n - 1)
+    )
+    line = DeviceModel("line", n, (DEV.qubits[0],) * n, edges)
+    lowered = lower.lower_circuit(CircuitIR(n, (cir.h(0),)), tuple(range(n)), line)
+    noise = sim.NoiseModel.from_device(line, lowered.chain)
+    with pytest.raises(TooLargeError):
+        sim.evolve(lowered, noise)
 
 
 def test_full_depolarizing_gives_mixed_marginals():
