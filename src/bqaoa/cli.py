@@ -1,8 +1,9 @@
 """Command-line front end for the compilation and evaluation pipeline.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible request,
-4 internal invariant breach.  `--seed` falls back to the BQAOA_SEED
-environment variable.  Bitstrings in every output read qubit 0 rightmost.
+4 internal invariant breach.  `--seed` (simulate, benchmark) falls back to
+the BQAOA_SEED environment variable.  Bitstrings in every output read
+qubit 0 rightmost.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ from .qaoa import ParamVector, load_problem
 
 OPT_CHOICES = {level.value: level for level in OptLevel}
 STRATEGY_CHOICES = {s.value: s for s in Strategy}
+#: ``device summarize --format csv``: one table per summary group, its columns
+SUMMARY_CSV_COLUMNS = {
+    "by_flavor": ("count", "mean_cx_error", "mean_cx_duration_ns"),
+    "by_class": (
+        "count", "mean_t1_us", "mean_t2_us", "mean_sx_error", "mean_readout_error"
+    ),
+}
 
 
 def handles_errors(fn):
@@ -143,47 +151,16 @@ def device_summarize(device_path, fmt, output):
     """Mean calibration values per gate flavor and qubit class."""
     dev = load_device(device_path)
     summary = summarize(dev)
-    doc = {
-        "name": dev.name,
-        "num_qubits": dev.num_qubits,
-        "qubit_classes": {
-            str(q): qubit_class(dev, q).value for q in range(dev.num_qubits)
-        },
-        "by_flavor": {
-            flavor.value: {
-                "count": row.count,
-                "mean_cx_error": row.mean_cx_error,
-                "mean_cx_duration_ns": row.mean_cx_duration_ns,
-            }
-            for flavor, row in summary.by_flavor.items()
-        },
-        "by_class": {
-            cls.value: {
-                "count": row.count,
-                "mean_t1_us": row.mean_t1_us,
-                "mean_t2_us": row.mean_t2_us,
-                "mean_sx_error": row.mean_sx_error,
-                "mean_readout_error": row.mean_readout_error,
-            }
-            for cls, row in summary.by_class.items()
-        },
-        "cx_error_reduction_pct": summary.cx_error_reduction_pct,
-        "cx_duration_reduction_pct": summary.cx_duration_reduction_pct,
-    }
     if fmt == "json":
-        _emit(json.dumps(doc, indent=2) + "\n", output)
+        classes = {str(q): qubit_class(dev, q).value for q in range(dev.num_qubits)}
+        doc = {"name": dev.name, "num_qubits": dev.num_qubits, "qubit_classes": classes}
+        _emit(json.dumps(doc | summary, indent=2) + "\n", output)
         return
-    lines = ["group,count,mean_cx_error,mean_cx_duration_ns"]
-    for flavor, row in summary.by_flavor.items():
-        lines.append(
-            f"{flavor.value},{row.count},{row.mean_cx_error!r},{row.mean_cx_duration_ns!r}"
-        )
-    lines.append("group,count,mean_t1_us,mean_t2_us,mean_sx_error,mean_readout_error")
-    for cls, row in summary.by_class.items():
-        lines.append(
-            f"{cls.value},{row.count},{row.mean_t1_us!r},{row.mean_t2_us!r},"
-            f"{row.mean_sx_error!r},{row.mean_readout_error!r}"
-        )
+    lines = []
+    for table, columns in SUMMARY_CSV_COLUMNS.items():
+        lines.append(",".join(("group",) + columns))
+        for group, row in summary[table].items():
+            lines.append(",".join([group] + [repr(row[c]) for c in columns]))
     _emit("\n".join(lines) + "\n", output)
 
 
@@ -354,15 +331,14 @@ def simulate(device_path, problem_path, chain_text, p, gammas, betas, shots,
 @click.option("--p", "p", type=int, default=1, show_default=True)
 @click.option("--grid", type=int, default=8, show_default=True)
 @click.option("--max-evals", type=int, default=20000, show_default=True)
-@seed_option
 @output_option
 @handles_errors
-def optimize_cmd(problem_path, p, grid, max_evals, seed, output):
+def optimize_cmd(problem_path, p, grid, max_evals, output):
     """Noiseless parameter optimization (exact expectations)."""
     if p < 1:
         raise ConfigError(f"--p must be >= 1, got {p}")
     problem = load_problem(problem_path)
-    cfg = OptimizerConfig(max_evals=max_evals, initial_grid=grid, seed=seed)
+    cfg = OptimizerConfig(max_evals=max_evals, initial_grid=grid)
     sweep = opt_mod.optimize_depth_sweep(
         problem.ising, problem.sense, list(range(1, p + 1)), cfg
     )

@@ -1,25 +1,34 @@
 """Bipotent device model: coupling graph, gate flavors and calibration data.
 
-A device file is a JSON calibration snapshot.  Top-level schema::
+A device file is a JSON calibration snapshot.  The loader reads these keys
+(``p`` is a probability in [0, 1]; durations are in ns)::
 
     {
       "name": str,
-      "num_qubits": int,
-      "single_qubit_durations_ns": {"rz": 0, "sx": 32, "x": 32},
-      "qubits": [{"t1_us": .., "t2_us": .., "sx_error": ..,
-                  "readout_error": .., "prob_meas0_prep1": ..,
-                  "prob_meas1_prep0": .., "readout_length_ns": ..}, ...],
+      "num_qubits": int > 0,
+      "single_qubit_durations_ns": {"rz"|"sx"|"x"|"rx"|"ry": >= 0},
+      "cr_scale_model": {"intercept_ns": >= 0, "slope_ns_per_pi": >= 0},
+      "qubits": [{"t1_us": > 0, "t2_us": > 0, "sx_error": p,
+                  "readout_error": p, "prob_meas0_prep1": p,
+                  "prob_meas1_prep0": p, "readout_length_ns": >= 0,
+                  "frequency_ghz": number, "anharmonicity_ghz": number}, ...],
       "edges": [{"control": int, "target": int, "flavor": "ecr"|"direct",
-                 "cx_error": .., "cx_duration_ns": ..,
-                 "flavor_source": "paper"|"assumed"}, ...]
+                 "cx_error": p < 1, "cx_duration_ns": > 0,
+                 "flavor_source": "paper"|"assumed",
+                 "composite_durations_ns":
+                     {"zz"|"cz"|"cz_opt"|"zz_swap"|"zz_swap_opt": > 0}}, ...]
     }
 
-Durations are nanoseconds, errors are fractions (0.0083, not 0.83 %).
-Edges may additionally carry ``composite_durations_ns`` pinning measured
-schedule durations of two-qubit composites (keys ``zz``, ``cz``, ``cz_opt``,
-``zz_swap``, ``zz_swap_opt``); the device may carry a ``cr_scale_model``
-(non-negative ``intercept_ns`` and ``slope_ns_per_pi``) for pulse-scaled
-gates.  Both are optional calibration extras consumed by the lowering rules.
+Errors are fractions (0.0083, not 0.83 %).  Numbers must be finite, and a
+boolean is not a number.  Optional: the two top-level duration objects
+(over ``DEFAULT_SINGLE_QUBIT_DURATIONS_NS``, where a given ``sx`` also sets
+``rx`` and ``ry`` unless they are given, and over ``CrScaleModel``), the
+qubit frequencies, ``flavor_source`` (default "assumed") and the composite
+pins, which the lowering rules prefer to their formulas.  A missing key, an
+unknown duration key or a bad value raises ``ValidationError`` naming the
+field, as do a self-loop, a duplicate edge, an endpoint out of range and a
+``readout_error`` further than ``READOUT_CONSISTENCY_TOL`` from the mean of
+the two prep/meas probabilities.
 """
 
 from __future__ import annotations
@@ -41,12 +50,12 @@ from .errors import (
 )
 
 DEFAULT_SINGLE_QUBIT_DURATIONS_NS = {
-    "rz": 0.0,
-    "sx": 32.0,
-    "x": 32.0,
-    "rx": 32.0,
-    "ry": 32.0,
+    "rz": 0.0, "sx": 32.0, "x": 32.0, "rx": 32.0, "ry": 32.0,
 }
+
+#: Keys an edge's ``composite_durations_ns`` may pin; each names a
+#: duration the lowering rules read.
+COMPOSITE_PIN_KEYS = ("zz", "cz", "cz_opt", "zz_swap", "zz_swap_opt")
 
 #: Consistency tolerance between readout_error and the two prep/meas
 #: probabilities (files round to two decimals in percent).
@@ -93,8 +102,6 @@ class QubitCalibration:
     prob_meas0_prep1: float
     prob_meas1_prep0: float
     readout_length_ns: float
-    frequency_ghz: float | None = None
-    anharmonicity_ghz: float | None = None
 
 
 @dataclass(frozen=True)
@@ -164,192 +171,125 @@ class DeviceModel:
             raise EmptyDeviceError("device has no edges")
         return math.fsum(e.cx_error for e in self.edges) / len(self.edges)
 
-    def to_dict(self) -> dict:
-        """Serialize back to the device JSON schema."""
-        doc: dict = {
-            "name": self.name,
-            "num_qubits": self.num_qubits,
-            "single_qubit_durations_ns": dict(self.single_qubit_durations_ns),
-            "cr_scale_model": {
-                "intercept_ns": self.cr_scale.intercept_ns,
-                "slope_ns_per_pi": self.cr_scale.slope_ns_per_pi,
-            },
-            "qubits": [],
-            "edges": [],
-        }
-        for q in self.qubits:
-            entry = {
-                "t1_us": q.t1_us,
-                "t2_us": q.t2_us,
-                "sx_error": q.sx_error,
-                "readout_error": q.readout_error,
-                "prob_meas0_prep1": q.prob_meas0_prep1,
-                "prob_meas1_prep0": q.prob_meas1_prep0,
-                "readout_length_ns": q.readout_length_ns,
-            }
-            if q.frequency_ghz is not None:
-                entry["frequency_ghz"] = q.frequency_ghz
-            if q.anharmonicity_ghz is not None:
-                entry["anharmonicity_ghz"] = q.anharmonicity_ghz
-            doc["qubits"].append(entry)
-        for e in self.edges:
-            entry = {
-                "control": e.control,
-                "target": e.target,
-                "flavor": e.flavor.value,
-                "cx_error": e.cx_error,
-                "cx_duration_ns": e.cx_duration_ns,
-                "flavor_source": e.flavor_source,
-            }
-            if e.composite_durations_ns:
-                entry["composite_durations_ns"] = dict(e.composite_durations_ns)
-            doc["edges"].append(entry)
-        return doc
-
-
-@dataclass(frozen=True)
-class FlavorSummary:
-    count: int
-    mean_cx_error: float
-    mean_cx_duration_ns: float
-
-
-@dataclass(frozen=True)
-class ClassSummary:
-    count: int
-    mean_t1_us: float
-    mean_t2_us: float
-    mean_sx_error: float
-    mean_readout_error: float
-
-
-@dataclass(frozen=True)
-class DeviceSummary:
-    """Arithmetic means grouped by edge flavor and qubit class."""
-
-    by_flavor: dict[GateFlavor, FlavorSummary]
-    by_class: dict[QubitClass, ClassSummary]
-    #: (ecr - direct) / ecr, as percentages; None unless both flavors present.
-    cx_error_reduction_pct: float | None
-    cx_duration_reduction_pct: float | None
-
 
 def _require(condition: bool, field_name: str, message: str) -> None:
     if not condition:
         raise ValidationError(f"{field_name}: {message}")
 
 
-def _probability(value: float, field_name: str) -> float:
+def _positive(value, field_name: str) -> float:
+    value = as_float(value, field_name)
+    _require(value > 0, field_name, f"must be positive, got {value}")
+    return value
+
+
+def _non_negative(value, field_name: str) -> float:
+    value = as_float(value, field_name)
+    _require(value >= 0, field_name, f"must be non-negative, got {value}")
+    return value
+
+
+def _probability(value, field_name: str) -> float:
     value = as_float(value, field_name)
     _require(0.0 <= value <= 1.0, field_name, f"probability {value} not in [0, 1]")
     return value
 
 
-def _optional_finite(entry: dict, key: str, prefix: str) -> float | None:
-    return as_float(entry[key], f"{prefix}.{key}") if key in entry else None
-
-
-def _parse_qubit(entry: dict, index: int) -> QubitCalibration:
-    prefix = f"qubits[{index}]"
-    entry = as_object(entry, prefix)
+def _flavor(value, field_name: str) -> GateFlavor:
     try:
-        t1 = as_float(entry["t1_us"], f"{prefix}.t1_us")
-        t2 = as_float(entry["t2_us"], f"{prefix}.t2_us")
-        sx_error = _probability(entry["sx_error"], f"{prefix}.sx_error")
-        readout_error = _probability(entry["readout_error"], f"{prefix}.readout_error")
-        p01 = _probability(entry["prob_meas0_prep1"], f"{prefix}.prob_meas0_prep1")
-        p10 = _probability(entry["prob_meas1_prep0"], f"{prefix}.prob_meas1_prep0")
-        readout_length = as_float(
-            entry["readout_length_ns"], f"{prefix}.readout_length_ns"
-        )
-    except KeyError as exc:
-        raise ValidationError(f"{prefix}: missing field {exc.args[0]!r}") from exc
-    _require(t1 > 0, f"{prefix}.t1_us", f"must be positive, got {t1}")
-    _require(t2 > 0, f"{prefix}.t2_us", f"must be positive, got {t2}")
+        return GateFlavor(value)
+    except ValueError:
+        message = f"{field_name}: {value!r} is not 'ecr' or 'direct'"
+        raise ValidationError(message) from None
+
+
+#: Required keys of a qubit entry, each with the check that coerces it.
+_QUBIT_FIELDS = {
+    "t1_us": _positive,
+    "t2_us": _positive,
+    "sx_error": _probability,
+    "readout_error": _probability,
+    "prob_meas0_prep1": _probability,
+    "prob_meas1_prep0": _probability,
+    "readout_length_ns": _non_negative,
+}
+
+#: Required keys of an edge entry, each with the check that coerces it.
+_EDGE_FIELDS = {
+    "control": as_int,
+    "target": as_int,
+    "flavor": _flavor,
+    "cx_error": _probability,
+    "cx_duration_ns": _positive,
+}
+
+
+def _fields(entry, prefix: str, table: dict) -> dict:
+    """The table's keys of one document object, each coerced by its check."""
+    entry = as_object(entry, prefix)
+    values = {}
+    for key, check in table.items():
+        if key not in entry:
+            raise ValidationError(f"{prefix}: missing field {key!r}")
+        values[key] = check(entry[key], f"{prefix}.{key}")
+    return values
+
+
+def _durations(doc, field_name: str, keys, check) -> dict[str, float]:
+    """A map of named durations, each key one of ``keys``."""
+    values = {}
+    for key, value in as_object(doc, field_name).items():
+        item = f"{field_name}[{key}]"
+        _require(key in keys, item, f"unknown key, expected one of {', '.join(keys)}")
+        values[key] = check(value, item)
+    return values
+
+
+def _parse_qubit(entry, index: int) -> QubitCalibration:
+    prefix = f"qubits[{index}]"
+    fields = _fields(entry, prefix, _QUBIT_FIELDS)
+    readout_error = fields["readout_error"]
+    mean = (fields["prob_meas0_prep1"] + fields["prob_meas1_prep0"]) / 2.0
     _require(
-        readout_length >= 0,
-        f"{prefix}.readout_length_ns",
-        f"must be non-negative, got {readout_length}",
-    )
-    _require(
-        abs(readout_error - (p01 + p10) / 2.0) <= READOUT_CONSISTENCY_TOL,
+        abs(readout_error - mean) <= READOUT_CONSISTENCY_TOL,
         f"{prefix}.readout_error",
         f"{readout_error} not within {READOUT_CONSISTENCY_TOL} of "
-        f"mean(prob_meas0_prep1, prob_meas1_prep0) = {(p01 + p10) / 2.0}",
+        f"mean(prob_meas0_prep1, prob_meas1_prep0) = {mean}",
     )
-    return QubitCalibration(
-        t1_us=t1,
-        t2_us=t2,
-        sx_error=sx_error,
-        readout_error=readout_error,
-        prob_meas0_prep1=p01,
-        prob_meas1_prep0=p10,
-        readout_length_ns=readout_length,
-        frequency_ghz=_optional_finite(entry, "frequency_ghz", prefix),
-        anharmonicity_ghz=_optional_finite(entry, "anharmonicity_ghz", prefix),
-    )
+    for key in ("frequency_ghz", "anharmonicity_ghz"):  # informational, not kept
+        if key in entry:
+            as_float(entry[key], f"{prefix}.{key}")
+    return QubitCalibration(**fields)
 
 
-def _parse_edge(entry: dict, index: int, num_qubits: int) -> EdgeCalibration:
+def _parse_edge(entry, index: int, num_qubits: int) -> EdgeCalibration:
     prefix = f"edges[{index}]"
-    entry = as_object(entry, prefix)
-    try:
-        control = as_int(entry["control"], f"{prefix}.control")
-        target = as_int(entry["target"], f"{prefix}.target")
-        flavor_str = entry["flavor"]
-        cx_error = as_float(entry["cx_error"], f"{prefix}.cx_error")
-        cx_duration = as_float(entry["cx_duration_ns"], f"{prefix}.cx_duration_ns")
-    except KeyError as exc:
-        raise ValidationError(f"{prefix}: missing field {exc.args[0]!r}") from exc
-    try:
-        flavor = GateFlavor(flavor_str)
-    except ValueError:
-        raise ValidationError(
-            f"{prefix}.flavor: {flavor_str!r} is not 'ecr' or 'direct'"
-        ) from None
-    _require(
-        control != target, f"{prefix}", f"self-loop on qubit {control}"
-    )
+    fields = _fields(entry, prefix, _EDGE_FIELDS)
+    control, target, cx_error = fields["control"], fields["target"], fields["cx_error"]
+    _require(control != target, prefix, f"self-loop on qubit {control}")
     for name, q in (("control", control), ("target", target)):
         _require(
             0 <= q < num_qubits,
             f"{prefix}.{name}",
             f"qubit {q} out of range for {num_qubits}-qubit device",
         )
-    _probability(cx_error, f"{prefix}.cx_error")
     _require(cx_error < 1.0, f"{prefix}.cx_error", f"must be < 1, got {cx_error}")
-    _require(
-        cx_duration > 0,
-        f"{prefix}.cx_duration_ns",
-        f"must be positive, got {cx_duration}",
-    )
     flavor_source = entry.get("flavor_source", "assumed")
     _require(
         flavor_source in ("paper", "assumed"),
         f"{prefix}.flavor_source",
         f"must be 'paper' or 'assumed', got {flavor_source!r}",
     )
-    pins = as_object(
-        entry.get("composite_durations_ns", {}), f"{prefix}.composite_durations_ns"
+    pins = _durations(
+        entry.get("composite_durations_ns", {}),
+        f"{prefix}.composite_durations_ns",
+        COMPOSITE_PIN_KEYS,
+        _positive,
     )
-    composites = {
-        key: as_float(value, f"{prefix}.composite_durations_ns[{key}]")
-        for key, value in pins.items()
-    }
-    for key, value in composites.items():
-        _require(
-            value > 0,
-            f"{prefix}.composite_durations_ns[{key}]",
-            f"must be positive, got {value}",
-        )
     return EdgeCalibration(
-        control=control,
-        target=target,
-        flavor=flavor,
-        cx_error=cx_error,
-        cx_duration_ns=cx_duration,
+        **fields,
         flavor_source=flavor_source,
-        composite_durations_ns=tuple(sorted(composites.items())),
+        composite_durations_ns=tuple(sorted(pins.items())),
     )
 
 
@@ -358,12 +298,13 @@ def device_from_dict(doc: dict) -> DeviceModel:
     if not isinstance(doc, dict):
         raise ParseError("device document must be a JSON object")
     try:
-        name = str(doc["name"])
+        name = doc["name"]
         num_qubits = as_int(doc["num_qubits"], "num_qubits")
         qubit_entries = as_list(doc["qubits"], "qubits")
         edge_entries = as_list(doc["edges"], "edges")
     except KeyError as exc:
         raise ValidationError(f"missing top-level field {exc.args[0]!r}") from exc
+    _require(isinstance(name, str), "name", f"expected a string, got {name!r}")
     _require(num_qubits > 0, "num_qubits", f"must be positive, got {num_qubits}")
     _require(
         len(qubit_entries) == num_qubits,
@@ -383,31 +324,25 @@ def device_from_dict(doc: dict) -> DeviceModel:
         )
         seen.add(edge.pair)
 
-    durations = dict(DEFAULT_SINGLE_QUBIT_DURATIONS_NS)
-    given = as_object(
-        doc.get("single_qubit_durations_ns", {}), "single_qubit_durations_ns"
+    given = _durations(
+        doc.get("single_qubit_durations_ns", {}),
+        "single_qubit_durations_ns",
+        DEFAULT_SINGLE_QUBIT_DURATIONS_NS,
+        _non_negative,
     )
-    for key, value in given.items():
-        value = as_float(value, f"single_qubit_durations_ns[{key}]")
-        _require(
-            value >= 0,
-            f"single_qubit_durations_ns[{key}]",
-            f"must be non-negative, got {value}",
-        )
-        durations[key] = value
-        if key == "sx":
-            # rx/ry track sx unless given explicitly.
-            for alias in ("rx", "ry"):
-                if alias not in given:
-                    durations[alias] = value
+    durations = dict(DEFAULT_SINGLE_QUBIT_DURATIONS_NS)
+    if "sx" in given:
+        # rx/ry track sx unless given explicitly.
+        durations |= {"rx": given["sx"], "ry": given["sx"]}
+    durations |= given
 
     scale_doc = as_object(doc.get("cr_scale_model", {}), "cr_scale_model")
-    scale = {}
-    for key in ("intercept_ns", "slope_ns_per_pi"):
-        field_name = f"cr_scale_model.{key}"
-        value = as_float(scale_doc.get(key, getattr(CrScaleModel, key)), field_name)
-        _require(value >= 0, field_name, f"must be non-negative, got {value}")
-        scale[key] = value
+    scale = {
+        key: _non_negative(
+            scale_doc.get(key, getattr(CrScaleModel, key)), f"cr_scale_model.{key}"
+        )
+        for key in ("intercept_ns", "slope_ns_per_pi")
+    }
     return DeviceModel(
         name=name,
         num_qubits=num_qubits,
@@ -426,11 +361,11 @@ def load_device(path: str | Path) -> DeviceModel:
     """
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ParseError(f"cannot read device file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a number too long to convert
         raise ParseError(f"malformed device JSON in {path}: {exc}") from exc
     return device_from_dict(doc)
 
@@ -449,56 +384,47 @@ def qubit_class(dev: DeviceModel, q: int) -> QubitClass:
     return QubitClass.Q_BIPOTENT
 
 
-def summarize(dev: DeviceModel) -> DeviceSummary:
-    """Arithmetic means of calibration data per gate flavor and qubit class."""
+def _group_means(items, groups, kinds, keys: tuple[str, ...]) -> dict:
+    """Per kind with members, in enum order and keyed by its value: the
+    member count and the arithmetic mean of each key, as ``mean_<key>``."""
+    table = {}
+    for kind in kinds:
+        members = [item for item, group in zip(items, groups) if group is kind]
+        if members:
+            count = len(members)
+            table[kind.value] = {"count": count} | {
+                f"mean_{key}": math.fsum(getattr(m, key) for m in members) / count
+                for key in keys
+            }
+    return table
+
+
+def summarize(dev: DeviceModel) -> dict:
+    """Arithmetic means of calibration data per gate flavor and qubit class,
+    as ``device summarize`` prints them.
+
+    The reductions are (ecr - direct) / ecr of the flavor means in percent,
+    or None unless both flavors are present and the ecr mean is positive.
+    """
     if dev.num_qubits == 0 or not dev.qubits:
         raise EmptyDeviceError("cannot summarize an empty device")
-
-    by_flavor: dict[GateFlavor, FlavorSummary] = {}
-    for flavor in GateFlavor:
-        members = [e for e in dev.edges if e.flavor is flavor]
-        if not members:
-            continue
-        by_flavor[flavor] = FlavorSummary(
-            count=len(members),
-            mean_cx_error=math.fsum(e.cx_error for e in members) / len(members),
-            mean_cx_duration_ns=math.fsum(e.cx_duration_ns for e in members)
-            / len(members),
-        )
-
-    by_class: dict[QubitClass, ClassSummary] = {}
-    for cls in QubitClass:
-        members = [
-            q for i, q in enumerate(dev.qubits) if qubit_class(dev, i) is cls
-        ]
-        if not members:
-            continue
-        by_class[cls] = ClassSummary(
-            count=len(members),
-            mean_t1_us=math.fsum(q.t1_us for q in members) / len(members),
-            mean_t2_us=math.fsum(q.t2_us for q in members) / len(members),
-            mean_sx_error=math.fsum(q.sx_error for q in members) / len(members),
-            mean_readout_error=math.fsum(q.readout_error for q in members)
-            / len(members),
-        )
-
-    error_reduction = duration_reduction = None
-    if GateFlavor.ECR_CX in by_flavor and GateFlavor.DIRECT_CX in by_flavor:
-        ecr = by_flavor[GateFlavor.ECR_CX]
-        direct = by_flavor[GateFlavor.DIRECT_CX]
-        if ecr.mean_cx_error > 0:
-            error_reduction = (
-                100.0 * (ecr.mean_cx_error - direct.mean_cx_error) / ecr.mean_cx_error
-            )
-        duration_reduction = (
-            100.0
-            * (ecr.mean_cx_duration_ns - direct.mean_cx_duration_ns)
-            / ecr.mean_cx_duration_ns
-        )
-
-    return DeviceSummary(
-        by_flavor=by_flavor,
-        by_class=by_class,
-        cx_error_reduction_pct=error_reduction,
-        cx_duration_reduction_pct=duration_reduction,
+    classes = [qubit_class(dev, i) for i in range(len(dev.qubits))]
+    by_flavor = _group_means(
+        dev.edges, [e.flavor for e in dev.edges], GateFlavor,
+        ("cx_error", "cx_duration_ns"),
     )
+    summary = {
+        "by_flavor": by_flavor,
+        "by_class": _group_means(
+            dev.qubits, classes, QubitClass,
+            ("t1_us", "t2_us", "sx_error", "readout_error"),
+        ),
+    }
+    ecr, direct = by_flavor.get("ecr"), by_flavor.get("direct")
+    pairs = (("cx_error", "mean_cx_error"), ("cx_duration", "mean_cx_duration_ns"))
+    for name, key in pairs:
+        reduction = None
+        if ecr and direct and ecr[key] > 0:
+            reduction = 100.0 * (ecr[key] - direct[key]) / ecr[key]
+        summary[f"{name}_reduction_pct"] = reduction
+    return summary

@@ -4,7 +4,7 @@ Grouped by how the CLI maps them to exit codes: configuration problems
 (exit 2), infeasible requests (exit 3), everything else unexpected (exit 4).
 The loaders coerce document fields with ``as_float``, ``as_int``,
 ``as_list`` and ``as_object``, which raise ``ValidationError`` naming the
-field.
+field.  A boolean is not a number to them, though Python counts it as one.
 """
 
 import math
@@ -28,10 +28,11 @@ class ValidationError(BqaoaError):
 def as_float(value, field_name: str) -> float:
     """The field as a finite float, or a ValidationError naming it."""
     try:
-        number = float(value)
-    except (TypeError, ValueError):
-        message = f"{field_name}: expected a number, got {value!r}"
-        raise ValidationError(message) from None
+        number = None if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None:
+        raise ValidationError(f"{field_name}: expected a number, got {value!r}")
     if not math.isfinite(number):
         raise ValidationError(f"{field_name}: must be finite, got {number}")
     return number
@@ -40,7 +41,7 @@ def as_float(value, field_name: str) -> float:
 def as_int(value, field_name: str) -> int:
     """The field as an integer (``3``, ``3.0``, ``"3"``), or a ValidationError."""
     try:
-        number = int(value)
+        number = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or (isinstance(value, float) and value != number):

@@ -33,6 +33,11 @@ from .errors import (
 )
 
 MAX_ENUMERATION_QUBITS = 20
+#: Largest MaxCut node count a problem document may state.  The count is a
+#: number, not a list of nodes, so nothing else in the document bounds it,
+#: and the encoding allocates per node and the swap network n(n-1)/2 gates
+#: per QAOA layer.  No device the pipeline maps onto comes near this many qubits.
+MAX_MAXCUT_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -381,6 +386,9 @@ def problem_from_dict(doc: dict, label: str = "problem") -> ProblemFile:
     if kind == "maxcut":
         try:
             n = as_int(doc["n"], "n")
+            if not 1 <= n <= MAX_MAXCUT_NODES:
+                message = f"n: {doc['n']!r} not in 1..{MAX_MAXCUT_NODES}"
+                raise ValidationError(message)
             edges = set()
             for k, edge in enumerate(as_list(doc["edges"], "edges")):
                 pair = as_list(edge, f"edges[{k}]")
@@ -403,6 +411,6 @@ def load_problem(path: str | Path) -> ProblemFile:
         doc = json.loads(path.read_text())
     except OSError as exc:
         raise ParseError(f"cannot read problem file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a number too long to convert
         raise ParseError(f"malformed problem JSON in {path}: {exc}") from exc
     return problem_from_dict(doc, label=path.stem)

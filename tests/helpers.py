@@ -3,9 +3,7 @@ phase-insensitive equality, the hardware-gate expansion of lowered units,
 and small conveniences nothing in the package needs.  Unlike ``oracles``,
 this module imports ``bqaoa``."""
 
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -160,10 +158,6 @@ def density_from_statevector(psi) -> sim.DensityMatrix:
     psi = np.asarray(psi, dtype=complex)
     n = int(round(np.log2(psi.size)))
     return sim.DensityMatrix(n, np.outer(psi, psi.conj()))
-
-
-def save_device(dev, path) -> None:
-    Path(path).write_text(json.dumps(dev.to_dict(), indent=2) + "\n")
 
 
 def final_wire_to_logical(c: CircuitIR) -> tuple[int, ...]:

@@ -101,14 +101,14 @@ def test_criterion_03_duration_table_exact():
 def test_criterion_04_flavor_means_table():
     dev = device.load_device(data_path("ehningen_table1.json"))
     summary = device.summarize(dev)
-    ecr = summary.by_flavor[GateFlavor.ECR_CX]
-    direct = summary.by_flavor[GateFlavor.DIRECT_CX]
-    assert 100 * ecr.mean_cx_error == pytest.approx(0.83, abs=0.01)
-    assert ecr.mean_cx_duration_ns == pytest.approx(382.22, abs=0.01)
-    assert 100 * direct.mean_cx_error == pytest.approx(0.79, abs=0.01)
-    assert direct.mean_cx_duration_ns == pytest.approx(256.89, abs=0.01)
-    assert summary.cx_error_reduction_pct == pytest.approx(4.82, abs=0.01)
-    assert summary.cx_duration_reduction_pct == pytest.approx(32.79, abs=0.01)
+    ecr = summary["by_flavor"]["ecr"]
+    direct = summary["by_flavor"]["direct"]
+    assert 100 * ecr["mean_cx_error"] == pytest.approx(0.83, abs=0.01)
+    assert ecr["mean_cx_duration_ns"] == pytest.approx(382.22, abs=0.01)
+    assert 100 * direct["mean_cx_error"] == pytest.approx(0.79, abs=0.01)
+    assert direct["mean_cx_duration_ns"] == pytest.approx(256.89, abs=0.01)
+    assert summary["cx_error_reduction_pct"] == pytest.approx(4.82, abs=0.01)
+    assert summary["cx_duration_reduction_pct"] == pytest.approx(32.79, abs=0.01)
 
 
 @pytest.fixture(scope="module")

@@ -37,14 +37,65 @@ def two_asset_problem(tmp_path):
     return str(path)
 
 
+TABLE1_SUMMARY_JSON = """\
+{
+  "name": "ehningen_flavor_means",
+  "num_qubits": 4,
+  "qubit_classes": {
+    "0": "ecr",
+    "1": "ecr",
+    "2": "direct",
+    "3": "direct"
+  },
+  "by_flavor": {
+    "ecr": {
+      "count": 1,
+      "mean_cx_error": 0.0083,
+      "mean_cx_duration_ns": 382.22
+    },
+    "direct": {
+      "count": 1,
+      "mean_cx_error": 0.0079,
+      "mean_cx_duration_ns": 256.89
+    }
+  },
+  "by_class": {
+    "ecr": {
+      "count": 2,
+      "mean_t1_us": 150.0,
+      "mean_t2_us": 150.0,
+      "mean_sx_error": 0.0002,
+      "mean_readout_error": 0.01
+    },
+    "direct": {
+      "count": 2,
+      "mean_t1_us": 150.0,
+      "mean_t2_us": 150.0,
+      "mean_sx_error": 0.0002,
+      "mean_readout_error": 0.01
+    }
+  },
+  "cx_error_reduction_pct": 4.8192771084337265,
+  "cx_duration_reduction_pct": 32.79001622102455
+}
+"""
+
+TABLE1_SUMMARY_CSV = """\
+group,count,mean_cx_error,mean_cx_duration_ns
+ecr,1,0.0083,382.22
+direct,1,0.0079,256.89
+group,count,mean_t1_us,mean_t2_us,mean_sx_error,mean_readout_error
+ecr,2,150.0,150.0,0.0002,0.01
+direct,2,150.0,150.0,0.0002,0.01
+"""
+
+
 def test_device_summarize_json(runner):
     result = runner.invoke(
         main, ["device", "summarize", str(data_path("ehningen_table1.json"))]
     )
     assert result.exit_code == 0
-    doc = json.loads(result.output)
-    assert doc["by_flavor"]["ecr"]["mean_cx_duration_ns"] == pytest.approx(382.22)
-    assert doc["cx_duration_reduction_pct"] == pytest.approx(32.79, abs=0.01)
+    assert result.output == TABLE1_SUMMARY_JSON
 
 
 def test_chains_select_json(runner):
@@ -142,6 +193,20 @@ def test_config_error_exits_2(runner, tmp_path):
         # a negative model would schedule pulse units of negative duration
         (fragment | {"cr_scale_model": {"intercept_ns": -500}}, "cr_scale_model.intercept_ns"),
         (fragment | {"cr_scale_model": {"slope_ns_per_pi": -1}}, "cr_scale_model.slope_ns_per_pi"),
+        # a boolean is not a number, and a name is a string
+        (fragment | {"qubits": [fragment["qubits"][0] | {"t1_us": True}]
+                     + fragment["qubits"][1:]}, "qubits[0].t1_us"),
+        (fragment | {"edges": [fragment["edges"][0] | {"control": True}]}, "edges[0].control"),
+        (fragment | {"name": {"a": 1}}, "name"),
+        (fragment | {"name": None}, "name"),
+        (fragment | {"name": 1.5}, "name"),
+        # a duration key no rule reads would silently do nothing
+        (
+            fragment
+            | {"edges": [fragment["edges"][0] | {"composite_durations_ns": {"zzswap": 900}}]},
+            "edges[0].composite_durations_ns[zzswap]",
+        ),
+        (fragment | {"single_qubit_durations_ns": {"foo": 1}}, "single_qubit_durations_ns[foo]"),
     ]
     for k, (doc, name) in enumerate(bad_devices):
         path = tmp_path / f"bad_device_{k}.json"
@@ -149,6 +214,17 @@ def test_config_error_exits_2(runner, tmp_path):
         result = runner.invoke(main, ["device", "summarize", str(path)])
         assert result.exit_code == 2, (name, result.output)
         assert f"{name}:" in result.output
+    # a number too long to convert, or bytes that are not UTF-8, are a bad
+    # file, not an internal error
+    long_number = tmp_path / "long_number.json"
+    long_number.write_text('{"type": "maxcut", "num_qubits": ' + "1" * 5000 + "}")
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'\xff\xfe{"type": "maxcut"}')
+    for path in (long_number, not_utf8):
+        for command in (["device", "summarize"], ["optimize", "--problem"]):
+            result = runner.invoke(main, command + [str(path)])
+            assert result.exit_code == 2, (path.name, result.output)
+            assert str(path) in result.output
     for option in ("--gammas", "--betas"):
         result = runner.invoke(
             main, ["circuit", "build", "--problem", K5, "--p", "1", option, "abc"]
@@ -184,6 +260,11 @@ def test_config_error_exits_2(runner, tmp_path):
         (maxcut, "n", "five", "n"),
         (maxcut, "edges", [[0, 1], [0, 2, 3]], "edges[1]"),
         (maxcut, "edges", [[0, "x"]], "edges[0][1]"),
+        (portopt, "B", True, "B"),
+        (portopt, "q", False, "q"),
+        (maxcut, "n", 1e300, "n"),
+        (maxcut, "n", 1e12, "n"),
+        (maxcut, "n", -1, "n"),
     ]
     for k, (doc, field, value, name) in enumerate(bad_problems):
         path = tmp_path / f"bad_problem_{k}.json"
@@ -413,6 +494,4 @@ def test_device_summarize_csv(runner):
          "--format", "csv"],
     )
     assert result.exit_code == 0
-    lines = result.output.strip().splitlines()
-    assert lines[0].startswith("group,count,mean_cx_error")
-    assert any(line.startswith("ecr,") for line in lines)
+    assert result.output == TABLE1_SUMMARY_CSV

@@ -1,6 +1,5 @@
 import pytest
 
-import helpers
 from bqaoa import data_path
 from bqaoa.device import (
     DeviceModel,
@@ -103,13 +102,6 @@ def test_malformed_file_is_parse_error(tmp_path):
         load_device(tmp_path / "missing.json")
 
 
-def test_round_trip_serialization(tmp_path, ehningen):
-    out = tmp_path / "copy.json"
-    helpers.save_device(ehningen, out)
-    again = load_device(out)
-    assert again == ehningen
-
-
 def test_qubit_class_fragment(fragment):
     assert qubit_class(fragment, 0) is QubitClass.Q_ECR
     assert qubit_class(fragment, 1) is QubitClass.Q_BIPOTENT
@@ -129,23 +121,23 @@ def test_qubit_class_partitions(ehningen):
 def test_summarize_flavor_means():
     dev = load_device(data_path("ehningen_table1.json"))
     summary = summarize(dev)
-    ecr = summary.by_flavor[GateFlavor.ECR_CX]
-    direct = summary.by_flavor[GateFlavor.DIRECT_CX]
-    assert ecr.mean_cx_error == pytest.approx(0.0083)
-    assert ecr.mean_cx_duration_ns == pytest.approx(382.22)
-    assert direct.mean_cx_error == pytest.approx(0.0079)
-    assert direct.mean_cx_duration_ns == pytest.approx(256.89)
-    assert summary.cx_error_reduction_pct == pytest.approx(4.82, abs=0.01)
-    assert summary.cx_duration_reduction_pct == pytest.approx(32.79, abs=0.01)
+    ecr = summary["by_flavor"]["ecr"]
+    direct = summary["by_flavor"]["direct"]
+    assert ecr["mean_cx_error"] == pytest.approx(0.0083)
+    assert ecr["mean_cx_duration_ns"] == pytest.approx(382.22)
+    assert direct["mean_cx_error"] == pytest.approx(0.0079)
+    assert direct["mean_cx_duration_ns"] == pytest.approx(256.89)
+    assert summary["cx_error_reduction_pct"] == pytest.approx(4.82, abs=0.01)
+    assert summary["cx_duration_reduction_pct"] == pytest.approx(32.79, abs=0.01)
 
 
 def test_summarize_single_edge_equals_edge_values():
     dev = device_from_dict(minimal_doc())
     summary = summarize(dev)
-    row = summary.by_flavor[GateFlavor.ECR_CX]
-    assert row.mean_cx_error == 0.008
-    assert row.mean_cx_duration_ns == 320.0
-    assert GateFlavor.DIRECT_CX not in summary.by_flavor
+    row = summary["by_flavor"]["ecr"]
+    assert row["mean_cx_error"] == 0.008
+    assert row["mean_cx_duration_ns"] == 320.0
+    assert "direct" not in summary["by_flavor"]
 
 
 def test_summarize_matches_hand_means():
@@ -162,13 +154,13 @@ def test_summarize_matches_hand_means():
          "cx_duration_ns": 250.0},
     ]
     summary = summarize(device_from_dict(doc))
-    assert summary.by_flavor[GateFlavor.ECR_CX].mean_cx_error == pytest.approx(0.007)
-    assert summary.by_flavor[GateFlavor.ECR_CX].mean_cx_duration_ns == pytest.approx(350.0)
+    assert summary["by_flavor"]["ecr"]["mean_cx_error"] == pytest.approx(0.007)
+    assert summary["by_flavor"]["ecr"]["mean_cx_duration_ns"] == pytest.approx(350.0)
     # qubit 2 touches both flavors; 0 and 1 are ecr-only, 3 direct-only
-    assert summary.by_class[QubitClass.Q_BIPOTENT].count == 1
-    assert summary.by_class[QubitClass.Q_BIPOTENT].mean_t1_us == pytest.approx(180.0)
-    assert summary.by_class[QubitClass.Q_ECR].mean_t1_us == pytest.approx(120.0)
-    assert summary.by_class[QubitClass.Q_DIRECT].mean_t1_us == pytest.approx(220.0)
+    assert summary["by_class"]["bipotent"]["count"] == 1
+    assert summary["by_class"]["bipotent"]["mean_t1_us"] == pytest.approx(180.0)
+    assert summary["by_class"]["ecr"]["mean_t1_us"] == pytest.approx(120.0)
+    assert summary["by_class"]["direct"]["mean_t1_us"] == pytest.approx(220.0)
 
 
 def test_summarize_permutation_invariant(ehningen):
@@ -180,7 +172,7 @@ def test_summarize_permutation_invariant(ehningen):
         single_qubit_durations_ns=ehningen.single_qubit_durations_ns,
         cr_scale=ehningen.cr_scale,
     )
-    assert summarize(shuffled).by_flavor == summarize(ehningen).by_flavor
+    assert summarize(shuffled)["by_flavor"] == summarize(ehningen)["by_flavor"]
 
 
 def test_summarize_empty_device():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -99,6 +100,26 @@ def test_zz_opt_duration_cap():
         DEV.single_qubit_durations_ns, CrScaleModel(64.0, 10000.0)
     )
     assert lower.zz_opt_duration(math.pi, ECR, capped_dev) == 640.0
+
+
+@pytest.mark.parametrize("key", device.COMPOSITE_PIN_KEYS)
+def test_every_accepted_pin_key_changes_a_rule(key):
+    # the loader accepts exactly the pins that some lowering rule reads
+    doc = json.loads(data_path("ehningen_fragment.json").read_text())
+    plain = device.device_from_dict(doc)
+    assert not plain.edge_between(1, 0).composite_durations_ns
+    doc["edges"][0]["composite_durations_ns"] = {key: 1234.5}
+    pinned = device.device_from_dict(doc)
+
+    def durations(dev):
+        edge = dev.edge_between(1, 0)
+        return [
+            helpers.two_qubit_unit(target, 0.7, edge, dev, opt).duration_ns
+            for target in TWO_QUBIT_TARGETS
+            for opt in OptLevel
+        ]
+
+    assert durations(pinned) != durations(plain)
 
 
 def test_angle_wrapping_bounds_pulse_duration():
