@@ -101,10 +101,13 @@ def _parse_angles(
     return values
 
 
-def _parse_params(p: int, gammas: str | None, betas: str | None) -> ParamVector:
-    """Angles from ``--gammas``/``--betas``; 0.5 and 0.3 per layer by default."""
+def _built(problem_path, p: int, gammas: str | None, betas: str | None):
+    """The problem file and its swap network at the angles of ``--gammas``
+    and ``--betas`` (0.5 and 0.3 per layer by default)."""
+    problem = load_problem(problem_path)
     gamma_values = _parse_angles(gammas, p, 0.5, "--gammas")
-    return ParamVector(gamma_values, _parse_angles(betas, p, 0.3, "--betas"))
+    params = ParamVector(gamma_values, _parse_angles(betas, p, 0.3, "--betas"))
+    return problem, qaoa.build_swap_network(problem.ising, params)
 
 
 def _parse_chain(text: str) -> tuple[int, ...]:
@@ -203,9 +206,7 @@ def circuit() -> None:
 @handles_errors
 def circuit_build(problem_path, p, gammas, betas, output):
     """Build the swap-network circuit and dump it as text."""
-    problem = load_problem(problem_path)
-    params = _parse_params(p, gammas, betas)
-    circ = qaoa.build_swap_network(problem.ising, params)
+    _, circ = _built(problem_path, p, gammas, betas)
     _emit(cir.to_text(circ), output)
 
 
@@ -222,9 +223,7 @@ def circuit_build(problem_path, p, gammas, betas, output):
 def circuit_lower(device_path, problem_path, chain_text, p, gammas, betas, opt_name, output):
     """Lower the built circuit onto a chain; emit the lowering report."""
     dev = load_device(device_path)
-    problem = load_problem(problem_path)
-    params = _parse_params(p, gammas, betas)
-    circ = qaoa.build_swap_network(problem.ising, params)
+    _, circ = _built(problem_path, p, gammas, betas)
     lowered = lower_circuit(circ, _parse_chain(chain_text), dev, OPT_CHOICES[opt_name])
     doc = {
         "chain": list(lowered.chain),
@@ -254,9 +253,7 @@ def circuit_lower(device_path, problem_path, chain_text, p, gammas, betas, opt_n
 def estimate(device_path, problem_path, strategy, chain_text, p, gammas, betas, opt_name, output):
     """Duration, CX count and fidelity score of the lowered circuit."""
     dev = load_device(device_path)
-    problem = load_problem(problem_path)
-    params = _parse_params(p, gammas, betas)
-    circ = qaoa.build_swap_network(problem.ising, params)
+    problem, circ = _built(problem_path, p, gammas, betas)
     if chain_text is not None:
         chain = _parse_chain(chain_text)
     else:
@@ -298,10 +295,8 @@ def simulate(device_path, problem_path, chain_text, p, gammas, betas, shots,
              noise_scale, mitigate, opt_name, seed, output):
     """Noisy density-matrix simulation: counts and AR/SP metrics."""
     dev = load_device(device_path)
-    problem = load_problem(problem_path)
-    params = _parse_params(p, gammas, betas)
+    problem, circ = _built(problem_path, p, gammas, betas)
     chain = _parse_chain(chain_text)
-    circ = qaoa.build_swap_network(problem.ising, params)
     lowered = lower_circuit(circ, chain, dev, OPT_CHOICES[opt_name])
     counts, logical = sim.run_noisy(lowered, dev, shots, seed, noise_scale, mitigate)
     result = qaoa.metrics(problem.ising, logical, problem.sense)

@@ -24,8 +24,8 @@ boolean is not a number.  Optional: the two top-level duration objects
 (over ``DEFAULT_SINGLE_QUBIT_DURATIONS_NS``, where a given ``sx`` also sets
 ``rx`` and ``ry`` unless they are given, and over ``CrScaleModel``), the
 qubit frequencies, ``flavor_source`` (default "assumed") and the composite
-pins, which the lowering rules prefer to their formulas.  A missing key, an
-unknown duration key or a bad value raises ``ValidationError`` naming the
+pins, which the lowering rules prefer to their formulas.  A missing key, a
+key not shown here or a bad value raises ``ValidationError`` naming the
 field, as do a self-loop, a duplicate edge, an endpoint out of range and a
 ``readout_error`` further than ``READOUT_CONSISTENCY_TOL`` from the mean of
 the two prep/meas probabilities.
@@ -214,6 +214,9 @@ _QUBIT_FIELDS = {
     "readout_length_ns": _non_negative,
 }
 
+#: Optional keys of a qubit entry: numbers that are checked, not kept.
+_QUBIT_INFO = ("frequency_ghz", "anharmonicity_ghz")
+
 #: Required keys of an edge entry, each with the check that coerces it.
 _EDGE_FIELDS = {
     "control": as_int,
@@ -224,9 +227,10 @@ _EDGE_FIELDS = {
 }
 
 
-def _fields(entry, prefix: str, table: dict) -> dict:
-    """The table's keys of one document object, each coerced by its check."""
-    entry = as_object(entry, prefix)
+def _fields(entry, prefix: str, table: dict, optional: tuple) -> dict:
+    """The table's keys of one document object, each coerced by its check;
+    a key in neither the table nor ``optional`` is refused."""
+    entry = as_object(entry, prefix, (*table, *optional))
     values = {}
     for key, check in table.items():
         if key not in entry:
@@ -247,7 +251,7 @@ def _durations(doc, field_name: str, keys, check) -> dict[str, float]:
 
 def _parse_qubit(entry, index: int) -> QubitCalibration:
     prefix = f"qubits[{index}]"
-    fields = _fields(entry, prefix, _QUBIT_FIELDS)
+    fields = _fields(entry, prefix, _QUBIT_FIELDS, _QUBIT_INFO)
     readout_error = fields["readout_error"]
     mean = (fields["prob_meas0_prep1"] + fields["prob_meas1_prep0"]) / 2.0
     _require(
@@ -256,7 +260,7 @@ def _parse_qubit(entry, index: int) -> QubitCalibration:
         f"{readout_error} not within {READOUT_CONSISTENCY_TOL} of "
         f"mean(prob_meas0_prep1, prob_meas1_prep0) = {mean}",
     )
-    for key in ("frequency_ghz", "anharmonicity_ghz"):  # informational, not kept
+    for key in _QUBIT_INFO:
         if key in entry:
             as_float(entry[key], f"{prefix}.{key}")
     return QubitCalibration(**fields)
@@ -264,7 +268,9 @@ def _parse_qubit(entry, index: int) -> QubitCalibration:
 
 def _parse_edge(entry, index: int, num_qubits: int) -> EdgeCalibration:
     prefix = f"edges[{index}]"
-    fields = _fields(entry, prefix, _EDGE_FIELDS)
+    fields = _fields(
+        entry, prefix, _EDGE_FIELDS, ("flavor_source", "composite_durations_ns")
+    )
     control, target, cx_error = fields["control"], fields["target"], fields["cx_error"]
     _require(control != target, prefix, f"self-loop on qubit {control}")
     for name, q in (("control", control), ("target", target)):
@@ -297,6 +303,8 @@ def device_from_dict(doc: dict) -> DeviceModel:
     """Build and validate a DeviceModel from a parsed JSON document."""
     if not isinstance(doc, dict):
         raise ParseError("device document must be a JSON object")
+    as_object(doc, "", ("name", "num_qubits", "single_qubit_durations_ns",
+                        "cr_scale_model", "qubits", "edges"))
     try:
         name = doc["name"]
         num_qubits = as_int(doc["num_qubits"], "num_qubits")
@@ -336,12 +344,13 @@ def device_from_dict(doc: dict) -> DeviceModel:
         durations |= {"rx": given["sx"], "ry": given["sx"]}
     durations |= given
 
-    scale_doc = as_object(doc.get("cr_scale_model", {}), "cr_scale_model")
+    scale_keys = ("intercept_ns", "slope_ns_per_pi")
+    scale_doc = as_object(doc.get("cr_scale_model", {}), "cr_scale_model", scale_keys)
     scale = {
         key: _non_negative(
             scale_doc.get(key, getattr(CrScaleModel, key)), f"cr_scale_model.{key}"
         )
-        for key in ("intercept_ns", "slope_ns_per_pi")
+        for key in scale_keys
     }
     return DeviceModel(
         name=name,

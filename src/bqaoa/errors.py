@@ -56,10 +56,16 @@ def as_list(value, field_name: str) -> list:
     return list(value)
 
 
-def as_object(value, field_name: str) -> dict:
-    """An object-valued document field, or a ValidationError naming it."""
+def as_object(value, field_name: str, keys=None) -> dict:
+    """An object-valued document field, or a ValidationError naming it; with
+    ``keys``, a key outside them is a ValidationError naming that key."""
     if not isinstance(value, dict):
         raise ValidationError(f"{field_name}: expected an object, got {value!r}")
+    for key in value if keys is not None else ():
+        if key not in keys:
+            name = f"{field_name}.{key}" if field_name else key
+            expected = ", ".join(keys)
+            raise ValidationError(f"{name}: unknown key, expected one of {expected}")
     return value
 
 

@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass
 
 from . import circuit as cir
-from .circuit import CircuitIR, GateKind
+from .circuit import CircuitIR, Gate, GateKind
 from .device import DeviceModel, EdgeCalibration, GateFlavor
 from .errors import MissingEdgeError, NonAdjacentGateError, ValidationError
 
@@ -272,58 +272,54 @@ def validate_chain(chain: tuple[int, ...], dev: DeviceModel) -> None:
             raise MissingEdgeError(f"chain qubits {a} and {b} share no edge")
 
 
+def lower_gate(
+    g: Gate, chain: tuple[int, ...], dev: DeviceModel, opt: OptLevel
+) -> LoweredUnit:
+    """The scheduled unit of one logical gate, wire i on physical qubit
+    chain[i].  A two-qubit gate must act on adjacent wires; undirected gates
+    run the hardware-native CT polarity, and a directed CX forces its own."""
+    if g.kind in _TWO_QUBIT_RULE_KINDS:
+        w1, w2 = g.qubits
+        if abs(w1 - w2) != 1:
+            raise NonAdjacentGateError(
+                f"{g.kind.value} on wires {g.qubits} is not nearest-neighbour"
+            )
+        physical = (chain[w1], chain[w2])
+        edge = dev.edge_between(*physical)  # validate_chain: never None
+        reverse = g.kind is GateKind.CX and physical[0] != edge.control
+        polarity = Polarity.TC if reverse else Polarity.CT
+        return apply_rule(g.kind, g.param, g.qubits, physical, edge, dev, opt, polarity)
+    physical = tuple(chain[w] for w in g.qubits)
+    if g.kind is GateKind.MEASURE:
+        duration, error = dev.qubits[physical[0]].readout_length_ns, 0.0
+    elif g.kind is GateKind.BARRIER:
+        duration, error = 0.0, 0.0
+    elif g.kind in _SINGLE_QUBIT_DURATION_KEY:
+        duration = dev.single_qubit_duration(_SINGLE_QUBIT_DURATION_KEY[g.kind])
+        error = 0.0 if g.kind is GateKind.RZ else dev.qubits[physical[0]].sx_error
+    else:
+        raise ValidationError(f"no lowering rule for kind {g.kind.value}")
+    return LoweredUnit(
+        kind=g.kind, wires=g.qubits, physical=physical, duration_ns=duration,
+        cx_count=0, error=error, angle=g.param, clbit=g.clbit,
+    )
+
+
 def lower_circuit(
     c: CircuitIR,
     chain: tuple[int, ...] | list[int],
     dev: DeviceModel,
     opt: OptLevel = OptLevel.DEFAULT,
 ) -> LoweredCircuit:
-    """Map a logical linear-topology circuit onto a device chain.
-
-    Wire i runs on physical qubit chain[i]; two-qubit gates must act on
-    adjacent wires.  Undirected gates use the hardware-native CT polarity.
-    """
+    """Map a logical linear-topology circuit onto a device chain, one
+    ``lower_gate`` per gate, and schedule it ASAP."""
     chain = tuple(chain)
     if c.num_qubits != len(chain):
         raise ValidationError(
             f"circuit has {c.num_qubits} wires but chain has {len(chain)} qubits"
         )
     validate_chain(chain, dev)
-
-    units: list[LoweredUnit] = []
-    for g in c.gates:
-        if g.kind in _TWO_QUBIT_RULE_KINDS:
-            w1, w2 = g.qubits
-            if abs(w1 - w2) != 1:
-                raise NonAdjacentGateError(
-                    f"{g.kind.value} on wires {g.qubits} is not nearest-neighbour"
-                )
-            physical = (chain[w1], chain[w2])
-            edge = dev.edge_between(*physical)  # validate_chain: never None
-            # a directed CX forces the polarity; undirected targets run native
-            reverse = g.kind is GateKind.CX and physical[0] != edge.control
-            polarity = Polarity.TC if reverse else Polarity.CT
-            units.append(
-                apply_rule(g.kind, g.param, g.qubits, physical, edge, dev, opt, polarity)
-            )
-            continue
-        physical = tuple(chain[w] for w in g.qubits)
-        if g.kind is GateKind.MEASURE:
-            duration, error = dev.qubits[physical[0]].readout_length_ns, 0.0
-        elif g.kind is GateKind.BARRIER:
-            duration, error = 0.0, 0.0
-        elif g.kind in _SINGLE_QUBIT_DURATION_KEY:
-            duration = dev.single_qubit_duration(_SINGLE_QUBIT_DURATION_KEY[g.kind])
-            error = 0.0 if g.kind is GateKind.RZ else dev.qubits[physical[0]].sx_error
-        else:
-            raise ValidationError(f"no lowering rule for kind {g.kind.value}")
-        units.append(
-            LoweredUnit(
-                kind=g.kind, wires=g.qubits, physical=physical, duration_ns=duration,
-                cx_count=0, error=error, angle=g.param, clbit=g.clbit,
-            )
-        )
-
+    units = [lower_gate(g, chain, dev, opt) for g in c.gates]
     starts, total = cir.asap_start_times(
         [(u.wires, u.duration_ns) for u in units], len(chain)
     )

@@ -5,18 +5,21 @@ filtered, or unrestricted).  Bipotent restricts to chains whose qubits have
 below-device-mean single-qubit error and whose links have below-mean CX
 error, requires both gate flavors, and minimizes the lowered circuit's
 schedule duration.  Enumeration is exhaustive; ties break deterministically
-(higher fidelity, then lexicographically smaller chain).
+(higher fidelity, then lexicographically smaller chain).  A chain is scored
+without lowering the whole circuit: each distinct gate placement is lowered
+once per selection, and per chain only the products and schedule are run.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .circuit import CircuitIR, GateKind
 from .device import DeviceModel, GateFlavor
 from .errors import NoChainError, ValidationError
-from .lower import LoweredCircuit, OptLevel, lower_circuit
+from .lower import LoweredCircuit, LoweredUnit, OptLevel, lower_gate
 
 
 class Strategy(enum.Enum):
@@ -90,29 +93,46 @@ def chain_flavors(dev: DeviceModel, chain: tuple[int, ...]) -> tuple[GateFlavor,
     )
 
 
+def _survival(dev: DeviceModel, unit: LoweredUnit) -> float:
+    """A unit's survival probability; a measurement's is its readout's."""
+    if unit.kind is GateKind.MEASURE:
+        return 1.0 - dev.qubits[unit.physical[0]].readout_error
+    return 1.0 - unit.error
+
+
 def fidelity_score(
     dev: DeviceModel, chain: tuple[int, ...], lowered: LoweredCircuit
 ) -> float:
     """Product of unit survival probabilities and readout survivals."""
-    score = 1.0
-    for unit in lowered.units:
-        if unit.kind is GateKind.MEASURE:
-            score *= 1.0 - dev.qubits[unit.physical[0]].readout_error
-        else:
-            score *= 1.0 - unit.error
-    return score
+    return math.prod((_survival(dev, unit) for unit in lowered.units), start=1.0)
 
 
 def _scored(
-    dev: DeviceModel,
-    chains: list[tuple[int, ...]],
-    benchmark: CircuitIR,
-    opt: OptLevel,
+    dev: DeviceModel, chains: list[tuple[int, ...]], benchmark: CircuitIR, opt: OptLevel
 ) -> list[tuple[tuple[int, ...], float, float]]:
+    """(chain, fidelity score, schedule duration) of each chain.
+
+    ``lower_gate`` runs once per (kind, param, physical qubits), in a table
+    local to the call, and the first chain meets every gate.  Per chain the
+    survivals multiply in gate order and the recurrence of
+    ``circuit.asap_start_times`` runs inline, as lowering would do them.
+    """
+    table: dict[tuple, tuple[float, float]] = {}
     rows = []
     for chain in chains:
-        lowered = lower_circuit(benchmark, chain, dev, opt)
-        rows.append((chain, fidelity_score(dev, chain, lowered), lowered.total_duration_ns))
+        score, total, free = 1.0, 0.0, [0.0] * len(chain)
+        for g in benchmark.gates:
+            key = (g.kind, g.param, tuple(map(chain.__getitem__, g.qubits)))
+            if key not in table:
+                unit = lower_gate(g, chain, dev, opt)
+                table[key] = (unit.duration_ns, _survival(dev, unit))
+            duration, survival = table[key]
+            score *= survival
+            end = max(map(free.__getitem__, g.qubits), default=0.0) + duration
+            for w in g.qubits:
+                free[w] = end
+            total = max(total, end)
+        rows.append((chain, score, total))
     return rows
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import qaoa, sim
 from .circuit import CircuitIR, require_dense
@@ -111,6 +110,8 @@ def optimize_params(
     with zero layers).  Runs deterministically; if the evaluation budget is
     exhausted the best point so far is returned, flagged.
     """
+    from scipy.optimize import minimize  # slow to import; only training needs it
+
     if p < 1:
         raise ConfigError(f"p must be >= 1, got {p}")
     _check_config(cfg)
@@ -304,50 +305,30 @@ def _run_cell(
     seed: int,
     noise_scale: float,
 ) -> BenchmarkRun:
+    """One noisy cell, or a row without results that gives the reason: the
+    strategy has no chain, or post-selection kept no outcome."""
     base = dict(
-        problem=problem.label,
-        strategy=strategy,
-        opt_level=opt,
-        p=p,
-        chain=chain,
-        gammas=params.gammas,
-        betas=params.betas,
-        shots=shots,
-        seed=seed,
+        problem=problem.label, strategy=strategy, opt_level=opt, p=p, chain=chain,
+        gammas=params.gammas, betas=params.betas, shots=shots, seed=seed,
     )
     if infeasible is not None:
-        return BenchmarkRun(
-            **base | {"chain": ()},
-            ar=None,
-            sp=None,
-            duration_ns=None,
-            cx_count=None,
-            fidelity_score=None,
-            reason=infeasible,
-        )
-    try:
-        result, lowered = evaluate_noisy(
-            dev, chain, problem.ising, problem.sense, params, opt, shots, seed,
-            noise_scale,
-        )
-    except NoFeasibleOutcomeError as exc:
-        return BenchmarkRun(
-            **base,
-            ar=None,
-            sp=None,
-            duration_ns=None,
-            cx_count=None,
-            fidelity_score=None,
-            reason=str(exc),
-        )
-    return BenchmarkRun(
-        **base,
-        ar=result.ar,
-        sp=result.sp,
-        duration_ns=lowered.total_duration_ns,
-        cx_count=lowered.cx_count,
-        fidelity_score=fidelity_score(dev, chain, lowered),
-    )
+        base["chain"] = ()
+    else:
+        try:
+            result, lowered = evaluate_noisy(
+                dev, chain, problem.ising, problem.sense, params, opt, shots, seed,
+                noise_scale,
+            )
+        except NoFeasibleOutcomeError as exc:
+            infeasible = str(exc)
+        else:
+            return BenchmarkRun(
+                **base, ar=result.ar, sp=result.sp,
+                duration_ns=lowered.total_duration_ns, cx_count=lowered.cx_count,
+                fidelity_score=fidelity_score(dev, chain, lowered),
+            )
+    results = ("ar", "sp", "duration_ns", "cx_count", "fidelity_score")
+    return BenchmarkRun(**base, **dict.fromkeys(results), reason=infeasible)
 
 
 def run_benchmark(

@@ -30,6 +30,7 @@ from .errors import (
     as_float,
     as_int,
     as_list,
+    as_object,
 )
 
 MAX_ENUMERATION_QUBITS = 20
@@ -360,6 +361,7 @@ def problem_from_dict(doc: dict, label: str = "problem") -> ProblemFile:
         raise ParseError("problem document must be an object with a 'type' field")
     kind = doc["type"]
     if kind == "portopt":
+        as_object(doc, "", ("type", "mu", "sigma", "q", "B", "A", "lambda"))
         try:
             mu = tuple(
                 as_float(v, f"mu[{i}]") for i, v in enumerate(as_list(doc["mu"], "mu"))
@@ -384,6 +386,7 @@ def problem_from_dict(doc: dict, label: str = "problem") -> ProblemFile:
             raise ParseError(f"portopt problem missing field {exc.args[0]!r}") from exc
         return ProblemFile(encode_portopt(inst), sense="min", kind=kind, label=label)
     if kind == "maxcut":
+        as_object(doc, "", ("type", "n", "edges"))
         try:
             n = as_int(doc["n"], "n")
             if not 1 <= n <= MAX_MAXCUT_NODES:

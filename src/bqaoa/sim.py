@@ -11,9 +11,11 @@ Every channel is a plain array, its Liouville superoperator: the 4^k x 4^k
 matrix sum_K K (x) conj(K) on k qubits, acting on the row-major vec(rho)
 whose entry i*d + j is rho[i, j], with local qubit 0 the least-significant
 bit of i and j.  ``unit_channel`` builds each scheduled unit as one product
-of closed-form pieces and ``apply_superop`` applies it to rho once; QPT
-repeats a channel with a matrix power and reads its Choi matrix off by
-reshuffling (Wood, Biamonte & Cory, arXiv:1111.6950).
+of closed-form pieces.  ``evolve`` folds one-qubit work into the next
+two-qubit superoperator on its wire, or flushes it two wires at a time, and
+``apply_superop`` applies each product to rho once; QPT repeats a channel
+with a matrix power and reads its Choi matrix off by reshuffling (Wood,
+Biamonte & Cory, arXiv:1111.6950).
 
 The pieces: the unit's unitary is ``local_matrix`` of its kind and angle,
 not the product of its lowered gates: lowering is exact up to a global
@@ -111,11 +113,12 @@ def relaxation_superop(duration_ns: float, t1_us: float, t2_us: float) -> np.nda
     as e^{-t/T2}; a T2 above its physical bound 2 T1 counts as 2 T1.
     """
     t = duration_ns * 1e-3  # us
-    decay = 1.0 - np.exp(-t / t1_us)
-    coherence = np.exp(-t / min(t2_us, 2.0 * t1_us))
+    decay = 1.0 - math.exp(-t / t1_us)
+    coherence = math.exp(-t / min(t2_us, 2.0 * t1_us))
     # over vec(rho) = (rho00, rho01, rho10, rho11)
-    superop = np.diag([1.0, coherence, coherence, 1.0 - decay]).astype(complex)
-    superop[0, 3] = decay
+    superop = np.zeros((4, 4), dtype=complex)
+    superop[0, 0], superop[3, 3], superop[0, 3] = 1.0, 1.0 - decay, decay
+    superop[1, 1] = superop[2, 2] = coherence
     return superop
 
 
@@ -197,25 +200,42 @@ def unit_channel(unit: LoweredUnit, idle_ns, noise: NoiseModel) -> np.ndarray:
     was last busy, the unit's unitary ``local_matrix(kind, angle)`` with a
     depolarizing channel for its effective error, then relaxation for the
     unit's own duration.  A measurement has no unitary and no error, so it
-    only relaxes.  Relaxation over zero time is exactly the identity.
+    only relaxes.  Relaxation over zero time is exactly the identity, so
+    with no idle time that product is skipped.
     """
-    before = _per_wire([noise.relaxation(w, t) for w, t in zip(unit.wires, idle_ns)])
-    after = _per_wire([noise.relaxation(w, unit.duration_ns) for w in unit.wires])
-    if unit.kind is GateKind.MEASURE:
-        return after @ before
-    u = local_matrix(unit.kind, unit.angle)
-    lam = noise.depolarizing_strength(unit.error, len(unit.wires))
-    return after @ depolarized_unitary(u, lam) @ before
+    channel = _per_wire([noise.relaxation(w, unit.duration_ns) for w in unit.wires])
+    if unit.kind is not GateKind.MEASURE:
+        u = local_matrix(unit.kind, unit.angle)
+        lam = noise.depolarizing_strength(unit.error, len(unit.wires))
+        channel = channel @ depolarized_unitary(u, lam)
+    if any(idle_ns):
+        before = [noise.relaxation(w, t) for w, t in zip(unit.wires, idle_ns)]
+        channel = channel @ _per_wire(before)
+    return channel
+
+
+_IDENTITY = np.eye(4, dtype=complex)
+
+
+def _flush(rho: np.ndarray, pending: dict, wires) -> np.ndarray:
+    """rho with the pending 4x4s of ``wires`` applied, two at a time."""
+    held = [w for w in wires if w in pending]
+    for pair in (held[i : i + 2] for i in range(0, len(held), 2)):
+        rho = apply_superop(rho, _per_wire([pending.pop(w) for w in pair]), pair)
+    return rho
 
 
 def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
     """Run a lowered circuit's schedule as a density-matrix evolution from |0..0>.
 
-    Each unit applies once, in program order, as its ``unit_channel``.
-    Measurement units only relax (readout noise is applied at sampling
-    time).  A barrier, which has no gate and no duration, relaxes its idle
-    wires one at a time, so no superoperator spans its whole width.
-    Deterministic.
+    Each unit's ``unit_channel`` acts once, in program order on its wires.
+    One-qubit work, a barrier's idle relaxation included, multiplies into a
+    pending 4x4 per wire, which the next two-qubit unit on the wire takes
+    into its superoperator (an identity stands in on a wire with none).  A
+    barrier and the end of the circuit flush the pending work of their
+    wires, two wires at a time.  Work on other wires commutes, so only
+    rounding differs from one apply per unit.  Measurement units only relax
+    (readout noise is applied at sampling time).  Deterministic.
     """
     n = sc.num_qubits
     require_dense(n)
@@ -225,6 +245,7 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
         )
     rho = DensityMatrix.ground(n).data
     last_busy = [0.0] * n
+    pending: dict[int, np.ndarray] = {}  # wire -> 4x4 not yet applied
     for unit, start in zip(sc.units, sc.start_times):
         idle = [start - last_busy[w] for w in unit.wires]
         for w in unit.wires:
@@ -232,10 +253,17 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
         if unit.kind is GateKind.BARRIER:
             for w, t in zip(unit.wires, idle):
                 if t > 0 and noise.scale > 0:
-                    rho = apply_superop(rho, noise.relaxation(w, t), (w,))
+                    pending[w] = noise.relaxation(w, t) @ pending.get(w, _IDENTITY)
+            rho = _flush(rho, pending, unit.wires)
             continue
-        rho = apply_superop(rho, unit_channel(unit, idle, noise), unit.wires)
-    return DensityMatrix(n, rho)
+        channel = unit_channel(unit, idle, noise)
+        if len(unit.wires) == 1:
+            pending[unit.wires[0]] = channel @ pending.get(unit.wires[0], _IDENTITY)
+            continue
+        if any(w in pending for w in unit.wires):
+            channel = channel @ _per_wire([pending.pop(w, _IDENTITY) for w in unit.wires])
+        rho = apply_superop(rho, channel, unit.wires)
+    return DensityMatrix(n, _flush(rho, pending, sorted(pending)))
 
 
 # --- sampling and readout ---

@@ -11,7 +11,7 @@ from bqaoa import circuit as cir
 from bqaoa import qaoa, sim
 from bqaoa.circuit import CircuitIR, Gate, GateKind
 from bqaoa.errors import BqaoaError, ValidationError
-from bqaoa.lower import Polarity, apply_rule
+from bqaoa.lower import Polarity, apply_rule, lower_circuit
 
 
 class MeasureInUnitaryError(BqaoaError):
@@ -152,6 +152,22 @@ def two_qubit_unit(target, theta, edge, dev, opt, polarity=Polarity.CT):
     """``apply_rule`` on the frame (0, 1), wire 0 holding the native control."""
     physical = (edge.control, edge.target)
     return apply_rule(target, theta, (0, 1), physical, edge, dev, opt, polarity)
+
+
+def scored_by_lowering(dev, chains, benchmark, opt):
+    """The reference for ``mapper._scored``: lower the whole circuit per
+    chain, then read back its fidelity score and schedule duration."""
+    rows = []
+    for chain in chains:
+        lowered = lower_circuit(benchmark, chain, dev, opt)
+        score = 1.0
+        for unit in lowered.units:
+            if unit.kind is GateKind.MEASURE:
+                score *= 1.0 - dev.qubits[unit.physical[0]].readout_error
+            else:
+                score *= 1.0 - unit.error
+        rows.append((chain, score, lowered.total_duration_ns))
+    return rows
 
 
 def density_from_statevector(psi) -> sim.DensityMatrix:

@@ -357,3 +357,28 @@ def probe_choi(apply, dim) -> np.ndarray:
             basis[i, j] = 1.0
             choi[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = apply(basis)
     return choi / dim
+
+
+def per_unit_evolve(lowered, noise, unit_channel, apply_superop) -> np.ndarray:
+    """Density matrix after a lowered circuit's schedule, from |0...0>, with
+    one superoperator apply per unit in program order and nothing fused.
+
+    ``unit_channel(unit, idle_ns, noise)`` gives each unit's superoperator,
+    ``noise.relaxation(wire, t)`` a barrier's idle relaxation and
+    ``apply_superop(rho, superop, wires)`` applies one.
+    """
+    n = lowered.num_qubits
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    last_busy = [0.0] * n
+    for unit, start in zip(lowered.units, lowered.start_times):
+        idle = [start - last_busy[w] for w in unit.wires]
+        for w in unit.wires:
+            last_busy[w] = start + unit.duration_ns
+        if unit.kind.value == "barrier":
+            for w, t in zip(unit.wires, idle):
+                if t > 0 and noise.scale > 0:
+                    rho = apply_superop(rho, noise.relaxation(w, t), (w,))
+            continue
+        rho = apply_superop(rho, unit_channel(unit, idle, noise), unit.wires)
+    return rho

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -207,6 +210,16 @@ def test_config_error_exits_2(runner, tmp_path):
             "edges[0].composite_durations_ns[zzswap]",
         ),
         (fragment | {"single_qubit_durations_ns": {"foo": 1}}, "single_qubit_durations_ns[foo]"),
+        # a misspelled optional key would load with no effect
+        (
+            fragment
+            | {"edges": [fragment["edges"][0] | {"composite_duration_ns": {"zz": 500}}]},
+            "edges[0].composite_duration_ns",
+        ),
+        (fragment | {"cr_scale": {"intercept_ns": 1.0}}, "cr_scale"),
+        (fragment | {"cr_scale_model": {"intercept": 1.0}}, "cr_scale_model.intercept"),
+        (fragment | {"qubits": [fragment["qubits"][0] | {"t1": 90.0}]
+                     + fragment["qubits"][1:]}, "qubits[0].t1"),
     ]
     for k, (doc, name) in enumerate(bad_devices):
         path = tmp_path / f"bad_device_{k}.json"
@@ -265,6 +278,8 @@ def test_config_error_exits_2(runner, tmp_path):
         (maxcut, "n", 1e300, "n"),
         (maxcut, "n", 1e12, "n"),
         (maxcut, "n", -1, "n"),
+        (maxcut, "weights", [1.0], "weights"),
+        (portopt, "budget", 2, "budget"),
     ]
     for k, (doc, field, value, name) in enumerate(bad_problems):
         path = tmp_path / f"bad_problem_{k}.json"
@@ -272,6 +287,16 @@ def test_config_error_exits_2(runner, tmp_path):
         result = runner.invoke(main, ["optimize", "--problem", str(path)])
         assert result.exit_code == 2, (name, result.output)
         assert f"{name}:" in result.output
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    """scipy.optimize is most of the import time; only training needs it."""
+    probe = "import sys, bqaoa.cli; print('scipy.optimize' in sys.modules)"
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_singular_readout_exits_3_unless_unmitigated(runner, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 import helpers
 import oracles
 from bqaoa import circuit as cir
-from bqaoa import mapper, optimize, qaoa
+from bqaoa import lower, mapper, optimize, qaoa
 from bqaoa.circuit import Gate, GateKind
 from bqaoa.device import DeviceModel, EdgeCalibration, GateFlavor, QubitCalibration
 from bqaoa.errors import NoChainError
@@ -267,19 +267,55 @@ def test_select_matches_brute_force_oracle(seed):
 
 
 def test_selection_builds_no_gates(ehningen, monkeypatch):
-    """Scoring a chain needs no hardware-gate expansion: selection over every
-    8-qubit chain of ehningen constructs no ``Gate``."""
+    """Scoring a chain needs no hardware-gate expansion and no whole-circuit
+    lowering: selection over every 8-qubit chain of ehningen constructs no
+    ``Gate`` and calls no ``lower_circuit``."""
     template = optimize.selection_template(qaoa.encode_maxcut(helpers.complete_maxcut(8)))
-    built = []
+    pair = benchmark_circuit(2)
+    built, lowered = [], []
     original = Gate.__post_init__
 
     def counting(self):
         built.append(self.kind)
         original(self)
 
+    def counting_lower(*args, **kwargs):
+        lowered.append(args[1])
+        return lower_circuit(*args, **kwargs)
+
     monkeypatch.setattr(Gate, "__post_init__", counting)
+    monkeypatch.setattr(lower, "lower_circuit", counting_lower)
+    monkeypatch.setattr(mapper, "lower_circuit", counting_lower, raising=False)
     for opt in OptLevel:
         select(ehningen, 8, Strategy.GLOBAL, template, opt)
-    assert built == []
-    cir.h(0)  # the counter does see a construction
-    assert built == [GateKind.H]
+    assert built == [] and lowered == []
+    cir.h(0)  # the counters do see a construction and a lowering
+    lower.lower_circuit(pair, (0, 1), ehningen)
+    assert built == [GateKind.H] and lowered == [(0, 1)]
+
+
+def selection_fields(dev, k, strategy, template, opt):
+    """Every field of the selection, floats as hex, or the NoChainError text."""
+    try:
+        sel = select(dev, k, strategy, template, opt)
+    except NoChainError as exc:
+        return str(exc)
+    return tuple(v.hex() if isinstance(v, float) else v for v in vars(sel).values())
+
+
+@pytest.mark.parametrize("name", ["ehningen", "fragment", "synthetic5"])
+def test_selection_matches_lowering_reference(name, request, monkeypatch):
+    """Scoring from the per-call table agrees bit for bit with lowering
+    every chain, for every strategy and opt level at n = 2..8."""
+    dev = request.getfixturevalue(name)
+    for k in range(2, min(8, dev.num_qubits) + 1):
+        template = optimize.selection_template(
+            qaoa.encode_maxcut(helpers.complete_maxcut(k))
+        )
+        for strategy in Strategy:
+            for opt in OptLevel:
+                fast = selection_fields(dev, k, strategy, template, opt)
+                with monkeypatch.context() as patch:
+                    patch.setattr(mapper, "_scored", helpers.scored_by_lowering)
+                    reference = selection_fields(dev, k, strategy, template, opt)
+                assert fast == reference, (k, strategy, opt)

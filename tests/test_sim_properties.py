@@ -180,3 +180,49 @@ def test_evolve_output_is_a_density_matrix(data):
     )
     sim.evolve(lowered, noise).validate()
     assert any(u.kind is GateKind.MEASURE for u in lowered.units)
+
+
+@st.composite
+def lowered_circuits(draw):
+    """A random circuit on a 2..4-wire line, lowered: one- and two-qubit
+    gates, barriers over random wire sets, and a measurement per wire.  The
+    last wire may be one that only ever sees one-qubit work."""
+    n = draw(st.integers(2, 4))
+    solo = n > 2 and draw(st.booleans())
+    gates = []
+    for _ in range(draw(st.integers(0, 14))):
+        choice = draw(st.sampled_from(["one", "two", "barrier"]))
+        if choice == "one":
+            kind = draw(st.sampled_from(ONE_QUBIT_KINDS))
+            wires = (draw(st.integers(0, n - 1)),)
+        elif choice == "two":
+            kind = draw(st.sampled_from(TWO_QUBIT_KINDS))
+            a = draw(st.integers(0, n - 2 - solo))
+            wires = draw(st.sampled_from([(a, a + 1), (a + 1, a)]))
+        else:
+            kind = GateKind.BARRIER
+            wires = tuple(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        angle = draw(angles) if kind in cir.PARAM_KINDS else None
+        gates.append(cir.Gate(kind, wires, param=angle))
+    gates += [cir.measure(q, q) for q in range(n)]
+    dev = line_device(
+        [draw(qubit_times()) for _ in range(n)],
+        sx_error=draw(st.floats(0.0, 0.05)),
+        cx_error=draw(st.floats(0.0, 0.2)),
+        readout=0.0,
+    )
+    opt = draw(st.sampled_from(list(lower.OptLevel)))
+    circ = cir.CircuitIR(n, tuple(gates), num_clbits=n)
+    return lower.lower_circuit(circ, tuple(range(n)), dev, opt), dev
+
+
+@settings(max_examples=60, deadline=None)
+@given(lowered_circuits(), st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+def test_fused_evolve_matches_one_apply_per_unit(case, scale):
+    lowered, dev = case
+    noise = sim.NoiseModel.from_device(dev, lowered.chain, scale=scale)
+    fused = sim.evolve(lowered, noise).data
+    reference = oracles.per_unit_evolve(
+        lowered, noise, sim.unit_channel, sim.apply_superop
+    )
+    assert np.abs(fused - reference).max() < 1e-14
