@@ -2,9 +2,11 @@
 
 Parameters are trained on a noiseless exact-expectation evaluator (a coarse
 deterministic grid seeds Nelder-Mead refinements), then frozen for the
-noisy evaluation at the requested shot count.  The evaluator works in
-product form on the precomputed diagonal cost, as QOKit does (Lykov et al.,
-arXiv:2309.04841): no circuit is built per evaluation, and the outcome
+noisy evaluation at the requested shot count.  The Nelder-Mead search is
+this module's own and follows SciPy's ``_minimize_neldermead`` step for
+step, so it evaluates the same points as SciPy would.  The evaluator works
+in product form on the precomputed diagonal cost, as QOKit does (Lykov et
+al., arXiv:2309.04841): no circuit is built per evaluation, and the outcome
 distribution is reduced through the same ``qaoa.CostTable`` as ``metrics``.
 Within a benchmark, the same chain is reused for every opt level and depth
 of a strategy family.
@@ -32,6 +34,9 @@ Evaluator = Callable[[ParamVector], MetricsResult]
 #: how many of the best distinct seed points Nelder-Mead refines
 REFINE_STARTS = 2
 
+#: Nelder-Mead reflection, expansion, contraction and shrink coefficients
+RHO, CHI, PSI, SIGMA = 1, 2, 0.5, 0.5
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -46,7 +51,7 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class OptimizationResult:
     params: ParamVector
-    ar: float
+    ar: float | None  # None when no evaluated point has a defined AR
     trace: tuple[tuple[tuple[float, ...], float], ...]
     evaluations: int
     budget_exhausted: bool
@@ -97,6 +102,87 @@ def _check_config(cfg: OptimizerConfig) -> None:
         raise ConfigError(f"--grid must be >= 1, got {cfg.initial_grid}")
 
 
+class _BudgetSpent(Exception):
+    """The next objective call would exceed the evaluation budget."""
+
+
+def _by_value(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    order = np.argsort(fsim)
+    return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+
+def _nelder_mead(
+    func: Callable[[np.ndarray], float], x0: np.ndarray, maxfev: int, xatol: float,
+    fatol: float,
+) -> None:
+    """Minimize func from x0 by the Nelder-Mead simplex search (Nelder and
+    Mead, Comput. J. 7, 308 (1965)), calling func at most maxfev times.
+
+    Follows SciPy's ``_minimize_neldermead`` with its default options step
+    for step (initial simplex, arithmetic, unstable re-sort, stopping test,
+    budget rule), so func sees the same points, bit for bit.  As in SciPy,
+    the call that would exceed maxfev is not made and the rest of its step
+    is abandoned; a shrink cut short keeps moved vertices at their old
+    values.  The caller keeps what it needs from func's calls.
+    """
+    n = len(x0)
+    calls = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return func(x)
+
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, dtype=float)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # SciPy sorts twice before the first step and once after every step
+    sim, fsim = _by_value(sim, fsim)
+    while calls < maxfev:
+        sim, fsim = _by_value(sim, fsim)
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + RHO) * xbar - RHO * sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + RHO * CHI) * xbar - RHO * CHI * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = (1 + PSI * RHO) * xbar - PSI * RHO * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = (1 - PSI) * xbar + PSI * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + SIGMA * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+
+
 def optimize_params(
     prob: IsingProblem,
     p: int,
@@ -110,8 +196,6 @@ def optimize_params(
     with zero layers).  Runs deterministically; if the evaluation budget is
     exhausted the best point so far is returned, flagged.
     """
-    from scipy.optimize import minimize  # slow to import; only training needs it
-
     if p < 1:
         raise ConfigError(f"p must be >= 1, got {p}")
     _check_config(cfg)
@@ -159,21 +243,14 @@ def optimize_params(
         if remaining <= 1:
             exhausted = True
             break
-        minimize(
-            objective,
-            np.array(start),
-            method="Nelder-Mead",
-            options={
-                "maxfev": remaining,
-                "xatol": 1e-4,
-                "fatol": cfg.tolerance / 10,
-            },
+        _nelder_mead(
+            objective, np.array(start), remaining, xatol=1e-4, fatol=cfg.tolerance / 10
         )
 
     best_flat, best_value = max(trace, key=lambda t: t[1])
     return OptimizationResult(
         params=_to_params(best_flat, p),
-        ar=best_value,
+        ar=best_value if np.isfinite(best_value) else None,
         trace=tuple(trace),
         evaluations=evaluations,
         budget_exhausted=exhausted,

@@ -299,6 +299,21 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_training_loads_no_scipy():
+    probe = (
+        "import sys; from bqaoa import data_path, optimize, qaoa; "
+        "problem = qaoa.load_problem(data_path('k5_maxcut.json')); "
+        "optimize.optimize_depth_sweep(problem.ising, problem.sense, [1, 2], "
+        "optimize.OptimizerConfig()); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_singular_readout_exits_3_unless_unmitigated(runner, tmp_path):
     # qubit 0 reads out as a coin flip: its confusion matrix has no inverse
     doc = json.loads(open(SYNTH5).read())
@@ -399,6 +414,20 @@ def test_optimize_command(runner):
     assert doc["ar"] >= 0.91
     assert len(doc["gammas"]) == 1
     assert doc["optimizer"] == "grid+nelder-mead"
+
+
+def test_optimize_undefined_ar_prints_null(runner, tmp_path):
+    # no edges: the optimum cut is 0, so AR is undefined at every point
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps({"type": "maxcut", "n": 5, "edges": []}))
+    result = runner.invoke(main, ["optimize", "--problem", str(path), "--p", "1"])
+    assert result.exit_code == 0, result.output
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(result.output, parse_constant=reject)
+    assert doc["ar"] is None
 
 
 def test_benchmark_csv_deterministic(runner, tmp_path):
