@@ -258,18 +258,33 @@ def apply_matrix(
 ) -> np.ndarray:
     """Apply a 2^k x 2^k matrix on the ket index of a (2^n,) or (2^n, m) array.
 
-    qubits[0] is the least-significant bit of the matrix's local index.
+    qubits[0] is the least-significant bit of the matrix's local index.  The
+    matrix is renumbered to take its targets in ascending order.  Targets
+    that form a contiguous block lo..hi, in any order, split the array
+    without a copy into (2^(n-1-hi), 2^k, rest) blocks, and the matrix acts
+    on the middle axis by one matmul; other targets are first gathered into
+    one such block by a transpose.
     """
-    k = len(qubits)
-    original_shape = array.shape
-    t = array.reshape((2,) * num_qubits + (-1,))
-    # Axis of qubit q is num_qubits-1-q; the local matrix reshapes with its
-    # most-significant bit (qubits[k-1]) first.
-    mat_t = mat.reshape((2,) * (2 * k))
-    tensor_axes = [num_qubits - 1 - q for q in reversed(qubits)]
-    res = np.tensordot(mat_t, t, axes=(list(range(k, 2 * k)), tensor_axes))
-    res = np.moveaxis(res, list(range(k)), tensor_axes)
-    return np.ascontiguousarray(res.reshape(original_shape))
+    k, ascending = len(qubits), sorted(qubits)
+    if list(qubits) != ascending:
+        # axis a of the (2,)*2k reshape is local bit k-1-a
+        axes = [k - 1 - qubits.index(q) for q in reversed(ascending)]
+        mat = mat.reshape((2,) * (2 * k)).transpose(axes + [k + a for a in axes])
+        mat = mat.reshape(2**k, 2**k)
+    if ascending[-1] - ascending[0] == k - 1:
+        blocks = array.reshape(2 ** (num_qubits - 1 - ascending[-1]), 2**k, -1)
+        return _matmul(mat, blocks).reshape(array.shape)
+    axes = [num_qubits - 1 - q for q in reversed(ascending)]  # qubit q: axis n-1-q
+    gathered = np.moveaxis(array.reshape((2,) * num_qubits + (-1,)), axes, range(k))
+    out = _matmul(mat, gathered.reshape(1, 2**k, -1)).reshape(gathered.shape)
+    return np.moveaxis(out, range(k), axes).reshape(array.shape)
+
+
+def _matmul(mat: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """mat on the middle axis of (a, 2^k, b) blocks, as one matmul."""
+    if blocks.shape[2] > 1:
+        return np.matmul(mat, blocks)
+    return blocks[:, :, 0] @ mat.T
 
 
 def apply_gate(array: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:

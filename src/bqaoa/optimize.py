@@ -220,7 +220,6 @@ def optimize_params(
     seed_points.extend(tuple(float(v) for v in point) for point in grid_points)
     for point in seed_points:
         if evaluations >= cfg.max_evals:
-            exhausted = True
             break
         objective(point)
 
@@ -253,7 +252,7 @@ def optimize_params(
         ar=best_value if np.isfinite(best_value) else None,
         trace=tuple(trace),
         evaluations=evaluations,
-        budget_exhausted=exhausted,
+        budget_exhausted=exhausted or evaluations >= cfg.max_evals,
     )
 
 

@@ -12,10 +12,13 @@ matrix sum_K K (x) conj(K) on k qubits, acting on the row-major vec(rho)
 whose entry i*d + j is rho[i, j], with local qubit 0 the least-significant
 bit of i and j.  ``unit_channel`` builds each scheduled unit as one product
 of closed-form pieces.  ``evolve`` folds one-qubit work into the next
-two-qubit superoperator on its wire, or flushes it two wires at a time, and
-``apply_superop`` applies each product to rho once; QPT repeats a channel
-with a matrix power and reads its Choi matrix off by reshuffling (Wood,
-Biamonte & Cory, arXiv:1111.6950).
+two-qubit superoperator on its wire, or flushes it one wire at a time.  It
+holds rho as an interleaved vector, bit 2q the column bit and bit 2q+1 the
+row bit of wire q, so a superoperator on neighbouring wires acts on one
+contiguous block of four bits, which ``apply_matrix`` applies by a reshape
+and one matmul, and it turns rho into the standard 2^n x 2^n array once, at
+the end.  QPT repeats a channel with a matrix power and reads its Choi
+matrix off by reshuffling (Wood, Biamonte & Cory, arXiv:1111.6950).
 
 The pieces: the unit's unitary is ``local_matrix`` of its kind and angle,
 not the product of its lowered gates: lowering is exact up to a global
@@ -84,7 +87,8 @@ def apply_superop(rho: np.ndarray, superop: np.ndarray, wires) -> np.ndarray:
 
     Row-major vec(rho) carries 2n qubits: the column index is its low n bits
     and the row index its high n, so a local superoperator's column qubits
-    come first.  One tensordot over the row and column axes of ``wires``.
+    come first.  ``evolve`` uses its own layout instead, which needs no
+    transpose of rho.
     """
     n = rho.shape[0].bit_length() - 1
     wires = tuple(wires)
@@ -217,14 +221,6 @@ def unit_channel(unit: LoweredUnit, idle_ns, noise: NoiseModel) -> np.ndarray:
 _IDENTITY = np.eye(4, dtype=complex)
 
 
-def _flush(rho: np.ndarray, pending: dict, wires) -> np.ndarray:
-    """rho with the pending 4x4s of ``wires`` applied, two at a time."""
-    held = [w for w in wires if w in pending]
-    for pair in (held[i : i + 2] for i in range(0, len(held), 2)):
-        rho = apply_superop(rho, _per_wire([pending.pop(w) for w in pair]), pair)
-    return rho
-
-
 def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
     """Run a lowered circuit's schedule as a density-matrix evolution from |0..0>.
 
@@ -233,9 +229,10 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
     pending 4x4 per wire, which the next two-qubit unit on the wire takes
     into its superoperator (an identity stands in on a wire with none).  A
     barrier and the end of the circuit flush the pending work of their
-    wires, two wires at a time.  Work on other wires commutes, so only
+    wires, one wire at a time.  Work on other wires commutes, so only
     rounding differs from one apply per unit.  Measurement units only relax
-    (readout noise is applied at sampling time).  Deterministic.
+    (readout noise is applied at sampling time).  Deterministic.  rho is
+    held in the interleaved layout of the module docstring until the end.
     """
     n = sc.num_qubits
     require_dense(n)
@@ -243,9 +240,20 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
         raise DimensionError(
             f"noise model covers {len(noise.qubits)} qubits, circuit has {n}"
         )
-    rho = DensityMatrix.ground(n).data
+    vec = DensityMatrix.ground(n).data.reshape(-1)
     last_busy = [0.0] * n
     pending: dict[int, np.ndarray] = {}  # wire -> 4x4 not yet applied
+
+    def apply(vec, superop, wires):
+        vec_qubits = tuple(2 * w for w in wires) + tuple(2 * w + 1 for w in wires)
+        return apply_matrix(vec, superop, vec_qubits, 2 * n)
+
+    def flush(vec, wires):
+        for w in wires:
+            if w in pending:
+                vec = apply(vec, pending.pop(w), (w,))
+        return vec
+
     for unit, start in zip(sc.units, sc.start_times):
         idle = [start - last_busy[w] for w in unit.wires]
         for w in unit.wires:
@@ -254,7 +262,7 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
             for w, t in zip(unit.wires, idle):
                 if t > 0 and noise.scale > 0:
                     pending[w] = noise.relaxation(w, t) @ pending.get(w, _IDENTITY)
-            rho = _flush(rho, pending, unit.wires)
+            vec = flush(vec, unit.wires)
             continue
         channel = unit_channel(unit, idle, noise)
         if len(unit.wires) == 1:
@@ -262,8 +270,12 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
             continue
         if any(w in pending for w in unit.wires):
             channel = channel @ _per_wire([pending.pop(w, _IDENTITY) for w in unit.wires])
-        rho = apply_superop(rho, channel, unit.wires)
-    return DensityMatrix(n, _flush(rho, pending, sorted(pending)))
+        vec = apply(vec, channel, unit.wires)
+    vec = flush(vec, sorted(pending))
+    # interleaved bits (..., row 1, col 1, row 0, col 0) -> rows, then columns
+    axes = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    rho = vec.reshape((2,) * (2 * n)).transpose(axes)
+    return DensityMatrix(n, rho.reshape(2**n, 2**n))
 
 
 # --- sampling and readout ---

@@ -359,13 +359,53 @@ def probe_choi(apply, dim) -> np.ndarray:
     return choi / dim
 
 
-def per_unit_evolve(lowered, noise, unit_channel, apply_superop) -> np.ndarray:
+def tensordot_apply(array, mat, qubits, num_qubits) -> np.ndarray:
+    """Apply a 2^k x 2^k matrix on the ket index of a (2^n,) or (2^n, m) array.
+
+    qubits[0] is the least-significant bit of the matrix's local index.  One
+    tensordot over the target axes of the (2,)*n tensor, then the new axes
+    are moved back into place.
+    """
+    k = len(qubits)
+    t = array.reshape((2,) * num_qubits + (-1,))
+    # Axis of qubit q is num_qubits-1-q; the local matrix reshapes with its
+    # most-significant bit (qubits[k-1]) first.
+    mat_t = mat.reshape((2,) * (2 * k))
+    tensor_axes = [num_qubits - 1 - q for q in reversed(qubits)]
+    res = np.tensordot(mat_t, t, axes=(list(range(k, 2 * k)), tensor_axes))
+    res = np.moveaxis(res, list(range(k)), tensor_axes)
+    return np.ascontiguousarray(res.reshape(array.shape))
+
+
+def einsum_apply_superop(rho, superop, wires) -> np.ndarray:
+    """rho with a k-qubit superoperator applied to ``wires`` by one einsum.
+
+    The superoperator acts on the row-major vec of a k-qubit operator: entry
+    (a*2^k + b, i*2^k + j) maps |i><j| to |a><b|, and local qubit l is bit l
+    of a, b, i and j.  Local qubit l is wire wires[l] of rho.
+    """
+    n, k = rho.shape[0].bit_length() - 1, len(wires)
+    # axis n-1-q of the (2,)*2n tensor is row bit q, axis 2n-1-q column bit q
+    rows = [n - 1 - w for w in reversed(wires)]
+    old = rows + [n + a for a in rows]
+    new = list(range(2 * n, 2 * n + 2 * k))
+    out = list(range(2 * n))
+    for a, b in zip(old, new):
+        out[a] = b
+    tensor = np.einsum(
+        superop.reshape((2,) * (4 * k)), new + old,
+        rho.reshape((2,) * (2 * n)), list(range(2 * n)), out, optimize=True,
+    )
+    return tensor.reshape(rho.shape)
+
+
+def per_unit_evolve(lowered, noise, unit_channel) -> np.ndarray:
     """Density matrix after a lowered circuit's schedule, from |0...0>, with
     one superoperator apply per unit in program order and nothing fused.
 
-    ``unit_channel(unit, idle_ns, noise)`` gives each unit's superoperator,
-    ``noise.relaxation(wire, t)`` a barrier's idle relaxation and
-    ``apply_superop(rho, superop, wires)`` applies one.
+    ``unit_channel(unit, idle_ns, noise)`` gives each unit's superoperator
+    and ``noise.relaxation(wire, t)`` a barrier's idle relaxation; each is
+    applied to the standard 2^n x 2^n rho by ``einsum_apply_superop``.
     """
     n = lowered.num_qubits
     rho = np.zeros((2**n, 2**n), dtype=complex)
@@ -378,7 +418,7 @@ def per_unit_evolve(lowered, noise, unit_channel, apply_superop) -> np.ndarray:
         if unit.kind.value == "barrier":
             for w, t in zip(unit.wires, idle):
                 if t > 0 and noise.scale > 0:
-                    rho = apply_superop(rho, noise.relaxation(w, t), (w,))
+                    rho = einsum_apply_superop(rho, noise.relaxation(w, t), (w,))
             continue
-        rho = apply_superop(rho, unit_channel(unit, idle, noise), unit.wires)
+        rho = einsum_apply_superop(rho, unit_channel(unit, idle, noise), unit.wires)
     return rho

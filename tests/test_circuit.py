@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import oracles
 from helpers import MeasureInUnitaryError
 from bqaoa import circuit as cir
 from bqaoa import qaoa
@@ -151,6 +152,42 @@ def test_random_circuits_are_unitary(data):
             gates.append(cir.Gate(kind, (a, b), param=param))
     u = helpers.unitary_of(CircuitIR(n, tuple(gates)))
     assert np.allclose(u.conj().T @ u, np.eye(2**n), atol=1e-12)
+
+
+@st.composite
+def matrix_targets(draw):
+    """n, then 1..4 target qubits: a block in ascending, descending or
+    shuffled order, or qubits drawn from anywhere in any order."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, min(4, n)))
+    order = draw(st.sampled_from(["ascending", "descending", "shuffled", "anywhere"]))
+    if order == "anywhere":
+        return n, tuple(draw(st.permutations(range(n)))[:k])
+    lo = draw(st.integers(0, n - k))
+    block = list(range(lo, lo + k))
+    if order == "shuffled":
+        block = draw(st.permutations(block))
+    return n, tuple(block[::-1] if order == "descending" else block)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_targets(), st.sampled_from([None, 1, 2, 3, 8]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_apply_matrix_matches_tensordot_reference(targets, columns, real, seed):
+    n, qubits = targets
+    rng = np.random.default_rng(seed)
+    dtype = float if real else complex
+
+    def draw(*shape):
+        values = rng.normal(size=shape)
+        return values if real else values + 1j * rng.normal(size=shape)
+
+    array = draw(2**n) if columns is None else draw(2**n, columns)
+    mat = draw(2 ** len(qubits), 2 ** len(qubits))
+    out = cir.apply_matrix(array, mat, qubits, n)
+    expected = oracles.tensordot_apply(array, mat, qubits, n)
+    assert out.shape == array.shape and out.dtype == dtype and out.flags.c_contiguous
+    assert np.abs(out - expected).max() < 1e-13
 
 
 def test_statevector_matches_unitary():

@@ -75,6 +75,21 @@ def test_budget_exhaustion_flag():
     assert result.evaluations <= 20
 
 
+@pytest.mark.parametrize(
+    "max_evals,exhausted",
+    [(120, True), (140, True), (OptimizerConfig().max_evals, False)],
+)
+def test_budget_flag_when_refinement_spends_the_budget(max_evals, exhausted):
+    # unbounded, k5 at p=1 takes 162 evaluations; a budget of 120 or 140 runs
+    # out inside the last Nelder-Mead refinement
+    prob = k5()
+    evaluator = optimize.exact_expectation_evaluator(prob, "max")
+    cfg = OptimizerConfig(max_evals=max_evals)
+    result = optimize.optimize_params(prob, 1, evaluator, cfg)
+    assert result.evaluations == min(max_evals, 162)
+    assert result.budget_exhausted is exhausted
+
+
 def test_warm_start_never_loses_ground():
     prob = k5()
     sweep = optimize.optimize_depth_sweep(

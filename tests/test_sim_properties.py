@@ -184,10 +184,10 @@ def test_evolve_output_is_a_density_matrix(data):
 
 @st.composite
 def lowered_circuits(draw):
-    """A random circuit on a 2..4-wire line, lowered: one- and two-qubit
+    """A random circuit on a 2..6-wire line, lowered: one- and two-qubit
     gates, barriers over random wire sets, and a measurement per wire.  The
     last wire may be one that only ever sees one-qubit work."""
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 6))
     solo = n > 2 and draw(st.booleans())
     gates = []
     for _ in range(draw(st.integers(0, 14))):
@@ -222,7 +222,5 @@ def test_fused_evolve_matches_one_apply_per_unit(case, scale):
     lowered, dev = case
     noise = sim.NoiseModel.from_device(dev, lowered.chain, scale=scale)
     fused = sim.evolve(lowered, noise).data
-    reference = oracles.per_unit_evolve(
-        lowered, noise, sim.unit_channel, sim.apply_superop
-    )
+    reference = oracles.per_unit_evolve(lowered, noise, sim.unit_channel)
     assert np.abs(fused - reference).max() < 1e-14

@@ -58,6 +58,17 @@ def test_evolve_barrier_and_idle_match_kraus_reference():
         assert np.abs(fused - reference).max() < TOL, scale
 
 
+@pytest.mark.parametrize("scale", [0.0, 1.0])
+def test_evolve_n8_chain_matches_per_unit_reference(scale):
+    """The noisy-evaluation size: an 8-qubit QAOA chain on ehningen."""
+    chain = mapper.enumerate_chains(EHNINGEN, 8)[0]
+    circ = swap_network(8)
+    lowered = lower.lower_circuit(circ, chain, EHNINGEN, OptLevel.ZZ_SWAP_OPT)
+    noise = sim.NoiseModel.from_device(EHNINGEN, lowered.chain, scale=scale)
+    reference = oracles.per_unit_evolve(lowered, noise, sim.unit_channel)
+    assert np.abs(sim.evolve(lowered, noise).data - reference).max() < 1e-14
+
+
 def assert_units_equal_local_matrix(lowered, dev):
     """Every gate-carrying unit's gates multiply to local_matrix(kind, angle),
     up to phase: the invariant ``unit_channel`` builds on."""
