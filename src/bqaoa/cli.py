@@ -97,24 +97,26 @@ def _parse_angles(
     if not all(np.isfinite(values)):
         raise ConfigError(f"{name} {text!r} must be finite")
     if len(values) != p:
-        raise ConfigError(f"expected {p} comma-separated angles, got {len(values)}")
+        raise ConfigError(f"{name}: expected {p} comma-separated angles, got {len(values)}")
     return values
 
 
 def _built(problem_path, p: int, gammas: str | None, betas: str | None):
     """The problem file and its swap network at the angles of ``--gammas``
     and ``--betas`` (0.5 and 0.3 per layer by default)."""
+    if p < 1:
+        raise ConfigError(f"--p must be >= 1, got {p}")
     problem = load_problem(problem_path)
     gamma_values = _parse_angles(gammas, p, 0.5, "--gammas")
     params = ParamVector(gamma_values, _parse_angles(betas, p, 0.3, "--betas"))
     return problem, qaoa.build_swap_network(problem.ising, params)
 
 
-def _parse_chain(text: str) -> tuple[int, ...]:
+def _parse_chain(text: str, name: str = "--chain") -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.replace("-", ",").split(","))
     except ValueError as exc:
-        raise ConfigError(f"cannot parse chain {text!r}") from exc
+        raise ConfigError(f"cannot parse {name} {text!r}") from exc
 
 
 seed_option = click.option(
@@ -381,17 +383,17 @@ def benchmark(device_path, problem_path, strategies, opt_levels, p_range, shots,
         try:
             strategy_list = [STRATEGY_CHOICES[s] for s in strategies.split(",")]
         except KeyError as exc:
-            raise ConfigError(f"unknown strategy {exc.args[0]!r}") from exc
+            raise ConfigError(f"--strategies: unknown strategy {exc.args[0]!r}") from exc
     if opt_levels == "all":
         level_list = list(OptLevel)
     else:
         try:
             level_list = [OPT_CHOICES[o] for o in opt_levels.split(",")]
         except KeyError as exc:
-            raise ConfigError(f"unknown opt level {exc.args[0]!r}") from exc
+            raise ConfigError(f"--opt-levels: unknown opt level {exc.args[0]!r}") from exc
     cfg = OptimizerConfig(max_evals=max_evals, initial_grid=grid, seed=seed)
     rows = opt_mod.run_benchmark(
-        dev, problem, strategy_list, level_list, _parse_range(p_range, "p"),
+        dev, problem, strategy_list, level_list, _parse_range(p_range, "--p"),
         cfg, shots, noise_scale,
     )
     if fmt == "csv":
@@ -418,7 +420,7 @@ def benchmark(device_path, problem_path, strategies, opt_levels, p_range, shots,
 def qpt(device_path, edge_text, gate, reps, angles, noise_scale, opt_name, fmt, output):
     """Process-infidelity table of repeated composites, per variant."""
     dev = load_device(device_path)
-    pair = _parse_chain(edge_text)
+    pair = _parse_chain(edge_text, "--edge")
     if len(pair) != 2:
         raise ConfigError(f"--edge {edge_text!r} must name two qubits")
     a, b = pair
@@ -426,7 +428,7 @@ def qpt(device_path, edge_text, gate, reps, angles, noise_scale, opt_name, fmt, 
     if edge is None:
         raise ConfigError(f"device has no edge between {a} and {b}")
     target = GateKind(gate)
-    repetitions = _parse_range(reps, "reps")
+    repetitions = _parse_range(reps, "--reps")
     if angles < 1:
         raise ConfigError(f"--angles must be >= 1, got {angles}")
     angle_grid = [np.pi * (i + 1) / angles for i in range(angles)]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
@@ -98,8 +99,9 @@ def exact_expectation_evaluator(prob: IsingProblem, sense: str) -> Evaluator:
 def _check_config(cfg: OptimizerConfig) -> None:
     if cfg.max_evals < 1:
         raise ConfigError(f"max-evals must be >= 1, got {cfg.max_evals}")
-    if cfg.initial_grid < 1:
-        raise ConfigError(f"--grid must be >= 1, got {cfg.initial_grid}")
+    # beyond 2**53 points per axis, neighbouring angles round to one float
+    if not 1 <= cfg.initial_grid <= 2**53:
+        raise ConfigError(f"--grid must be in 1..2**53, got {cfg.initial_grid}")
 
 
 class _BudgetSpent(Exception):
@@ -211,16 +213,17 @@ def optimize_params(
         trace.append((tuple(float(v) for v in flat), value))
         return -value
 
+    # grid^(2p) points in row-major order, made only as far as the budget
     grid = cfg.initial_grid
-    gamma_axis = [np.pi * i / grid for i in range(grid)]
-    beta_axis = [np.pi / 2 * i / grid for i in range(grid)]
-    mesh = np.meshgrid(*([gamma_axis] * p + [beta_axis] * p), indexing="ij")
-    grid_points = np.stack([m.ravel() for m in mesh], axis=1)
-    seed_points = [tuple(w.gammas) + tuple(w.betas) for w in warm_starts]
-    seed_points.extend(tuple(float(v) for v in point) for point in grid_points)
-    for point in seed_points:
-        if evaluations >= cfg.max_evals:
-            break
+    grid_points = (
+        tuple(np.pi * i / grid for i in index[:p])
+        + tuple(np.pi / 2 * i / grid for i in index[p:])
+        for index in itertools.product(range(grid), repeat=2 * p)
+    )
+    seed_points = itertools.chain(
+        (tuple(w.gammas) + tuple(w.betas) for w in warm_starts), grid_points
+    )
+    for point in itertools.islice(seed_points, cfg.max_evals):
         objective(point)
 
     scored = sorted(

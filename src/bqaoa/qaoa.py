@@ -55,21 +55,21 @@ class PortfolioInstance:
 
     def __post_init__(self) -> None:
         if len(self.mu) != self.n:
-            raise DimensionError(f"mu has length {len(self.mu)}, expected {self.n}")
+            raise DimensionError(f"mu: has length {len(self.mu)}, expected {self.n}")
         if len(self.sigma) != self.n or any(len(row) != self.n for row in self.sigma):
-            raise DimensionError(f"sigma must be {self.n}x{self.n}")
+            raise DimensionError(f"sigma: must be {self.n}x{self.n}")
         for i in range(self.n):
             for j in range(self.n):
                 if abs(self.sigma[i][j] - self.sigma[j][i]) > 1e-12:
-                    raise ValidationError(f"sigma not symmetric at ({i}, {j})")
+                    raise ValidationError(f"sigma: not symmetric at ({i}, {j})")
         if not 0 <= self.q <= 1:
-            raise ValidationError(f"risk preference q={self.q} not in [0, 1]")
+            raise ValidationError(f"q: risk preference {self.q} not in [0, 1]")
         if not 0 < self.budget < self.n:
-            raise ValidationError(f"budget {self.budget} not in (0, {self.n})")
+            raise ValidationError(f"B: budget {self.budget} not in (0, {self.n})")
         if self.penalty < 0:
-            raise ValidationError(f"penalty {self.penalty} must be >= 0")
+            raise ValidationError(f"A: penalty {self.penalty} must be >= 0")
         if self.lam <= 0:
-            raise ValidationError(f"scaling factor {self.lam} must be > 0")
+            raise ValidationError(f"lambda: scaling factor {self.lam} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,11 @@ class MaxCutInstance:
     def __post_init__(self) -> None:
         for (i, j) in self.edges:
             if i == j:
-                raise ValidationError(f"self-loop on node {i}")
+                raise ValidationError(f"edges: self-loop on node {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValidationError(f"edge ({i}, {j}) outside 0..{self.n - 1}")
+                raise ValidationError(f"edges: ({i}, {j}) outside 0..{self.n - 1}")
             if i > j:
-                raise ValidationError(f"edge ({i}, {j}) must be ordered i < j")
+                raise ValidationError(f"edges: ({i}, {j}) must be ordered i < j")
 
 
 @dataclass(frozen=True)

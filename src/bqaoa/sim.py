@@ -1,24 +1,26 @@
 """Density-matrix simulation under calibration-derived noise.
 
-Noise model per scheduled unit: relaxation of each participating qubit for
-the time it idled since it was last busy, the unit's unitary, then a
-depolarizing channel whose average gate infidelity equals the unit's
-effective error, then thermal relaxation for the unit's duration.  A global
-scale factor s multiplies the depolarizing infidelity and the relaxation
-rates and interpolates the readout confusion matrices; s = 0 is noiseless.
+Noise model per scheduled unit: the unit's unitary, then a depolarizing
+channel whose average gate infidelity equals the unit's effective error,
+then thermal relaxation for the unit's duration.  A unit's channel depends
+on the unit alone.  Idle time is separate: a wire that idled since it was
+last busy relaxes for that time before its next unit.  A global scale
+factor s multiplies the depolarizing infidelity and the relaxation rates
+and interpolates the readout confusion matrices; s = 0 is noiseless.
 
 Every channel is a plain array, its Liouville superoperator: the 4^k x 4^k
 matrix sum_K K (x) conj(K) on k qubits, acting on the row-major vec(rho)
 whose entry i*d + j is rho[i, j], with local qubit 0 the least-significant
 bit of i and j.  ``unit_channel`` builds each scheduled unit as one product
-of closed-form pieces.  ``evolve`` folds one-qubit work into the next
-two-qubit superoperator on its wire, or flushes it one wire at a time.  It
-holds rho as an interleaved vector, bit 2q the column bit and bit 2q+1 the
-row bit of wire q, so a superoperator on neighbouring wires acts on one
-contiguous block of four bits, which ``apply_matrix`` applies by a reshape
-and one matmul, and it turns rho into the standard 2^n x 2^n array once, at
-the end.  QPT repeats a channel with a matrix power and reads its Choi
-matrix off by reshuffling (Wood, Biamonte & Cory, arXiv:1111.6950).
+of closed-form pieces.  ``evolve`` folds one-qubit work, idle relaxation
+included, into the next two-qubit superoperator on its wire, or flushes it
+one wire at a time.  It holds rho as an interleaved vector, bit 2q the
+column bit and bit 2q+1 the row bit of wire q, so a superoperator on
+neighbouring wires acts on one contiguous block of four bits, which
+``apply_matrix`` applies by a reshape and one matmul, and it turns rho into
+the standard 2^n x 2^n array once, at the end.  QPT repeats a channel with
+a matrix power and reads its Choi matrix off by reshuffling (Wood,
+Biamonte & Cory, arXiv:1111.6950).
 
 The pieces: the unit's unitary is ``local_matrix`` of its kind and angle,
 not the product of its lowered gates: lowering is exact up to a global
@@ -80,20 +82,6 @@ class DensityMatrix:
 
 
 # --- channels as Liouville superoperators ---
-
-
-def apply_superop(rho: np.ndarray, superop: np.ndarray, wires) -> np.ndarray:
-    """rho with the superoperator applied to ``wires`` (local qubit i = wires[i]).
-
-    Row-major vec(rho) carries 2n qubits: the column index is its low n bits
-    and the row index its high n, so a local superoperator's column qubits
-    come first.  ``evolve`` uses its own layout instead, which needs no
-    transpose of rho.
-    """
-    n = rho.shape[0].bit_length() - 1
-    wires = tuple(wires)
-    vec_qubits = wires + tuple(n + w for w in wires)
-    return apply_matrix(rho.reshape(-1), superop, vec_qubits, 2 * n).reshape(rho.shape)
 
 
 def depolarized_unitary(u: np.ndarray, lam: float) -> np.ndarray:
@@ -197,24 +185,20 @@ def _per_wire(superops: list[np.ndarray]) -> np.ndarray:
     return np.multiply.outer(a1, a0).transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(16, 16)
 
 
-def unit_channel(unit: LoweredUnit, idle_ns, noise: NoiseModel) -> np.ndarray:
+def unit_channel(unit: LoweredUnit, noise: NoiseModel) -> np.ndarray:
     """Superoperator of one scheduled unit on its wires (local qubit i = wires[i]).
 
-    In order: relaxation for each wire's idle time ``idle_ns[i]`` since it
-    was last busy, the unit's unitary ``local_matrix(kind, angle)`` with a
-    depolarizing channel for its effective error, then relaxation for the
-    unit's own duration.  A measurement has no unitary and no error, so it
-    only relaxes.  Relaxation over zero time is exactly the identity, so
-    with no idle time that product is skipped.
+    The unit's unitary ``local_matrix(kind, angle)`` with a depolarizing
+    channel for its effective error, then relaxation for the unit's own
+    duration.  A measurement has no unitary and no error, so it only
+    relaxes.  It depends on the unit alone, not on where the schedule puts
+    it: idle time before the unit is ``evolve``'s per-wire work.
     """
     channel = _per_wire([noise.relaxation(w, unit.duration_ns) for w in unit.wires])
     if unit.kind is not GateKind.MEASURE:
         u = local_matrix(unit.kind, unit.angle)
         lam = noise.depolarizing_strength(unit.error, len(unit.wires))
         channel = channel @ depolarized_unitary(u, lam)
-    if any(idle_ns):
-        before = [noise.relaxation(w, t) for w, t in zip(unit.wires, idle_ns)]
-        channel = channel @ _per_wire(before)
     return channel
 
 
@@ -225,14 +209,15 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
     """Run a lowered circuit's schedule as a density-matrix evolution from |0..0>.
 
     Each unit's ``unit_channel`` acts once, in program order on its wires.
-    One-qubit work, a barrier's idle relaxation included, multiplies into a
-    pending 4x4 per wire, which the next two-qubit unit on the wire takes
-    into its superoperator (an identity stands in on a wire with none).  A
-    barrier and the end of the circuit flush the pending work of their
-    wires, one wire at a time.  Work on other wires commutes, so only
-    rounding differs from one apply per unit.  Measurement units only relax
-    (readout noise is applied at sampling time).  Deterministic.  rho is
-    held in the interleaved layout of the module docstring until the end.
+    A wire that idled since it was last busy first relaxes for that time.
+    One-qubit work, idle relaxation included, multiplies into a pending 4x4
+    per wire, which the next two-qubit unit on the wire takes into its
+    superoperator (an identity stands in on a wire with none).  A barrier
+    and the end of the circuit flush the pending work of their wires, one
+    wire at a time.  Work on other wires commutes, so only rounding differs
+    from one apply per unit.  Measurement units only relax (readout noise
+    is applied at sampling time).  Deterministic.  rho is held in the
+    interleaved layout of the module docstring until the end.
     """
     n = sc.num_qubits
     require_dense(n)
@@ -255,16 +240,15 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
         return vec
 
     for unit, start in zip(sc.units, sc.start_times):
-        idle = [start - last_busy[w] for w in unit.wires]
         for w in unit.wires:
+            if start > last_busy[w]:
+                idle = noise.relaxation(w, start - last_busy[w])
+                pending[w] = idle @ pending.get(w, _IDENTITY)
             last_busy[w] = start + unit.duration_ns
         if unit.kind is GateKind.BARRIER:
-            for w, t in zip(unit.wires, idle):
-                if t > 0 and noise.scale > 0:
-                    pending[w] = noise.relaxation(w, t) @ pending.get(w, _IDENTITY)
             vec = flush(vec, unit.wires)
             continue
-        channel = unit_channel(unit, idle, noise)
+        channel = unit_channel(unit, noise)
         if len(unit.wires) == 1:
             pending[unit.wires[0]] = channel @ pending.get(unit.wires[0], _IDENTITY)
             continue
@@ -299,8 +283,10 @@ def sample(
 
     Returns the count of every outcome, indexed by the basis integer.
     """
-    if shots < 1:
-        raise ValidationError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots <= 2**63 - 1:
+        raise ValidationError(f"shots must be in 1..2**63-1, got {shots}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     probs = rho.probabilities()
     if confusions is not None:
         probs = apply_confusion(probs, confusions)
@@ -412,15 +398,14 @@ def composite_channel(
 ) -> np.ndarray:
     """Noisy superoperator of one composite lowered on the two-wire frame (0, 1).
 
-    It is the composite's ``unit_channel`` with no idle time, under the
-    noise of its ``physical`` qubits.  A CX composite is refused: its
-    direction depends on the polarity, and the channel stands for an
-    undirected target.
+    It is the composite's ``unit_channel`` under the noise of its
+    ``physical`` qubits.  A CX composite is refused: its direction depends
+    on the polarity, and the channel stands for an undirected target.
     """
     if unit.kind is GateKind.CX:
         raise ValidationError("cx is directed; composite channels are undirected")
     noise = NoiseModel.from_device(dev, unit.physical, scale=scale)
-    return unit_channel(unit, (0.0, 0.0), noise)
+    return unit_channel(unit, noise)
 
 
 def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:

@@ -403,22 +403,21 @@ def per_unit_evolve(lowered, noise, unit_channel) -> np.ndarray:
     """Density matrix after a lowered circuit's schedule, from |0...0>, with
     one superoperator apply per unit in program order and nothing fused.
 
-    ``unit_channel(unit, idle_ns, noise)`` gives each unit's superoperator
-    and ``noise.relaxation(wire, t)`` a barrier's idle relaxation; each is
-    applied to the standard 2^n x 2^n rho by ``einsum_apply_superop``.
+    A wire that idled since it was last busy first gets its own apply of
+    ``noise.relaxation(wire, t)``; then ``unit_channel(unit, noise)`` gives
+    the unit's superoperator (a barrier has none).  Each is applied to the
+    standard 2^n x 2^n rho by ``einsum_apply_superop``.
     """
     n = lowered.num_qubits
     rho = np.zeros((2**n, 2**n), dtype=complex)
     rho[0, 0] = 1.0
     last_busy = [0.0] * n
     for unit, start in zip(lowered.units, lowered.start_times):
-        idle = [start - last_busy[w] for w in unit.wires]
         for w in unit.wires:
+            if start > last_busy[w]:
+                idle = noise.relaxation(w, start - last_busy[w])
+                rho = einsum_apply_superop(rho, idle, (w,))
             last_busy[w] = start + unit.duration_ns
-        if unit.kind.value == "barrier":
-            for w, t in zip(unit.wires, idle):
-                if t > 0 and noise.scale > 0:
-                    rho = einsum_apply_superop(rho, noise.relaxation(w, t), (w,))
-            continue
-        rho = einsum_apply_superop(rho, unit_channel(unit, idle, noise), unit.wires)
+        if unit.kind.value != "barrier":
+            rho = einsum_apply_superop(rho, unit_channel(unit, noise), unit.wires)
     return rho

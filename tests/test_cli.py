@@ -16,7 +16,6 @@ EHNINGEN = str(data_path("ehningen.json"))
 SYNTH5 = str(data_path("synthetic5.json"))
 K5 = str(data_path("k5_maxcut.json"))
 PORTOPT3 = str(data_path("portopt3.json"))
-PORTOPT5 = str(data_path("portopt5.json"))
 
 
 @pytest.fixture()
@@ -261,32 +260,181 @@ def test_config_error_exits_2(runner, tmp_path):
             result = runner.invoke(main, command + ["--grid", grid])
             assert result.exit_code == 2, result.output
             assert "--grid" in result.output
-    portopt = json.loads(open(PORTOPT5).read())
-    maxcut = json.loads(open(K5).read())
-    bad_problems = [
-        (portopt, "mu", ["abc"] + portopt["mu"][1:], "mu[0]"),
-        (portopt, "sigma", [[0.1, "x"]] + portopt["sigma"][1:], "sigma[0][1]"),
-        (portopt, "q", "abc", "q"),
-        (portopt, "A", None, "A"),
-        (portopt, "lambda", float("inf"), "lambda"),
-        (portopt, "B", 1.5, "B"),
-        (maxcut, "n", "five", "n"),
-        (maxcut, "edges", [[0, 1], [0, 2, 3]], "edges[1]"),
-        (maxcut, "edges", [[0, "x"]], "edges[0][1]"),
-        (portopt, "B", True, "B"),
-        (portopt, "q", False, "q"),
-        (maxcut, "n", 1e300, "n"),
-        (maxcut, "n", 1e12, "n"),
-        (maxcut, "n", -1, "n"),
-        (maxcut, "weights", [1.0], "weights"),
-        (portopt, "budget", 2, "budget"),
-    ]
-    for k, (doc, field, value, name) in enumerate(bad_problems):
-        path = tmp_path / f"bad_problem_{k}.json"
-        path.write_text(json.dumps(doc | {field: value}))
-        result = runner.invoke(main, ["optimize", "--problem", str(path)])
-        assert result.exit_code == 2, (name, result.output)
-        assert f"{name}:" in result.output
+    # numpy refuses a negative seed and a shot count beyond int64
+    simulate = ["simulate", "--device", SYNTH5, "--problem", K5, "--chain", "0,1,2,3,4"]
+    result = runner.invoke(main, simulate + ["--shots", "10", "--seed", "-1"])
+    assert result.exit_code == 2, result.output
+    assert "seed" in result.output
+    result = runner.invoke(main, simulate + ["--shots", "10"], env={"BQAOA_SEED": "-5"})
+    assert result.exit_code == 2, result.output
+    assert "seed" in result.output
+    for command in (
+        simulate,
+        ["benchmark", "--device", SYNTH5, "--problem", K5, "--strategies", "global",
+         "--opt-levels", "default", "--p", "1", "--grid", "2", "--max-evals", "4"],
+    ):
+        result = runner.invoke(main, command + ["--shots", "1" + "0" * 29])
+        assert result.exit_code == 2, result.output
+        assert "shots" in result.output
+
+
+MAXCUT_DOC = json.loads(open(K5).read())
+PORTOPT_DOC = json.loads(open(PORTOPT3).read())
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+#: malformed problem documents and the text their error must contain
+BAD_PROBLEM_DOCS = {
+    "maxcut-n-word": (MAXCUT_DOC | {"n": "five"}, "n:"),
+    "maxcut-n-fraction": (MAXCUT_DOC | {"n": 4.5}, "n:"),
+    "maxcut-n-bool": (MAXCUT_DOC | {"n": True}, "n:"),
+    "maxcut-n-negative": (MAXCUT_DOC | {"n": -1}, "n:"),
+    "maxcut-n-too-large": (MAXCUT_DOC | {"n": 1e12}, "n:"),
+    "maxcut-n-beyond-int": (MAXCUT_DOC | {"n": 1e300}, "n:"),
+    "maxcut-unknown-key": (MAXCUT_DOC | {"weights": [1.0]}, "weights:"),
+    "maxcut-missing-n": (_without(MAXCUT_DOC, "n"), "'n'"),
+    "maxcut-missing-edges": (_without(MAXCUT_DOC, "edges"), "'edges'"),
+    "maxcut-missing-type": (_without(MAXCUT_DOC, "type"), "'type'"),
+    "maxcut-type-number": (MAXCUT_DOC | {"type": 3}, "type"),
+    "maxcut-edges-object": (MAXCUT_DOC | {"edges": {"0": [0, 1]}}, "edges:"),
+    "maxcut-edge-triple": (MAXCUT_DOC | {"edges": [[0, 1], [0, 2, 3]]}, "edges[1]:"),
+    "maxcut-edge-word": (MAXCUT_DOC | {"edges": [[0, "x"]]}, "edges[0][1]:"),
+    "maxcut-edge-bool": (MAXCUT_DOC | {"edges": [[True, 1]]}, "edges[0][0]:"),
+    "maxcut-edge-out-of-range": (MAXCUT_DOC | {"edges": [[0, 1], [3, 7]]}, "edges:"),
+    "maxcut-edge-negative": (MAXCUT_DOC | {"edges": [[-1, 1]]}, "edges:"),
+    "maxcut-self-loop": (MAXCUT_DOC | {"edges": [[0, 1], [2, 2]]}, "edges:"),
+    "portopt-sigma-ragged": (
+        PORTOPT_DOC | {"sigma": [PORTOPT_DOC["sigma"][0], [0.002, 0.012],
+                                 PORTOPT_DOC["sigma"][2]]},
+        "sigma:",
+    ),
+    "portopt-sigma-short": (PORTOPT_DOC | {"sigma": PORTOPT_DOC["sigma"][:2]}, "sigma:"),
+    "portopt-sigma-asymmetric": (
+        PORTOPT_DOC | {"sigma": [[0.01, 0.5, 0.001]] + PORTOPT_DOC["sigma"][1:]},
+        "sigma:",
+    ),
+    "portopt-sigma-row-number": (
+        PORTOPT_DOC | {"sigma": [PORTOPT_DOC["sigma"][0], 0.1, PORTOPT_DOC["sigma"][2]]},
+        "sigma[1]:",
+    ),
+    "portopt-sigma-entry-word": (
+        PORTOPT_DOC | {"sigma": [[0.1, "x"]] + PORTOPT_DOC["sigma"][1:]}, "sigma[0][1]:"
+    ),
+    "portopt-mu-object": (PORTOPT_DOC | {"mu": {"a": 1}}, "mu:"),
+    "portopt-mu-word": (PORTOPT_DOC | {"mu": ["abc"] + PORTOPT_DOC["mu"][1:]}, "mu[0]:"),
+    "portopt-B-bool": (PORTOPT_DOC | {"B": True}, "B:"),
+    "portopt-B-fraction": (PORTOPT_DOC | {"B": 1.5}, "B:"),
+    "portopt-B-zero": (PORTOPT_DOC | {"B": 0}, "B:"),
+    "portopt-B-all-assets": (PORTOPT_DOC | {"B": 3}, "B:"),
+    "portopt-q-word": (PORTOPT_DOC | {"q": "abc"}, "q:"),
+    "portopt-q-bool": (PORTOPT_DOC | {"q": False}, "q:"),
+    "portopt-q-above-one": (PORTOPT_DOC | {"q": 1.5}, "q:"),
+    "portopt-A-null": (PORTOPT_DOC | {"A": None}, "A:"),
+    "portopt-A-negative": (PORTOPT_DOC | {"A": -1.0}, "A:"),
+    "portopt-lambda-zero": (PORTOPT_DOC | {"lambda": 0.0}, "lambda:"),
+    "portopt-lambda-infinite": (PORTOPT_DOC | {"lambda": float("inf")}, "lambda:"),
+    "portopt-missing-q": (_without(PORTOPT_DOC, "q"), "'q'"),
+    "portopt-unknown-key": (PORTOPT_DOC | {"budget": 2}, "budget:"),
+}
+
+_LOWER = ["circuit", "lower", "--device", SYNTH5, "--problem", K5]
+_SIMULATE = ["simulate", "--device", SYNTH5, "--problem", K5, "--chain", "0,1,2,3,4",
+             "--shots", "10"]
+_BENCHMARK = ["benchmark", "--device", SYNTH5, "--problem", K5, "--strategies", "global",
+              "--opt-levels", "default", "--p", "1", "--grid", "2", "--max-evals", "4",
+              "--shots", "10"]
+_QPT = ["qpt", "--device", FRAGMENT, "--angles", "1"]
+
+#: malformed options of every command and the text their error must contain;
+#: sizes that allocate without bound (a range of 10**12 depths) are left out
+BAD_OPTIONS = {
+    "summarize-format": (["device", "summarize", FRAGMENT, "--format", "xml"], "--format"),
+    "select-strategy": (
+        ["chains", "select", "--device", SYNTH5, "--problem", K5, "--strategy", "x"],
+        "--strategy",
+    ),
+    "select-opt": (
+        ["chains", "select", "--device", SYNTH5, "--problem", K5, "--strategy", "global",
+         "--opt", "x"],
+        "--opt",
+    ),
+    "build-p-zero": (["circuit", "build", "--problem", K5, "--p", "0"], "--p"),
+    "build-p-word": (["circuit", "build", "--problem", K5, "--p", "x"], "--p"),
+    "build-gammas-count": (["circuit", "build", "--problem", K5, "--gammas", "0.1,0.2"],
+                           "--gammas"),
+    "build-gammas-nan": (["circuit", "build", "--problem", K5, "--gammas", "nan"],
+                         "--gammas"),
+    "build-betas-inf": (["circuit", "build", "--problem", K5, "--betas", "inf"], "--betas"),
+    "build-betas-empty": (["circuit", "build", "--problem", K5, "--betas", ""], "--betas"),
+    "lower-chain-word": (_LOWER + ["--chain", "a,b"], "--chain"),
+    "lower-chain-short": (_LOWER + ["--chain", "0,1"], "chain"),
+    "lower-chain-off-device": (_LOWER + ["--chain", "0,1,2,3,99"], "chain"),
+    "lower-chain-repeat": (_LOWER + ["--chain", "0,1,2,3,3"], "chain"),
+    "lower-opt": (_LOWER + ["--chain", "0,1,2,3,4", "--opt", "x"], "--opt"),
+    "lower-p-zero": (_LOWER + ["--chain", "0,1,2,3,4", "--p", "0"], "--p"),
+    "estimate-chain-word": (
+        ["estimate", "--device", SYNTH5, "--problem", K5, "--chain", "0,1,x"], "--chain"
+    ),
+    "estimate-p-negative": (["estimate", "--device", SYNTH5, "--problem", K5, "--p", "-2"],
+                            "--p"),
+    "estimate-strategy": (
+        ["estimate", "--device", SYNTH5, "--problem", K5, "--strategy", "x"], "--strategy"
+    ),
+    "simulate-shots-zero": (_SIMULATE + ["--shots", "0"], "shots"),
+    "simulate-shots-negative": (_SIMULATE + ["--shots", "-3"], "shots"),
+    "simulate-shots-beyond-int64": (_SIMULATE + ["--shots", str(2**63)], "shots"),
+    "simulate-seed-negative": (_SIMULATE + ["--seed", "-1"], "seed"),
+    "simulate-seed-word": (_SIMULATE + ["--seed", "x"], "--seed"),
+    "simulate-noise-scale-negative": (_SIMULATE + ["--noise-scale", "-1"], "noise scale"),
+    "simulate-chain-off-device": (_SIMULATE + ["--chain", "0,1,2,3,9"], "chain"),
+    "simulate-p-zero": (_SIMULATE + ["--p", "0"], "--p"),
+    "optimize-p-word": (["optimize", "--problem", K5, "--p", "x"], "--p"),
+    "optimize-grid-beyond-float": (["optimize", "--problem", K5, "--grid", "1" + "0" * 400],
+                                   "--grid"),
+    "optimize-max-evals-negative": (["optimize", "--problem", K5, "--max-evals", "-1"],
+                                    "max-evals"),
+    "benchmark-p-word": (_BENCHMARK + ["--p", "a..b"], "--p"),
+    "benchmark-p-reversed": (_BENCHMARK + ["--p", "3..1"], "--p"),
+    "benchmark-p-negative": (_BENCHMARK + ["--p", "-1,2"], "--p"),
+    "benchmark-p-two-ranges": (_BENCHMARK + ["--p", "1..2..3"], "--p"),
+    "benchmark-strategies": (_BENCHMARK + ["--strategies", "global,x"], "--strategies"),
+    "benchmark-opt-levels": (_BENCHMARK + ["--opt-levels", "x"], "--opt-levels"),
+    "benchmark-shots-zero": (_BENCHMARK + ["--shots", "0"], "shots"),
+    "benchmark-shots-beyond-int64": (_BENCHMARK + ["--shots", str(2**63)], "shots"),
+    "benchmark-max-evals-zero": (_BENCHMARK + ["--max-evals", "0"], "max-evals"),
+    "benchmark-noise-scale-negative": (_BENCHMARK + ["--noise-scale", "-1"], "noise scale"),
+    "benchmark-format": (_BENCHMARK + ["--format", "xml"], "--format"),
+    "qpt-edge-one-qubit": (_QPT + ["--edge", "1"], "--edge"),
+    "qpt-edge-word": (_QPT + ["--edge", "a,b"], "--edge"),
+    "qpt-edge-negative": (_QPT + ["--edge", "-1,0"], "--edge"),
+    "qpt-edge-self": (_QPT + ["--edge", "1,1"], "edge"),
+    "qpt-edge-off-device": (_QPT + ["--edge", "1,99"], "edge"),
+    "qpt-gate": (_QPT + ["--edge", "1,0", "--gate", "cx"], "--gate"),
+    "qpt-opt": (_QPT + ["--edge", "1,0", "--opt", "x"], "--opt"),
+    "qpt-reps-reversed": (_QPT + ["--edge", "1,0", "--reps", "5..1"], "--reps"),
+    "qpt-angles-word": (_QPT + ["--edge", "1,0", "--angles", "x"], "--angles"),
+    "qpt-noise-scale-negative": (_QPT + ["--edge", "1,0", "--noise-scale", "-1"],
+                                 "noise scale"),
+}
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [(["optimize", "--problem", doc], field) for doc, field in BAD_PROBLEM_DOCS.values()]
+    + list(BAD_OPTIONS.values()),
+    ids=list(BAD_PROBLEM_DOCS) + list(BAD_OPTIONS),
+)
+def test_malformed_input_exits_2_naming_the_field(runner, tmp_path, args, field):
+    if isinstance(args[-1], dict):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(args[-1]))
+        args = args[:-1] + [str(path)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert field in result.output
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
@@ -414,6 +562,18 @@ def test_optimize_command(runner):
     assert doc["ar"] >= 0.91
     assert len(doc["gammas"]) == 1
     assert doc["optimizer"] == "grid+nelder-mead"
+
+
+def test_optimize_large_grid_stops_at_the_budget(runner):
+    # 333^6 grid points at p=3; only the first 50 are ever made
+    result = runner.invoke(
+        main, ["optimize", "--problem", K5, "--p", "3", "--grid", "1000",
+               "--max-evals", "50"]
+    )
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert doc["evaluations"] == 50
+    assert doc["budget_exhausted"] is True
 
 
 def test_optimize_undefined_ar_prints_null(runner, tmp_path):

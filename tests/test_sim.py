@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+import oracles
 from bqaoa import circuit as cir
 from bqaoa import lower, qaoa, sim
 from bqaoa.circuit import CircuitIR, GateKind
@@ -82,21 +83,24 @@ def test_evolve_refuses_more_wires_than_the_dense_limit():
 def test_full_depolarizing_gives_mixed_marginals():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    out = sim.apply_superop(rho, sim.depolarized_unitary(np.eye(4), 1.0), (0, 1))
+    channel = sim.depolarized_unitary(np.eye(4), 1.0)
+    out = oracles.einsum_apply_superop(rho, channel, (0, 1))
     assert np.allclose(out, np.eye(4) / 4, atol=1e-12)
 
 
 def test_amplitude_damping_population():
     t1, t2, duration = 120.0, 100.0, 60000.0
     excited = np.array([[0, 0], [0, 1]], dtype=complex)
-    out = sim.apply_superop(excited, sim.relaxation_superop(duration, t1, t2), (0,))
+    channel = sim.relaxation_superop(duration, t1, t2)
+    out = oracles.einsum_apply_superop(excited, channel, (0,))
     assert out[1, 1].real == pytest.approx(math.exp(-duration * 1e-3 / t1))
 
 
 def test_relaxation_dephasing_rate():
     t1, t2, duration = 200.0, 150.0, 40000.0
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    out = sim.apply_superop(plus, sim.relaxation_superop(duration, t1, t2), (0,))
+    channel = sim.relaxation_superop(duration, t1, t2)
+    out = oracles.einsum_apply_superop(plus, channel, (0,))
     # coherence starts at 1/2 and decays with the full T2 rate
     assert 2 * abs(out[0, 1]) == pytest.approx(math.exp(-duration * 1e-3 / t2))
 

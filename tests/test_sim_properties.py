@@ -123,7 +123,9 @@ def assert_cptp(channel):
 @settings(max_examples=60, deadline=None)
 @given(units(), st.lists(durations, min_size=2, max_size=2), noise_models(3))
 def test_unit_channel_is_cptp(unit, idle, noise):
-    assert_cptp(sim.unit_channel(unit, idle, noise))
+    assert_cptp(sim.unit_channel(unit, noise))
+    for w, t in zip(unit.wires, idle):
+        assert_cptp(noise.relaxation(w, t))
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,22 +138,25 @@ def test_unit_channel_matches_kraus_steps(unit, idle, noise, seed):
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     rho = a @ a.conj().T
     rho /= np.trace(rho)
-    fused = sim.apply_superop(rho, sim.unit_channel(unit, idle, noise), unit.wires)
+    # idle relaxation is per-wire work before the unit's own channel
+    fused = rho
+    for w, t in zip(unit.wires, idle):
+        fused = oracles.einsum_apply_superop(fused, noise.relaxation(w, t), (w,))
+    fused = oracles.einsum_apply_superop(fused, sim.unit_channel(unit, noise), unit.wires)
     gates = helpers.unit_gates(unit, LINE)
     steps = oracles.unit_kraus_steps(unit, gates, idle, noise, 3, cir.local_matrix)
     assert np.abs(fused - oracles.apply_kraus_steps(rho, steps)).max() < TOL
 
 
 @settings(max_examples=30, deadline=None)
-@given(units(), st.lists(durations, min_size=2, max_size=2), noise_models(3),
-       st.integers(1, 12))
-def test_repeated_matches_explicit_composition(unit, idle, noise, times):
-    channel = sim.unit_channel(unit, idle, noise)
+@given(units(), noise_models(3), st.integers(1, 12))
+def test_repeated_matches_explicit_composition(unit, noise, times):
+    channel = sim.unit_channel(unit, noise)
     local = range(len(unit.wires))
 
     def compose(rho):
         for _ in range(times):
-            rho = sim.apply_superop(rho, channel, local)
+            rho = oracles.einsum_apply_superop(rho, channel, local)
         return rho
 
     explicit = oracles.probe_choi(compose, 2 ** len(unit.wires))
