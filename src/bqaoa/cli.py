@@ -27,6 +27,13 @@ from .mapper import Strategy, fidelity_score, select
 from .optimize import OptimizerConfig
 from .qaoa import ParamVector, load_problem
 
+#: largest depth, repetition count or angle count a command accepts.  It is
+#: checked before any list is built, so a huge count exits 2 at once rather
+#: than trying to allocate one entry per unit; the bundled problems run at
+#: depths of a few.
+MAX_COUNT = 1000
+COUNT = click.IntRange(1, MAX_COUNT)
+
 OPT_CHOICES = {level.value: level for level in OptLevel}
 STRATEGY_CHOICES = {s.value: s for s in Strategy}
 #: ``device summarize --format csv``: one table per summary group, its columns
@@ -70,18 +77,20 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _parse_range(text: str, name: str) -> list[int]:
-    """Integers >= 1 from ``lo..hi`` or a comma list; ``name`` labels errors."""
+    """Integers in 1..MAX_COUNT from ``lo..hi`` or a comma list; ``name``
+    labels errors."""
     try:
         if ".." in text:
-            lo, hi = text.split("..")
-            values = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in text.split(".."))
+            values = range(lo, hi + 1)
         else:
             values = [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"cannot parse {name} range {text!r}") from exc
-    if not values or any(v < 1 for v in values):
-        raise ConfigError(f"{name} range {text!r} must contain integers >= 1")
-    return values
+    # all() stops at the first value out of bounds, so a huge range is never listed
+    if not values or not all(1 <= v <= MAX_COUNT for v in values):
+        raise ConfigError(f"{name} range {text!r} must contain integers in 1..{MAX_COUNT}")
+    return list(values)
 
 
 def _parse_angles(
@@ -104,8 +113,6 @@ def _parse_angles(
 def _built(problem_path, p: int, gammas: str | None, betas: str | None):
     """The problem file and its swap network at the angles of ``--gammas``
     and ``--betas`` (0.5 and 0.3 per layer by default)."""
-    if p < 1:
-        raise ConfigError(f"--p must be >= 1, got {p}")
     problem = load_problem(problem_path)
     gamma_values = _parse_angles(gammas, p, 0.5, "--gammas")
     params = ParamVector(gamma_values, _parse_angles(betas, p, 0.3, "--betas"))
@@ -201,7 +208,7 @@ def circuit() -> None:
 
 @circuit.command("build")
 @click.option("--problem", "problem_path", type=click.Path(exists=True), required=True)
-@click.option("--p", "p", type=int, default=1, show_default=True)
+@click.option("--p", "p", type=COUNT, default=1, show_default=True)
 @click.option("--gammas", default=None, help="Comma-separated angles, one per layer.")
 @click.option("--betas", default=None, help="Comma-separated angles, one per layer.")
 @output_option
@@ -216,7 +223,7 @@ def circuit_build(problem_path, p, gammas, betas, output):
 @click.option("--device", "device_path", type=click.Path(exists=True), required=True)
 @click.option("--problem", "problem_path", type=click.Path(exists=True), required=True)
 @click.option("--chain", "chain_text", required=True, help="e.g. 9,8,11,14,16")
-@click.option("--p", "p", type=int, default=1, show_default=True)
+@click.option("--p", "p", type=COUNT, default=1, show_default=True)
 @click.option("--gammas", default=None)
 @click.option("--betas", default=None)
 @opt_option
@@ -246,7 +253,7 @@ def circuit_lower(device_path, problem_path, chain_text, p, gammas, betas, opt_n
     show_default=True,
 )
 @click.option("--chain", "chain_text", default=None, help="Bypass selection.")
-@click.option("--p", "p", type=int, default=1, show_default=True)
+@click.option("--p", "p", type=COUNT, default=1, show_default=True)
 @click.option("--gammas", default=None)
 @click.option("--betas", default=None)
 @opt_option
@@ -280,7 +287,7 @@ def estimate(device_path, problem_path, strategy, chain_text, p, gammas, betas, 
 @click.option("--device", "device_path", type=click.Path(exists=True), required=True)
 @click.option("--problem", "problem_path", type=click.Path(exists=True), required=True)
 @click.option("--chain", "chain_text", required=True)
-@click.option("--p", "p", type=int, default=1, show_default=True)
+@click.option("--p", "p", type=COUNT, default=1, show_default=True)
 @click.option("--gammas", default=None)
 @click.option("--betas", default=None)
 @click.option("--shots", type=int, default=50000, show_default=True)
@@ -325,15 +332,13 @@ def simulate(device_path, problem_path, chain_text, p, gammas, betas, shots,
 
 @main.command("optimize")
 @click.option("--problem", "problem_path", type=click.Path(exists=True), required=True)
-@click.option("--p", "p", type=int, default=1, show_default=True)
+@click.option("--p", "p", type=COUNT, default=1, show_default=True)
 @click.option("--grid", type=int, default=8, show_default=True)
 @click.option("--max-evals", type=int, default=20000, show_default=True)
 @output_option
 @handles_errors
 def optimize_cmd(problem_path, p, grid, max_evals, output):
     """Noiseless parameter optimization (exact expectations)."""
-    if p < 1:
-        raise ConfigError(f"--p must be >= 1, got {p}")
     problem = load_problem(problem_path)
     cfg = OptimizerConfig(max_evals=max_evals, initial_grid=grid)
     sweep = opt_mod.optimize_depth_sweep(
@@ -410,7 +415,7 @@ def benchmark(device_path, problem_path, strategies, opt_levels, p_range, shots,
     show_default=True,
 )
 @click.option("--reps", default="1,5,10", show_default=True)
-@click.option("--angles", type=int, default=9, show_default=True,
+@click.option("--angles", type=COUNT, default=9, show_default=True,
               help="Number of angle samples over (0, pi].")
 @click.option("--noise-scale", type=float, default=1.0, show_default=True)
 @opt_option
@@ -429,8 +434,6 @@ def qpt(device_path, edge_text, gate, reps, angles, noise_scale, opt_name, fmt, 
         raise ConfigError(f"device has no edge between {a} and {b}")
     target = GateKind(gate)
     repetitions = _parse_range(reps, "--reps")
-    if angles < 1:
-        raise ConfigError(f"--angles must be >= 1, got {angles}")
     angle_grid = [np.pi * (i + 1) / angles for i in range(angles)]
     rows = sim.qpt_infidelities(
         dev, edge, target, OPT_CHOICES[opt_name], repetitions, angle_grid,

@@ -4,9 +4,12 @@ Parameters are trained on a noiseless exact-expectation evaluator (a coarse
 deterministic grid seeds Nelder-Mead refinements), then frozen for the
 noisy evaluation at the requested shot count.  The Nelder-Mead search is
 this module's own and follows SciPy's ``_minimize_neldermead`` step for
-step, so it evaluates the same points as SciPy would.  The evaluator works
-in product form on the precomputed diagonal cost, as QOKit does (Lykov et
-al., arXiv:2309.04841): no circuit is built per evaluation, and the outcome
+step, so it evaluates the same points as SciPy would.  The evaluation
+budget belongs to the objective alone: its trace counts the evaluations,
+and the call that would exceed the budget raises instead, which ends the
+grid or the search that made it.  The evaluator works in product form on
+the precomputed diagonal cost, as QOKit does (Lykov et al.,
+arXiv:2309.04841): no circuit is built per evaluation, and the outcome
 distribution is reduced through the same ``qaoa.CostTable`` as ``metrics``.
 Within a benchmark, the same chain is reused for every opt level and depth
 of a strategy family.
@@ -14,6 +17,7 @@ of a strategy family.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import itertools
@@ -35,6 +39,9 @@ Evaluator = Callable[[ParamVector], MetricsResult]
 #: how many of the best distinct seed points Nelder-Mead refines
 REFINE_STARTS = 2
 
+#: Nelder-Mead's stopping tolerance on the spread of objective values
+FATOL = 1e-5
+
 #: Nelder-Mead reflection, expansion, contraction and shrink coefficients
 RHO, CHI, PSI, SIGMA = 1, 2, 0.5, 0.5
 
@@ -46,7 +53,6 @@ class OptimizerConfig:
     max_evals: int = 20000
     initial_grid: int = 8
     seed: int = 0
-    tolerance: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -114,75 +120,57 @@ def _by_value(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _nelder_mead(
-    func: Callable[[np.ndarray], float], x0: np.ndarray, maxfev: int, xatol: float,
-    fatol: float,
+    func: Callable[[np.ndarray], float], x0: np.ndarray, xatol: float, fatol: float
 ) -> None:
     """Minimize func from x0 by the Nelder-Mead simplex search (Nelder and
-    Mead, Comput. J. 7, 308 (1965)), calling func at most maxfev times.
+    Mead, Comput. J. 7, 308 (1965)) until the simplex converges.
 
     Follows SciPy's ``_minimize_neldermead`` with its default options step
-    for step (initial simplex, arithmetic, unstable re-sort, stopping test,
-    budget rule), so func sees the same points, bit for bit.  As in SciPy,
-    the call that would exceed maxfev is not made and the rest of its step
-    is abandoned; a shrink cut short keeps moved vertices at their old
-    values.  The caller keeps what it needs from func's calls.
+    for step (initial simplex, arithmetic, unstable re-sort, stopping test),
+    so func sees the same points, bit for bit.  The search counts nothing:
+    func ends it early by raising ``_BudgetSpent``, which, like SciPy's
+    ``maxfev``, abandons the call that would exceed the budget and the rest
+    of its step.  The caller keeps what it needs from func's calls.
     """
     n = len(x0)
-    calls = 0
-
-    def f(x: np.ndarray) -> float:
-        nonlocal calls
-        if calls >= maxfev:
-            raise _BudgetSpent
-        calls += 1
-        return func(x)
-
     sim = np.empty((n + 1, n))
     sim[0] = x0
     for k in range(n):
         y = np.array(x0, dtype=float)
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         sim[k + 1] = y
-    fsim = np.full(n + 1, np.inf)
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _BudgetSpent:
-        pass
+    fsim = np.array([func(x) for x in sim])
     # SciPy sorts twice before the first step and once after every step
     sim, fsim = _by_value(sim, fsim)
-    while calls < maxfev:
+    while True:
         sim, fsim = _by_value(sim, fsim)
         if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
                 and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        try:
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = (1 + RHO) * xbar - RHO * sim[-1]
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = (1 + RHO * CHI) * xbar - RHO * CHI * sim[-1]
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
+            return
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + RHO) * xbar - RHO * sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = (1 + RHO * CHI) * xbar - RHO * CHI * sim[-1]
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + PSI * RHO) * xbar - PSI * RHO * sim[-1]
+                fxc = func(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = (1 - PSI) * xbar + PSI * sim[-1]
+                fxc = func(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
             else:
-                if fxr < fsim[-1]:  # outside contraction
-                    xc = (1 + PSI * RHO) * xbar - PSI * RHO * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc <= fxr
-                else:  # inside contraction
-                    xc = (1 - PSI) * xbar + PSI * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + SIGMA * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
-        except _BudgetSpent:
-            pass
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + SIGMA * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
 
 
 def optimize_params(
@@ -202,12 +190,10 @@ def optimize_params(
         raise ConfigError(f"p must be >= 1, got {p}")
     _check_config(cfg)
     trace: list[tuple[tuple[float, ...], float]] = []
-    evaluations = 0
-    exhausted = False
 
     def objective(flat: Sequence[float]) -> float:
-        nonlocal evaluations
-        evaluations += 1
+        if len(trace) == cfg.max_evals:
+            raise _BudgetSpent
         result = evaluator(_to_params(flat, p))
         value = result.ar if result.ar is not None else -np.inf
         trace.append((tuple(float(v) for v in flat), value))
@@ -223,39 +209,26 @@ def optimize_params(
     seed_points = itertools.chain(
         (tuple(w.gammas) + tuple(w.betas) for w in warm_starts), grid_points
     )
-    for point in itertools.islice(seed_points, cfg.max_evals):
-        objective(point)
-
-    scored = sorted(
-        ((value, flat) for flat, value in trace), key=lambda t: -t[0]
-    )
-    seen: set[tuple[float, ...]] = set()
-    refine_from: list[tuple[float, ...]] = []
-    for value, flat in scored:
-        if not np.isfinite(value):
-            continue  # nothing to refine (e.g. AR undefined everywhere)
-        if flat not in seen:
-            seen.add(flat)
-            refine_from.append(flat)
-        if len(refine_from) >= REFINE_STARTS:
-            break
-
-    for start in refine_from:
-        remaining = cfg.max_evals - evaluations
-        if remaining <= 1:
-            exhausted = True
-            break
-        _nelder_mead(
-            objective, np.array(start), remaining, xatol=1e-4, fatol=cfg.tolerance / 10
-        )
+    skipped = False
+    with contextlib.suppress(_BudgetSpent):
+        for point in seed_points:
+            objective(point)
+        # the best distinct points, ties in trace order; nothing to refine
+        # where AR is undefined
+        finite = {flat: value for flat, value in trace if np.isfinite(value)}
+        for start in sorted(finite, key=lambda flat: -finite[flat])[:REFINE_STARTS]:
+            if cfg.max_evals - len(trace) <= 1:
+                skipped = True
+                break
+            _nelder_mead(objective, np.array(start), xatol=1e-4, fatol=FATOL)
 
     best_flat, best_value = max(trace, key=lambda t: t[1])
     return OptimizationResult(
         params=_to_params(best_flat, p),
         ar=best_value if np.isfinite(best_value) else None,
         trace=tuple(trace),
-        evaluations=evaluations,
-        budget_exhausted=exhausted or evaluations >= cfg.max_evals,
+        evaluations=len(trace),
+        budget_exhausted=skipped or len(trace) >= cfg.max_evals,
     )
 
 

@@ -13,14 +13,14 @@ matrix sum_K K (x) conj(K) on k qubits, acting on the row-major vec(rho)
 whose entry i*d + j is rho[i, j], with local qubit 0 the least-significant
 bit of i and j.  ``unit_channel`` builds each scheduled unit as one product
 of closed-form pieces.  ``evolve`` folds one-qubit work, idle relaxation
-included, into the next two-qubit superoperator on its wire, or flushes it
-one wire at a time.  It holds rho as an interleaved vector, bit 2q the
-column bit and bit 2q+1 the row bit of wire q, so a superoperator on
-neighbouring wires acts on one contiguous block of four bits, which
-``apply_matrix`` applies by a reshape and one matmul, and it turns rho into
-the standard 2^n x 2^n array once, at the end.  QPT repeats a channel with
-a matrix power and reads its Choi matrix off by reshuffling (Wood,
-Biamonte & Cory, arXiv:1111.6950).
+included, into the next two-qubit superoperator on its wire, and flushes
+what is left at the end, one wire at a time.  It holds rho as an
+interleaved vector, bit 2q the column bit and bit 2q+1 the row bit of wire
+q, so a superoperator on neighbouring wires acts on one contiguous block of
+four bits, which ``apply_matrix`` applies by a reshape and one matmul, and
+it turns rho into the standard 2^n x 2^n array once, at the end.  QPT
+repeats a channel with a matrix power and reads its Choi matrix off by
+reshuffling (Wood, Biamonte & Cory, arXiv:1111.6950).
 
 The pieces: the unit's unitary is ``local_matrix`` of its kind and angle,
 not the product of its lowered gates: lowering is exact up to a global
@@ -163,11 +163,16 @@ class NoiseModel:
         return relaxation_superop(duration_ns * self.scale, noise.t1_us, noise.t2_us)
 
     def scaled_confusion(self, position: int) -> np.ndarray:
-        """Confusion interpolated/extrapolated by the noise scale."""
-        m = np.eye(2) + self.scale * (self.qubits[position].confusion - np.eye(2))
-        m = np.clip(m, 0.0, 1.0)
-        sums = m.sum(axis=0)
-        return m / sums
+        """Confusion interpolated/extrapolated by the noise scale, as long as
+        no scaled flip probability exceeds 1."""
+        flips = self.qubits[position].confusion - np.eye(2)
+        if self.scale * flips.max() > 1:
+            raise ValidationError(
+                f"noise scale {self.scale} pushes the readout flip probability"
+                f" of wire {position} past 1"
+            )
+        m = np.eye(2) + self.scale * flips
+        return m / m.sum(axis=0)
 
     def confusion_matrices(self) -> list[np.ndarray]:
         return [self.scaled_confusion(i) for i in range(len(self.qubits))]
@@ -212,12 +217,12 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
     A wire that idled since it was last busy first relaxes for that time.
     One-qubit work, idle relaxation included, multiplies into a pending 4x4
     per wire, which the next two-qubit unit on the wire takes into its
-    superoperator (an identity stands in on a wire with none).  A barrier
-    and the end of the circuit flush the pending work of their wires, one
-    wire at a time.  Work on other wires commutes, so only rounding differs
-    from one apply per unit.  Measurement units only relax (readout noise
-    is applied at sampling time).  Deterministic.  rho is held in the
-    interleaved layout of the module docstring until the end.
+    superoperator (an identity stands in on a wire with none).  Only the
+    end of the circuit flushes the pending work, one wire at a time; a
+    barrier only relaxes its idle wires.  Work on other wires commutes, so
+    only rounding differs from one apply per unit.  Measurement units only
+    relax (readout noise is applied at sampling time).  Deterministic.  rho
+    is held in the interleaved layout of the module docstring until the end.
     """
     n = sc.num_qubits
     require_dense(n)
@@ -233,12 +238,6 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
         vec_qubits = tuple(2 * w for w in wires) + tuple(2 * w + 1 for w in wires)
         return apply_matrix(vec, superop, vec_qubits, 2 * n)
 
-    def flush(vec, wires):
-        for w in wires:
-            if w in pending:
-                vec = apply(vec, pending.pop(w), (w,))
-        return vec
-
     for unit, start in zip(sc.units, sc.start_times):
         for w in unit.wires:
             if start > last_busy[w]:
@@ -246,7 +245,6 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
                 pending[w] = idle @ pending.get(w, _IDENTITY)
             last_busy[w] = start + unit.duration_ns
         if unit.kind is GateKind.BARRIER:
-            vec = flush(vec, unit.wires)
             continue
         channel = unit_channel(unit, noise)
         if len(unit.wires) == 1:
@@ -255,7 +253,8 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
         if any(w in pending for w in unit.wires):
             channel = channel @ _per_wire([pending.pop(w, _IDENTITY) for w in unit.wires])
         vec = apply(vec, channel, unit.wires)
-    vec = flush(vec, sorted(pending))
+    for w in sorted(pending):
+        vec = apply(vec, pending[w], (w,))
     # interleaved bits (..., row 1, col 1, row 0, col 0) -> rows, then columns
     axes = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     rho = vec.reshape((2,) * (2 * n)).transpose(axes)
@@ -356,8 +355,8 @@ def run_noisy(
     readout-mitigated unless ``mitigated`` is false.
     """
     noise = NoiseModel.from_device(dev, lowered.chain, scale=noise_scale)
-    rho = evolve(lowered, noise)
     confusions = noise.confusion_matrices()
+    rho = evolve(lowered, noise)
     counts = sample(rho, shots, confusions, seed)
     dist = mitigate_readout(counts, confusions)[1] if mitigated else counts
     return counts, remap_counts(dist, lowered.measure_map())

@@ -348,8 +348,7 @@ _BENCHMARK = ["benchmark", "--device", SYNTH5, "--problem", K5, "--strategies", 
               "--shots", "10"]
 _QPT = ["qpt", "--device", FRAGMENT, "--angles", "1"]
 
-#: malformed options of every command and the text their error must contain;
-#: sizes that allocate without bound (a range of 10**12 depths) are left out
+#: malformed options of every command and the text their error must contain
 BAD_OPTIONS = {
     "summarize-format": (["device", "summarize", FRAGMENT, "--format", "xml"], "--format"),
     "select-strategy": (
@@ -369,12 +368,14 @@ BAD_OPTIONS = {
                          "--gammas"),
     "build-betas-inf": (["circuit", "build", "--problem", K5, "--betas", "inf"], "--betas"),
     "build-betas-empty": (["circuit", "build", "--problem", K5, "--betas", ""], "--betas"),
+    "build-p-huge": (["circuit", "build", "--problem", K5, "--p", str(10**12)], "--p"),
     "lower-chain-word": (_LOWER + ["--chain", "a,b"], "--chain"),
     "lower-chain-short": (_LOWER + ["--chain", "0,1"], "chain"),
     "lower-chain-off-device": (_LOWER + ["--chain", "0,1,2,3,99"], "chain"),
     "lower-chain-repeat": (_LOWER + ["--chain", "0,1,2,3,3"], "chain"),
     "lower-opt": (_LOWER + ["--chain", "0,1,2,3,4", "--opt", "x"], "--opt"),
     "lower-p-zero": (_LOWER + ["--chain", "0,1,2,3,4", "--p", "0"], "--p"),
+    "lower-p-huge": (_LOWER + ["--chain", "0,1,2,3,4", "--p", str(10**12)], "--p"),
     "estimate-chain-word": (
         ["estimate", "--device", SYNTH5, "--problem", K5, "--chain", "0,1,x"], "--chain"
     ),
@@ -383,15 +384,21 @@ BAD_OPTIONS = {
     "estimate-strategy": (
         ["estimate", "--device", SYNTH5, "--problem", K5, "--strategy", "x"], "--strategy"
     ),
+    "estimate-p-huge": (["estimate", "--device", SYNTH5, "--problem", K5, "--p", str(10**12)],
+                        "--p"),
     "simulate-shots-zero": (_SIMULATE + ["--shots", "0"], "shots"),
     "simulate-shots-negative": (_SIMULATE + ["--shots", "-3"], "shots"),
     "simulate-shots-beyond-int64": (_SIMULATE + ["--shots", str(2**63)], "shots"),
     "simulate-seed-negative": (_SIMULATE + ["--seed", "-1"], "seed"),
     "simulate-seed-word": (_SIMULATE + ["--seed", "x"], "--seed"),
     "simulate-noise-scale-negative": (_SIMULATE + ["--noise-scale", "-1"], "noise scale"),
+    "simulate-noise-scale-past-certainty": (_SIMULATE + ["--noise-scale", "1e308"],
+                                            "noise scale"),
     "simulate-chain-off-device": (_SIMULATE + ["--chain", "0,1,2,3,9"], "chain"),
     "simulate-p-zero": (_SIMULATE + ["--p", "0"], "--p"),
+    "simulate-p-huge": (_SIMULATE + ["--p", str(10**12)], "--p"),
     "optimize-p-word": (["optimize", "--problem", K5, "--p", "x"], "--p"),
+    "optimize-p-huge": (["optimize", "--problem", K5, "--p", str(10**12)], "--p"),
     "optimize-grid-beyond-float": (["optimize", "--problem", K5, "--grid", "1" + "0" * 400],
                                    "--grid"),
     "optimize-max-evals-negative": (["optimize", "--problem", K5, "--max-evals", "-1"],
@@ -400,12 +407,16 @@ BAD_OPTIONS = {
     "benchmark-p-reversed": (_BENCHMARK + ["--p", "3..1"], "--p"),
     "benchmark-p-negative": (_BENCHMARK + ["--p", "-1,2"], "--p"),
     "benchmark-p-two-ranges": (_BENCHMARK + ["--p", "1..2..3"], "--p"),
+    "benchmark-p-huge-range": (_BENCHMARK + ["--p", f"1..{10**12}"], "--p"),
+    "benchmark-p-huge": (_BENCHMARK + ["--p", str(10**12)], "--p"),
     "benchmark-strategies": (_BENCHMARK + ["--strategies", "global,x"], "--strategies"),
     "benchmark-opt-levels": (_BENCHMARK + ["--opt-levels", "x"], "--opt-levels"),
     "benchmark-shots-zero": (_BENCHMARK + ["--shots", "0"], "shots"),
     "benchmark-shots-beyond-int64": (_BENCHMARK + ["--shots", str(2**63)], "shots"),
     "benchmark-max-evals-zero": (_BENCHMARK + ["--max-evals", "0"], "max-evals"),
     "benchmark-noise-scale-negative": (_BENCHMARK + ["--noise-scale", "-1"], "noise scale"),
+    "benchmark-noise-scale-past-certainty": (_BENCHMARK + ["--noise-scale", "1e308"],
+                                             "noise scale"),
     "benchmark-format": (_BENCHMARK + ["--format", "xml"], "--format"),
     "qpt-edge-one-qubit": (_QPT + ["--edge", "1"], "--edge"),
     "qpt-edge-word": (_QPT + ["--edge", "a,b"], "--edge"),
@@ -415,7 +426,10 @@ BAD_OPTIONS = {
     "qpt-gate": (_QPT + ["--edge", "1,0", "--gate", "cx"], "--gate"),
     "qpt-opt": (_QPT + ["--edge", "1,0", "--opt", "x"], "--opt"),
     "qpt-reps-reversed": (_QPT + ["--edge", "1,0", "--reps", "5..1"], "--reps"),
+    "qpt-reps-huge-range": (_QPT + ["--edge", "1,0", "--reps", f"1..{10**12}"], "--reps"),
     "qpt-angles-word": (_QPT + ["--edge", "1,0", "--angles", "x"], "--angles"),
+    "qpt-angles-zero": (_QPT + ["--edge", "1,0", "--angles", "0"], "--angles"),
+    "qpt-angles-huge": (_QPT + ["--edge", "1,0", "--angles", str(10**12)], "--angles"),
     "qpt-noise-scale-negative": (_QPT + ["--edge", "1,0", "--noise-scale", "-1"],
                                  "noise scale"),
 }

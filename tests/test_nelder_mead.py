@@ -5,6 +5,8 @@ bit and in the same order, as ``scipy.optimize.minimize(method=
 "Nelder-Mead")`` does, so trained angles do not depend on which one ran.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,19 +31,25 @@ def walled(x):
     return np.inf if x[0] > 0.4 else smooth(x)
 
 
-def scipy_search(func, x0, maxfev, xatol, fatol):
-    options = {"maxfev": maxfev, "xatol": xatol, "fatol": fatol}
+def scipy_search(func, x0, xatol, fatol):
+    # a finite maxfev sets no iteration cap, as the in-repo search has none
+    options = {"maxfev": 10**9, "xatol": xatol, "fatol": fatol}
     minimize(func, x0, method="Nelder-Mead", options=options)
 
 
-def points_seen(search, objective, x0, *args):
+def points_seen(search, objective, x0, maxfev, *args):
+    """The points search hands objective, stopped after maxfev of them as
+    training's objective stops a search."""
     seen = []
 
     def recorded(x):
+        if len(seen) == maxfev:
+            raise optimize._BudgetSpent
         seen.append(x.tobytes())
         return objective(x)
 
-    search(recorded, np.array(x0), *args)
+    with contextlib.suppress(optimize._BudgetSpent):
+        search(recorded, np.array(x0), *args)
     return seen
 
 

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -53,6 +54,20 @@ def test_all_zero_problem_returns_grid_origin():
     assert result.params.betas == (0.0,)
 
 
+def test_refinements_start_from_the_best_distinct_points_in_trace_order(monkeypatch):
+    # every point ties; the warm start repeats the grid origin, so the second
+    # refinement starts from the second distinct point, not from the repeat
+    starts = []
+    monkeypatch.setattr(
+        optimize, "_nelder_mead", lambda func, x0, *args, **kw: starts.append(tuple(x0))
+    )
+    optimize.optimize_params(
+        k5(), 1, lambda params: SimpleNamespace(ar=0.5), OptimizerConfig(initial_grid=2),
+        warm_starts=[ParamVector((0.0,), (0.0,))],
+    )
+    assert starts == [(0.0, 0.0), (0.0, np.pi / 4)]
+
+
 def test_trace_best_so_far_is_monotone():
     prob = k5()
     evaluator = optimize.exact_expectation_evaluator(prob, "max")
@@ -76,17 +91,25 @@ def test_budget_exhaustion_flag():
 
 
 @pytest.mark.parametrize(
-    "max_evals,exhausted",
-    [(120, True), (140, True), (OptimizerConfig().max_evals, False)],
+    "max_evals,evaluations,exhausted",
+    [
+        (1, 1, True),
+        (64, 64, True),  # the 8x8 grid fills the budget exactly
+        (65, 64, True),  # one evaluation left: the refinement is skipped
+        (66, 66, True),  # the budget runs out inside the initial simplex
+        (120, 120, True),
+        (140, 140, True),
+        (OptimizerConfig().max_evals, 162, False),
+    ],
 )
-def test_budget_flag_when_refinement_spends_the_budget(max_evals, exhausted):
+def test_budget_flag_when_refinement_spends_the_budget(max_evals, evaluations, exhausted):
     # unbounded, k5 at p=1 takes 162 evaluations; a budget of 120 or 140 runs
     # out inside the last Nelder-Mead refinement
     prob = k5()
     evaluator = optimize.exact_expectation_evaluator(prob, "max")
     cfg = OptimizerConfig(max_evals=max_evals)
     result = optimize.optimize_params(prob, 1, evaluator, cfg)
-    assert result.evaluations == min(max_evals, 162)
+    assert result.evaluations == len(result.trace) == evaluations
     assert result.budget_exhausted is exhausted
 
 
