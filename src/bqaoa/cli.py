@@ -21,7 +21,7 @@ from . import optimize as opt_mod
 from . import qaoa, sim
 from .circuit import GateKind
 from .device import load_device, qubit_class, summarize
-from .errors import CONFIG_ERRORS, INFEASIBLE_ERRORS, ConfigError
+from .errors import CONFIG_ERRORS, INFEASIBLE_ERRORS, ConfigError, TooLargeError
 from .lower import OptLevel, lower_circuit
 from .mapper import Strategy, fidelity_score, select
 from .optimize import OptimizerConfig
@@ -117,6 +117,20 @@ def _built(problem_path, p: int, gammas: str | None, betas: str | None):
     gamma_values = _parse_angles(gammas, p, 0.5, "--gammas")
     params = ParamVector(gamma_values, _parse_angles(betas, p, 0.3, "--betas"))
     return problem, qaoa.build_swap_network(problem.ising, params)
+
+
+#: the problem-document field that sets the number of qubits, per problem type
+SIZE_FIELDS = {"maxcut": "n", "portopt": "mu"}
+
+
+def _dense(problem: qaoa.ProblemFile) -> qaoa.ProblemFile:
+    """The problem, for a command that holds its dense state; past the dense
+    limit the error names the document field that sets the size."""
+    try:
+        cir.require_dense(problem.ising.n)
+    except TooLargeError as exc:
+        raise TooLargeError(f"{SIZE_FIELDS[problem.kind]}: {exc}") from exc
+    return problem
 
 
 def _parse_chain(text: str, name: str = "--chain") -> tuple[int, ...]:
@@ -305,6 +319,7 @@ def simulate(device_path, problem_path, chain_text, p, gammas, betas, shots,
     """Noisy density-matrix simulation: counts and AR/SP metrics."""
     dev = load_device(device_path)
     problem, circ = _built(problem_path, p, gammas, betas)
+    _dense(problem)
     chain = _parse_chain(chain_text)
     lowered = lower_circuit(circ, chain, dev, OPT_CHOICES[opt_name])
     counts, logical = sim.run_noisy(lowered, dev, shots, seed, noise_scale, mitigate)
@@ -339,7 +354,7 @@ def simulate(device_path, problem_path, chain_text, p, gammas, betas, shots,
 @handles_errors
 def optimize_cmd(problem_path, p, grid, max_evals, output):
     """Noiseless parameter optimization (exact expectations)."""
-    problem = load_problem(problem_path)
+    problem = _dense(load_problem(problem_path))
     cfg = OptimizerConfig(max_evals=max_evals, initial_grid=grid)
     sweep = opt_mod.optimize_depth_sweep(
         problem.ising, problem.sense, list(range(1, p + 1)), cfg
@@ -381,7 +396,7 @@ def benchmark(device_path, problem_path, strategies, opt_levels, p_range, shots,
               noise_scale, grid, max_evals, fmt, seed, output):
     """Strategy-comparison sweep; one row per (strategy, opt level, p)."""
     dev = load_device(device_path)
-    problem = load_problem(problem_path)
+    problem = _dense(load_problem(problem_path))
     if strategies == "all":
         strategy_list = list(Strategy)
     else:

@@ -7,14 +7,17 @@ error, requires both gate flavors, and minimizes the lowered circuit's
 schedule duration.  Enumeration is exhaustive; ties break deterministically
 (higher fidelity, then lexicographically smaller chain).  A chain is scored
 without lowering the whole circuit: each distinct gate placement is lowered
-once per selection, and per chain only the products and schedule are run.
+once per selection, and the products and schedules of all chains run as arrays.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .circuit import CircuitIR, GateKind
 from .device import DeviceModel, GateFlavor
@@ -112,28 +115,30 @@ def _scored(
 ) -> list[tuple[tuple[int, ...], float, float]]:
     """(chain, fidelity score, schedule duration) of each chain.
 
-    ``lower_gate`` runs once per (kind, param, physical qubits), in a table
-    local to the call, and the first chain meets every gate.  Per chain the
-    survivals multiply in gate order and the recurrence of
-    ``circuit.asap_start_times`` runs inline, as lowering would do them.
+    ``lower_gate`` runs once per (kind, param, physical qubits), in tables
+    local to the call.  The template is walked once, each gate over all
+    chains at a time: survivals multiply in gate order and the recurrence
+    of ``circuit.asap_start_times`` runs per chain, as lowering would.
     """
-    table: dict[tuple, tuple[float, float]] = {}
-    rows = []
-    for chain in chains:
-        score, total, free = 1.0, 0.0, [0.0] * len(chain)
-        for g in benchmark.gates:
-            key = (g.kind, g.param, tuple(map(chain.__getitem__, g.qubits)))
-            if key not in table:
+    columns = list(zip(*chains))  # per wire, its qubit on each chain
+    score = np.ones(len(chains))
+    total = np.zeros(len(chains))
+    free = np.zeros((len(columns), len(chains)))
+    tables: dict[tuple, tuple[dict, dict]] = {}
+    for g in benchmark.gates:
+        durations, survivals = tables.setdefault((g.kind, g.param), ({}, {}))
+        placements = list(zip(*map(columns.__getitem__, g.qubits)))
+        for chain, p in zip(chains, placements):
+            if p not in durations:
                 unit = lower_gate(g, chain, dev, opt)
-                table[key] = (unit.duration_ns, _survival(dev, unit))
-            duration, survival = table[key]
-            score *= survival
-            end = max(map(free.__getitem__, g.qubits), default=0.0) + duration
-            for w in g.qubits:
-                free[w] = end
-            total = max(total, end)
-        rows.append((chain, score, total))
-    return rows
+                durations[p], survivals[p] = unit.duration_ns, _survival(dev, unit)
+        score *= np.fromiter(map(survivals.__getitem__, placements), float, len(chains))
+        start = functools.reduce(np.maximum, map(free.__getitem__, g.qubits))
+        end = start + np.fromiter(map(durations.__getitem__, placements), float, len(chains))
+        for w in g.qubits:
+            free[w] = end
+        np.maximum(total, end, out=total)
+    return list(zip(chains, score.tolist(), total.tolist()))
 
 
 #: strategy -> (link flavor filter, constraints, no-chain message); the

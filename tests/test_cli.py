@@ -113,6 +113,18 @@ def test_chains_select_json(runner):
     assert len(doc["chain"]) == 5
 
 
+def test_chains_select_accepts_problems_past_the_dense_limit(runner, tmp_path):
+    """Selection holds no dense state, so a 12-asset portfolio selects a chain."""
+    path = tmp_path / "portopt12.json"
+    path.write_text(json.dumps(PORTOPT_12_DOC))
+    result = runner.invoke(
+        main, ["chains", "select", "--device", EHNINGEN, "--problem", str(path),
+               "--strategy", "global"],
+    )
+    assert result.exit_code == 0, result.output
+    assert len(json.loads(result.output)["chain"]) == 12
+
+
 def test_circuit_build_text_dump(runner):
     result = runner.invoke(
         main, ["circuit", "build", "--problem", K5, "--p", "1",
@@ -286,6 +298,12 @@ def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
+#: a well-formed portfolio of 12 assets, two past the dense limit
+PORTOPT_12_DOC = PORTOPT_DOC | {
+    "mu": [0.05 + 0.01 * i for i in range(12)],
+    "sigma": [[0.01 if i == j else 0.0 for j in range(12)] for i in range(12)],
+}
+
 #: malformed problem documents and the text their error must contain
 BAD_PROBLEM_DOCS = {
     "maxcut-n-word": (MAXCUT_DOC | {"n": "five"}, "n:"),
@@ -338,6 +356,10 @@ BAD_PROBLEM_DOCS = {
     "portopt-lambda-infinite": (PORTOPT_DOC | {"lambda": float("inf")}, "lambda:"),
     "portopt-missing-q": (_without(PORTOPT_DOC, "q"), "'q'"),
     "portopt-unknown-key": (PORTOPT_DOC | {"budget": 2}, "budget:"),
+    "maxcut-n-past-dense-limit": (
+        {"type": "maxcut", "n": 40, "edges": [[0, 1]]}, "n: 40 qubits exceeds dense limit"
+    ),
+    "portopt-mu-past-dense-limit": (PORTOPT_12_DOC, "mu: 12 qubits exceeds dense limit"),
 }
 
 _LOWER = ["circuit", "lower", "--device", SYNTH5, "--problem", K5]

@@ -1,11 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import oracles
+from problem_strategies import maxcut_problems, portfolio_problems
 from bqaoa import circuit as cir
-from bqaoa import lower, mapper, optimize, qaoa
-from bqaoa.circuit import Gate, GateKind
+from bqaoa import data_path, device, lower, mapper, optimize, qaoa
+from bqaoa.circuit import CircuitIR, Gate, GateKind
 from bqaoa.device import DeviceModel, EdgeCalibration, GateFlavor, QubitCalibration
 from bqaoa.errors import NoChainError
 from bqaoa.lower import OptLevel, lower_circuit
@@ -319,3 +324,76 @@ def test_selection_matches_lowering_reference(name, request, monkeypatch):
                     patch.setattr(mapper, "_scored", helpers.scored_by_lowering)
                     reference = selection_fields(dev, k, strategy, template, opt)
                 assert fast == reference, (k, strategy, opt)
+
+
+@functools.cache
+def bundled_device(name):
+    return device.load_device(data_path(name))
+
+
+def barrier_template(k):
+    """One- and two-qubit gates around a barrier over all k wires, then a
+    measurement per wire: placements of arity 1, 2 and k."""
+    gates = [cir.h(w) for w in range(k)]
+    gates += [cir.zz(0.7, w, w + 1) for w in range(k - 1)]
+    gates.append(cir.barrier(*range(k)))
+    gates += [cir.cx(w + 1, w) for w in range(0, k - 1, 2)]
+    gates += [cir.rx(0.3, w) for w in range(k)]
+    gates += [cir.measure(w, w) for w in range(k)]
+    return CircuitIR(k, tuple(gates), num_clbits=k)
+
+
+def selection_templates(max_n):
+    def of(drawn):
+        return optimize.selection_template(drawn[0])
+
+    return st.one_of(
+        maxcut_problems(max_n=max_n).map(of),
+        portfolio_problems(max_n=max_n).map(of),
+        st.integers(2, max_n).map(barrier_template),
+    )
+
+
+#: bundled device -> the longest chain the property test draws on it
+LONGEST_DRAWN_CHAIN = {
+    "ehningen.json": 8, "ehningen_fragment.json": 3, "synthetic5.json": 5,
+}
+
+
+@pytest.mark.parametrize("opt", list(OptLevel))
+@pytest.mark.parametrize("name", list(LONGEST_DRAWN_CHAIN))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_scored_rows_equal_lowering_reference(name, opt, data):
+    """Every (chain, score, duration) row equals, by ``==``, the one read
+    back from lowering the chain's whole circuit, for any non-empty subset
+    of the candidate chains in any order."""
+    dev = bundled_device(name)
+    template = data.draw(selection_templates(LONGEST_DRAWN_CHAIN[name]))
+    candidates = enumerate_chains(dev, template.num_qubits)
+    chains = data.draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True))
+    rows = mapper._scored(dev, chains, template, opt)
+    assert rows == helpers.scored_by_lowering(dev, chains, template, opt)
+
+
+def test_selection_lowers_each_placement_once(ehningen, monkeypatch):
+    """Global selection at k=8 calls ``lower_gate`` once per distinct
+    (kind, param, physical qubits), not once per gate and chain."""
+    rng = np.random.default_rng(18)
+    pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+    edges = frozenset(pair for pair in pairs if rng.random() < 0.5)
+    template = optimize.selection_template(qaoa.encode_maxcut(qaoa.MaxCutInstance(8, edges)))
+    chains = enumerate_chains(ehningen, 8)
+    placements = {
+        (g.kind, g.param, tuple(chain[w] for w in g.qubits))
+        for chain in chains for g in template.gates
+    }
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return lower.lower_gate(*args)
+
+    monkeypatch.setattr(mapper, "lower_gate", counting)
+    select(ehningen, 8, Strategy.GLOBAL, template, OptLevel.ZZ_SWAP_OPT)
+    assert len(calls) == len(placements) < len(chains) * len(template.gates) // 4
