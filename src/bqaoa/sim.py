@@ -13,8 +13,8 @@ matrix sum_K K (x) conj(K) on k qubits, acting on the row-major vec(rho)
 whose entry i*d + j is rho[i, j], with local qubit 0 the least-significant
 bit of i and j.  ``unit_channel`` builds each scheduled unit as one product
 of closed-form pieces.  ``evolve`` folds one-qubit work, idle relaxation
-included, into the next two-qubit superoperator on its wire, and flushes
-what is left at the end, one wire at a time.  It holds rho as an
+included, into the next two-qubit superoperator on its wire, and what
+follows a wire's last two-qubit unit into that unit.  It holds rho as an
 interleaved vector, bit 2q the column bit and bit 2q+1 the row bit of wire
 q, so a superoperator on neighbouring wires acts on one contiguous block of
 four bits, which ``apply_matrix`` applies by a reshape and one matmul, and
@@ -131,12 +131,14 @@ class NoiseModel:
     qubits: tuple[QubitNoise, ...]
     scale: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.scale) and self.scale >= 0):
+            raise ValidationError(f"noise scale {self.scale} must be finite and >= 0")
+
     @classmethod
     def from_device(
         cls, dev: DeviceModel, physical_qubits, scale: float = 1.0
     ) -> "NoiseModel":
-        if not (math.isfinite(scale) and scale >= 0):
-            raise ValidationError(f"noise scale {scale} must be finite and >= 0")
         entries = []
         for q in physical_qubits:
             cal = dev.qubits[q]
@@ -217,12 +219,13 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
     A wire that idled since it was last busy first relaxes for that time.
     One-qubit work, idle relaxation included, multiplies into a pending 4x4
     per wire, which the next two-qubit unit on the wire takes into its
-    superoperator (an identity stands in on a wire with none).  Only the
-    end of the circuit flushes the pending work, one wire at a time; a
-    barrier only relaxes its idle wires.  Work on other wires commutes, so
-    only rounding differs from one apply per unit.  Measurement units only
-    relax (readout noise is applied at sampling time).  Deterministic.  rho
-    is held in the interleaved layout of the module docstring until the end.
+    superoperator (an identity stands in on a wire with none); what follows
+    a wire's last two-qubit unit joins that unit from the left.  So each
+    two-qubit unit is one apply, in program order, and only a wire with none
+    has a 4x4 apply; a barrier only relaxes its idle wires.  Work on other
+    wires commutes, so only rounding differs from one apply per unit.
+    Measurement units only relax (readout noise is applied at sampling
+    time).  Deterministic.  rho is held interleaved until the end.
     """
     n = sc.num_qubits
     require_dense(n)
@@ -233,6 +236,7 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
     vec = DensityMatrix.ground(n).data.reshape(-1)
     last_busy = [0.0] * n
     pending: dict[int, np.ndarray] = {}  # wire -> 4x4 not yet applied
+    ops = []  # each two-qubit unit, with the 4x4s pending on its wires before it
 
     def apply(vec, superop, wires):
         vec_qubits = tuple(2 * w for w in wires) + tuple(2 * w + 1 for w in wires)
@@ -246,12 +250,21 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
             last_busy[w] = start + unit.duration_ns
         if unit.kind is GateKind.BARRIER:
             continue
-        channel = unit_channel(unit, noise)
         if len(unit.wires) == 1:
-            pending[unit.wires[0]] = channel @ pending.get(unit.wires[0], _IDENTITY)
+            w = unit.wires[0]
+            pending[w] = unit_channel(unit, noise) @ pending.get(w, _IDENTITY)
             continue
-        if any(w in pending for w in unit.wires):
-            channel = channel @ _per_wire([pending.pop(w, _IDENTITY) for w in unit.wires])
+        ops.append((unit, [pending.pop(w, _IDENTITY) for w in unit.wires]))
+    last_op = {w: i for i, (unit, _) in enumerate(ops) for w in unit.wires}
+    for i, (unit, heads) in enumerate(ops):
+        channel = unit_channel(unit, noise)
+        if any(h is not _IDENTITY for h in heads):
+            channel = channel @ _per_wire(heads)
+        # what follows a wire's last two-qubit unit joins that unit, from the left
+        tails = [pending.pop(w) if last_op[w] == i and w in pending else _IDENTITY
+                 for w in unit.wires]
+        if any(t is not _IDENTITY for t in tails):
+            channel = _per_wire(tails) @ channel
         vec = apply(vec, channel, unit.wires)
     for w in sorted(pending):
         vec = apply(vec, pending[w], (w,))

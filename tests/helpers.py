@@ -4,6 +4,7 @@ and small conveniences nothing in the package needs.  Unlike ``oracles``,
 this module imports ``bqaoa``."""
 
 import math
+from unittest import mock
 
 import numpy as np
 
@@ -174,6 +175,13 @@ def density_from_statevector(psi) -> sim.DensityMatrix:
     psi = np.asarray(psi, dtype=complex)
     n = int(round(np.log2(psi.size)))
     return sim.DensityMatrix(n, np.outer(psi, psi.conj()))
+
+
+def evolve_applies(lowered, noise) -> int:
+    """How many superoperator applies ``sim.evolve`` makes on ``lowered``."""
+    with mock.patch.object(sim, "apply_matrix", side_effect=cir.apply_matrix) as apply:
+        sim.evolve(lowered, noise)
+    return apply.call_count
 
 
 def final_wire_to_logical(c: CircuitIR) -> tuple[int, ...]:

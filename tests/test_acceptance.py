@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v` to get one pass/fail line per
 criterion.
 """
 
+import functools
 import json
 import math
 import time
@@ -227,6 +228,45 @@ def test_criterion_08b_metrics_nonincreasing_in_noise_scale():
     assert rows[2].ar <= rows[1].ar + ar_slack
     assert rows[1].sp <= rows[0].sp + sp_slack
     assert rows[2].sp <= rows[1].sp + sp_slack
+
+
+@functools.cache
+def trained_params(problem_file: str) -> dict:
+    problem = qaoa.load_problem(data_path(problem_file))
+    sweep = optimize.optimize_depth_sweep(
+        problem.ising, problem.sense, (1, 2), OptimizerConfig()
+    )
+    return {p: result.params for p, result in sweep.items()}
+
+
+@pytest.mark.parametrize("problem_file", ["k5_maxcut.json", "portopt5.json"])
+@pytest.mark.parametrize("device_file", ["synthetic5.json", "ehningen.json"])
+def test_criterion_08b_exact_metrics_nonincreasing_at_trained_angles(
+    problem_file, device_file
+):
+    # only at trained angles: elsewhere noise can pull AR up toward the
+    # uniform mean.  Exact, unsampled distributions, with and without the
+    # scaled readout confusion.
+    dev = device.load_device(data_path(device_file))
+    problem = qaoa.load_problem(data_path(problem_file))
+    chain = optimize.select_chain_for(dev, problem.ising, Strategy.GLOBAL).chain
+    for opt in (OptLevel.DEFAULT, OptLevel.ZZ_SWAP_OPT):
+        for p, params in trained_params(problem_file).items():
+            circ = qaoa.build_swap_network(problem.ising, params)
+            lowered = lower.lower_circuit(circ, chain, dev, opt)
+            for readout in (False, True):
+                series = []
+                for scale in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0):
+                    noise = sim.NoiseModel.from_device(dev, chain, scale=scale)
+                    probs = sim.evolve(lowered, noise).probabilities()
+                    if readout:
+                        probs = sim.apply_confusion(probs, noise.confusion_matrices())
+                    logical = sim.remap_counts(probs, lowered.measure_map())
+                    result = qaoa.metrics(problem.ising, logical, problem.sense)
+                    series.append((result.ar, result.sp))
+                for values in zip(*series):
+                    case = (opt.value, p, readout, values)
+                    assert list(values) == sorted(values, reverse=True), case
 
 
 def test_criterion_08c_qpt_infidelity_nondecreasing_in_repetitions():

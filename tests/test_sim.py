@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import helpers
 import oracles
 from bqaoa import circuit as cir
-from bqaoa import lower, qaoa, sim
+from bqaoa import data_path, lower, optimize, qaoa, sim
 from bqaoa.circuit import CircuitIR, GateKind
 from bqaoa.device import DeviceModel, EdgeCalibration, GateFlavor, QubitCalibration
 from bqaoa.errors import (
@@ -16,6 +17,7 @@ from bqaoa.errors import (
     ValidationError,
 )
 from bqaoa.lower import OptLevel, Polarity
+from bqaoa.mapper import Strategy
 
 
 def make_device(t1=150.0, t2=140.0, sx_error=0.0002, cx_error=0.0083,
@@ -138,6 +140,52 @@ def test_t2_clamp_warns():
     with pytest.warns(UserWarning, match="clamping"):
         noise = sim.NoiseModel.from_device(bad, (0, 1), scale=1.0)
     assert noise.qubits[0].t2_us == pytest.approx(200.0)
+
+
+@pytest.mark.parametrize("scale", [-1.0, math.nan, math.inf])
+def test_noise_model_rejects_a_bad_scale(scale):
+    qubits = sim.NoiseModel.from_device(DEV, (0, 1)).qubits
+    with pytest.raises(ValidationError, match="noise scale"):
+        sim.NoiseModel(qubits=qubits, scale=scale)
+    with pytest.raises(ValidationError, match="noise scale"):
+        sim.NoiseModel.from_device(DEV, (0, 1), scale=scale)
+
+
+def lowered_on_global_chain(dev, prob, params):
+    """``prob``'s QAOA circuit at ``zzswapopt`` on its global chain of ``dev``."""
+    chain = optimize.select_chain_for(dev, prob, Strategy.GLOBAL).chain
+    circ = qaoa.build_swap_network(prob, params)
+    return lower.lower_circuit(circ, chain, dev, OptLevel.ZZ_SWAP_OPT)
+
+
+def test_evolve_applies_one_superoperator_per_two_qubit_unit(ehningen):
+    # the mixer RX and the measurement after each wire's last swap join that
+    # swap's superoperator: 28 applies, not 28 + one flush per wire
+    prob = qaoa.encode_maxcut(helpers.complete_maxcut(8))
+    lowered = lowered_on_global_chain(ehningen, prob, qaoa.ParamVector((0.4,), (0.3,)))
+    assert sum(len(u.wires) == 2 for u in lowered.units) == 28
+    noise = sim.NoiseModel.from_device(ehningen, lowered.chain)
+    assert helpers.evolve_applies(lowered, noise) == 28
+
+
+@pytest.mark.parametrize("problem, p, bound_kb", [
+    (qaoa.load_problem(data_path("portopt5.json")).ising, 2, 192),
+    (qaoa.encode_maxcut(helpers.complete_maxcut(8)), 1, 2560),
+])
+def test_evolve_peak_memory(ehningen, problem, p, bound_kb):
+    # rho is 4^n complex entries (16 KB at n=5, 1 MB at n=8); a channel
+    # build that holds every unit's superoperator at once shows here
+    params = qaoa.ParamVector((0.4,) * p, (0.3,) * p)
+    lowered = lowered_on_global_chain(ehningen, problem, params)
+    noise = sim.NoiseModel.from_device(ehningen, lowered.chain)
+    sim.evolve(lowered, noise)  # one-time allocations do not count
+    tracemalloc.start()
+    try:
+        sim.evolve(lowered, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_kb * 1024
 
 
 # --- sampling and mitigation ---

@@ -229,3 +229,17 @@ def test_fused_evolve_matches_one_apply_per_unit(case, scale):
     fused = sim.evolve(lowered, noise).data
     reference = oracles.per_unit_evolve(lowered, noise, sim.unit_channel)
     assert np.abs(fused - reference).max() < 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(lowered_circuits())
+def test_evolve_applies_once_per_two_qubit_unit_and_per_solo_wire(case):
+    # trailing one-qubit work joins the last two-qubit unit on its wire, so
+    # only a wire that no two-qubit unit touches has an apply of its own
+    lowered, dev = case
+    noise = sim.NoiseModel.from_device(dev, lowered.chain)
+    units = [u for u in lowered.units if u.kind is not GateKind.BARRIER]
+    paired = {w for u in units if len(u.wires) == 2 for w in u.wires}
+    solo = {u.wires[0] for u in units if len(u.wires) == 1} - paired
+    two_qubit = sum(len(u.wires) == 2 for u in units)
+    assert helpers.evolve_applies(lowered, noise) == two_qubit + len(solo)
