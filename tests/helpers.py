@@ -4,9 +4,11 @@ and small conveniences nothing in the package needs.  Unlike ``oracles``,
 this module imports ``bqaoa``."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
+import scipy.linalg
 
 from bqaoa import circuit as cir
 from bqaoa import qaoa, sim
@@ -182,6 +184,17 @@ def evolve_applies(lowered, noise) -> int:
     with mock.patch.object(sim, "apply_matrix", side_effect=cir.apply_matrix) as apply:
         sim.evolve(lowered, noise)
     return apply.call_count
+
+
+def uhlmann_fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """(tr sqrt(sqrt(a) b sqrt(a)))^2 by ``scipy.linalg.sqrtm``.
+
+    sqrtm of a rank-deficient matrix errs by about sqrt(eps) unless the
+    matrix is diagonal, so give a (nearly) pure a in its eigenbasis."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)  # singular
+        root = scipy.linalg.sqrtm(a)
+        return float(np.trace(scipy.linalg.sqrtm(root @ b @ root)).real ** 2)
 
 
 def final_wire_to_logical(c: CircuitIR) -> tuple[int, ...]:

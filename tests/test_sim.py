@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -360,6 +361,34 @@ def test_process_fidelity_dimension_mismatch():
     b = sim.choi_of(sim.depolarized_unitary(np.eye(4, dtype=complex), 0.0))
     with pytest.raises(DimensionError):
         sim.process_fidelity(a, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_process_fidelity_rejects_a_non_finite_choi_matrix(bad):
+    pure = sim.choi_of(sim.depolarized_unitary(np.eye(4, dtype=complex), 0.0))
+    broken = sim.ChoiMatrix(pure.dim, pure.data.copy())
+    broken.data[3, 5] = bad
+    with pytest.raises(ValidationError, match="Choi matrix a "):
+        sim.process_fidelity(broken, pure)
+    with pytest.raises(ValidationError, match="Choi matrix b "):
+        sim.process_fidelity(pure, broken)
+
+
+def test_qpt_rows_take_the_pure_shortcut(fragment, monkeypatch):
+    """Each README qpt row probes two Choi matrices and reads one fidelity,
+    with no matrix root: the repeated target unitary's Choi state is pure."""
+    spies = {name: mock.Mock(side_effect=getattr(sim, name))
+             for name in ("choi_of", "process_fidelity", "_sqrtm_psd")}
+    for name, spy in spies.items():
+        monkeypatch.setattr(sim, name, spy)
+    angles = [np.pi * (i + 1) / 9 for i in range(9)]
+    rows = sim.qpt_infidelities(
+        fragment, fragment.edge_between(1, 0), GateKind.ZZ, OptLevel.ZZ_OPT,
+        (1, 5, 10), angles,
+    )
+    assert len(rows) == 108
+    calls = {name: spy.call_count for name, spy in spies.items()}
+    assert calls == {"choi_of": 216, "process_fidelity": 108, "_sqrtm_psd": 0}
 
 
 def test_infidelity_nondecreasing_in_repetitions():

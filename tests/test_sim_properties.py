@@ -1,7 +1,10 @@
 """Hypothesis properties of the superoperator engine: CPTP units, valid
-density matrices, and matrix-power repetition."""
+density matrices, matrix-power repetition, and the pure-state shortcut of
+process fidelity."""
 
 import dataclasses
+import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -243,3 +246,58 @@ def test_evolve_applies_once_per_two_qubit_unit_and_per_solo_wire(case):
     solo = {u.wires[0] for u in units if len(u.wires) == 1} - paired
     two_qubit = sum(len(u.wires) == 2 for u in units)
     assert helpers.evolve_applies(lowered, noise) == two_qubit + len(solo)
+
+
+#: ``process_fidelity`` reads F = tr(a b) when one argument's weight off its
+#: top eigenvector is at most this fraction of its top eigenvalue.
+PURE_WEIGHT = 1e-14
+
+
+@st.composite
+def choi_states(draw, dim):
+    """(state, its eigenbasis U, its spectrum p, weight off its top eigenvector):
+    pure, mixed, or pure but for a weight from 1e-16 to 1e-6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    kind = draw(st.sampled_from(["pure", "mixed", "nearly pure"]))
+    if kind == "mixed":
+        p = rng.uniform(0.1, 1.0, dim)
+        p = np.sort(p / p.sum())[::-1]
+    else:
+        weight = 0.0 if kind == "pure" else 10.0 ** draw(st.floats(-16.0, -6.0))
+        p = np.concatenate([[1.0 - weight], weight * rng.dirichlet(np.ones(dim - 1))])
+    return (u * p) @ u.conj().T, u, p, p[1:].sum() / p[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([4, 16]).flatmap(lambda d: st.tuples(choi_states(d), choi_states(d))))
+def test_process_fidelity_pure_shortcut(pair):
+    """Where one argument is pure to within PURE_WEIGHT, F is tr(a b): it
+    agrees with the general branch (which drops that weight) and with the
+    reference for the purer argument's top eigenvector, and it is symmetric.
+    Above the bound the general branch runs."""
+    (a, *_), (b, *_) = pair
+    purest = min(pair, key=lambda state: state[3])
+    _, u, p, weight = purest
+    dim = math.isqrt(a.shape[0])
+    choi_a, choi_b = sim.ChoiMatrix(dim, a), sim.ChoiMatrix(dim, b)
+    with mock.patch.object(sim, "_sqrtm_psd", side_effect=sim._sqrtm_psd) as roots:
+        fid = sim.process_fidelity(choi_a, choi_b)
+    if weight > 1.1 * PURE_WEIGHT:
+        assert roots.call_count == 2
+    elif weight < 0.9 * PURE_WEIGHT:
+        assert roots.call_count == 0
+    if roots.call_count:
+        if weight > 0.5:  # both mixed, so both roots are well conditioned
+            assert abs(fid - helpers.uhlmann_fidelity(a, b)) < 1e-12
+        return
+    pure, other = (a, b) if purest is pair[0] else (b, a)
+    root = sim._sqrtm_psd(pure)
+    general = np.real(np.trace(sim._sqrtm_psd(root @ other @ root))) ** 2
+    top = np.zeros_like(a)
+    top[0, 0] = p[0]
+    reference = helpers.uhlmann_fidelity(top, u.conj().T @ other @ u)
+    slack = PURE_WEIGHT + 1e-15  # the dropped weight, plus rounding
+    assert abs(fid - min(1.0, general)) < slack
+    assert abs(fid - reference) < slack
+    assert abs(fid - sim.process_fidelity(choi_b, choi_a)) < PURE_WEIGHT
