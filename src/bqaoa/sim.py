@@ -14,11 +14,14 @@ whose entry i*d + j is rho[i, j], with local qubit 0 the least-significant
 bit of i and j.  ``unit_channel`` builds each scheduled unit as one product
 of closed-form pieces.  ``evolve`` folds one-qubit work, idle relaxation
 included, into the next two-qubit superoperator on its wire, and what
-follows a wire's last two-qubit unit into that unit.  It holds rho as an
-interleaved vector, bit 2q the column bit and bit 2q+1 the row bit of wire
-q, so a superoperator on neighbouring wires acts on one contiguous block of
-four bits, which ``apply_matrix`` applies by a reshape and one matmul, and
-it turns rho into the standard 2^n x 2^n array once, at the end.  QPT
+follows a wire's last two-qubit unit into that unit.  It holds rho in real
+coordinates over the Hermitian basis |0><0|, X, Y, |1><1| of each wire: a
+channel maps Hermitian operators to Hermitian operators, so its matrix in
+that basis is real, and each apply multiplies a real matrix into a real
+vector.  Wire q's coordinate sits on bits 2q, 2q+1, so a superoperator on
+neighbouring wires acts on one contiguous block of four bits, which
+``apply_matrix`` applies by a reshape and one matmul.  rho becomes the
+standard complex 2^n x 2^n array once, at the end.  QPT
 repeats a channel with a matrix power and reads its Choi matrix off by
 reshuffling (Wood, Biamonte & Cory, arXiv:1111.6950); the ideal side's
 Choi state is pure, so its fidelity is one inner product.
@@ -60,20 +63,13 @@ class DensityMatrix:
     n: int
     data: np.ndarray
 
-    @classmethod
-    def ground(cls, n: int) -> "DensityMatrix":
-        dim = 2**n
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[0, 0] = 1.0
-        return cls(n, rho)
-
     def probabilities(self) -> np.ndarray:
         p = np.clip(np.real(np.diag(self.data)), 0.0, None)
         total = p.sum()
         return p / total if total > 0 else p
 
     def validate(self, tol: float = 1e-10) -> None:
-        if not np.allclose(self.data, self.data.conj().T, atol=tol):
+        if not np.allclose(self.data, self.data.conj().T, rtol=0.0, atol=tol):
             raise ValidationError("density matrix is not Hermitian")
         if abs(np.trace(self.data).real - 1.0) > tol:
             raise ValidationError(f"trace is {np.trace(self.data).real}, not 1")
@@ -212,6 +208,18 @@ def unit_channel(unit: LoweredUnit, noise: NoiseModel) -> np.ndarray:
 
 _IDENTITY = np.eye(4, dtype=complex)
 
+# One wire's basis |0><0|, X, Y, |1><1| as columns over vec(rho), and its dual
+# (the inverse, as G^dag G = diag(1, 2, 2, 1)).  The basis operators are
+# Hermitian, so every channel's dual @ superop @ basis is real.  On two wires
+# _per_wire interleaves the digits' bits; _GROUPED orders them d0 + 4 d1.
+_G = np.array([[1, 0, 0, 0], [0, 1, -1j, 0], [0, 1, 1j, 0], [0, 0, 0, 1]])
+_G_DUAL = np.array([[1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0.5j, -0.5j, 0], [0, 0, 0, 1]])
+_GROUPED = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(16)
+_REAL_BASIS = {  # number of wires -> (dual, basis)
+    1: (_G_DUAL, _G),
+    2: (_per_wire([_G_DUAL] * 2)[_GROUPED], _per_wire([_G] * 2)[:, _GROUPED]),
+}
+
 
 def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
     """Run a lowered circuit's schedule as a density-matrix evolution from |0..0>.
@@ -226,7 +234,9 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
     has a 4x4 apply; a barrier only relaxes its idle wires.  Work on other
     wires commutes, so only rounding differs from one apply per unit.
     Measurement units only relax (readout noise is applied at sampling
-    time).  Deterministic.  rho is held interleaved until the end.
+    time).  Deterministic.  rho is held as 4^n real coordinates, wire w's
+    digit (2 row + col) on bits 2w, 2w+1, and each superoperator acts as
+    its real matrix dual @ superop @ basis; the diagonal stays exactly real.
     """
     n = sc.num_qubits
     require_dense(n)
@@ -234,14 +244,16 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
         raise DimensionError(
             f"noise model covers {len(noise.qubits)} qubits, circuit has {n}"
         )
-    vec = DensityMatrix.ground(n).data.reshape(-1)
+    vec = np.zeros(4**n)
+    vec[0] = 1.0
     last_busy = [0.0] * n
     pending: dict[int, np.ndarray] = {}  # wire -> 4x4 not yet applied
     ops = []  # each two-qubit unit, with the 4x4s pending on its wires before it
 
     def apply(vec, superop, wires):
-        vec_qubits = tuple(2 * w for w in wires) + tuple(2 * w + 1 for w in wires)
-        return apply_matrix(vec, superop, vec_qubits, 2 * n)
+        dual, basis = _REAL_BASIS[len(wires)]
+        vec_qubits = tuple(b for w in wires for b in (2 * w, 2 * w + 1))
+        return apply_matrix(vec, (dual @ superop @ basis).real, vec_qubits, 2 * n)
 
     for unit, start in zip(sc.units, sc.start_times):
         for w in unit.wires:
@@ -269,6 +281,13 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
         vec = apply(vec, channel, unit.wires)
     for w in sorted(pending):
         vec = apply(vec, pending[w], (w,))
+    # wire w's digit 1 holds x, digit 2 y: they become rho01 = x - iy, rho10 = x + iy
+    vec = vec.astype(complex)
+    for w in range(n):
+        digits = vec.reshape(4 ** (n - 1 - w), 4, 4**w)
+        digits[:, 1] -= 1j * digits[:, 2]
+        digits[:, 2] *= 2j
+        digits[:, 2] += digits[:, 1]
     # interleaved bits (..., row 1, col 1, row 0, col 0) -> rows, then columns
     axes = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     rho = vec.reshape((2,) * (2 * n)).transpose(axes)

@@ -71,6 +71,16 @@ def test_evolve_matches_statevector_at_zero_scale():
     assert np.allclose(rho.data, np.outer(psi, psi.conj()), atol=1e-9)
 
 
+def test_validate_rejects_asymmetry_above_its_tolerance():
+    # |+><+| with one coherence off by 1e-7: within numpy's default relative
+    # tolerance of the entry 0.5, far outside an absolute 1e-10
+    rho = sim.DensityMatrix(1, np.full((2, 2), 0.5, dtype=complex))
+    rho.data[0, 1] += 1e-7
+    rho.validate(tol=1e-6)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        rho.validate(tol=1e-10)
+
+
 def test_evolve_refuses_more_wires_than_the_dense_limit():
     n = cir.MAX_DENSE_QUBITS + 1
     edges = tuple(
@@ -169,13 +179,24 @@ def test_evolve_applies_one_superoperator_per_two_qubit_unit(ehningen):
     assert helpers.evolve_applies(lowered, noise) == 28
 
 
+@pytest.mark.parametrize("n", [5, 8])
+def test_evolve_diagonal_is_exactly_real(ehningen, n):
+    # the populations are real coordinates, which the conversion at the end
+    # never touches
+    prob = qaoa.encode_maxcut(helpers.complete_maxcut(n))
+    lowered = lowered_on_global_chain(ehningen, prob, qaoa.ParamVector((0.4,), (0.3,)))
+    noise = sim.NoiseModel.from_device(ehningen, lowered.chain)
+    assert not np.diag(sim.evolve(lowered, noise).data).imag.any()
+
+
 @pytest.mark.parametrize("problem, p, bound_kb", [
     (qaoa.load_problem(data_path("portopt5.json")).ising, 2, 192),
     (qaoa.encode_maxcut(helpers.complete_maxcut(8)), 1, 2560),
 ])
 def test_evolve_peak_memory(ehningen, problem, p, bound_kb):
-    # rho is 4^n complex entries (16 KB at n=5, 1 MB at n=8); a channel
-    # build that holds every unit's superoperator at once shows here
+    # the working vector is 4^n real coordinates (8 KB at n=5, 512 KB at
+    # n=8), and the complex rho (16 KB, 1 MB) is made once at the end; a
+    # channel build that holds every unit's superoperator at once shows here
     params = qaoa.ParamVector((0.4,) * p, (0.3,) * p)
     lowered = lowered_on_global_chain(ehningen, problem, params)
     noise = sim.NoiseModel.from_device(ehningen, lowered.chain)
@@ -212,7 +233,6 @@ def test_sample_confusion_binomial():
 
 
 def test_sample_deterministic_for_seed():
-    rho = sim.DensityMatrix.ground(3)
     lowered = lowered_h_layer()
     noise = sim.NoiseModel.from_device(DEV, lowered.chain, scale=1.0)
     rho = sim.evolve(lowered, noise)
@@ -432,7 +452,7 @@ def test_qpt_noiseless_is_exact():
 
 def test_sample_requires_positive_shots():
     with pytest.raises(ValidationError):
-        sim.sample(sim.DensityMatrix.ground(1), 0, None, seed=1)
+        sim.sample(helpers.density_from_statevector([1, 0]), 0, None, seed=1)
 
 
 def test_idle_qubit_relaxes_during_gaps():

@@ -1,6 +1,6 @@
-"""Hypothesis properties of the superoperator engine: CPTP units, valid
-density matrices, matrix-power repetition, and the pure-state shortcut of
-process fidelity."""
+"""Hypothesis properties of the superoperator engine: CPTP units, real
+matrices over the operator basis, valid density matrices, matrix-power
+repetition, and the pure-state shortcut of process fidelity."""
 
 import dataclasses
 import math
@@ -149,6 +149,32 @@ def test_unit_channel_matches_kraus_steps(unit, idle, noise, seed):
     gates = helpers.unit_gates(unit, LINE)
     steps = oracles.unit_kraus_steps(unit, gates, idle, noise, 3, cir.local_matrix)
     assert np.abs(fused - oracles.apply_kraus_steps(rho, steps)).max() < TOL
+
+
+def test_real_basis_dual_is_exact():
+    for k, (dual, basis) in sim._REAL_BASIS.items():
+        assert np.array_equal(dual @ basis, np.eye(4**k))
+
+
+def assert_real_in_basis(channel, k):
+    """The channel's matrix over the real operator basis has no imaginary
+    part beyond rounding, so ``evolve``'s ``.real`` drops nothing."""
+    dual, basis = sim._REAL_BASIS[k]
+    real = dual @ channel @ basis
+    assert np.abs(real.imag).max() <= 1e-15 * np.abs(real).max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(units(), noise_models(3))
+def test_unit_channel_is_real_in_the_operator_basis(unit, noise):
+    assert_real_in_basis(sim.unit_channel(unit, noise), len(unit.wires))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(qubit_times(), durations), min_size=1, max_size=2))
+def test_relaxations_are_real_in_the_operator_basis(pieces):
+    channel = sim._per_wire([sim.relaxation_superop(t, *times) for times, t in pieces])
+    assert_real_in_basis(channel, len(pieces))
 
 
 @settings(max_examples=30, deadline=None)
