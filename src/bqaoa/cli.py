@@ -21,7 +21,7 @@ from . import optimize as opt_mod
 from . import qaoa, sim
 from .circuit import GateKind
 from .device import load_device, qubit_class, summarize
-from .errors import CONFIG_ERRORS, INFEASIBLE_ERRORS, ConfigError, TooLargeError
+from .errors import ConfigError, InfeasibleError, InputError, TooLargeError
 from .lower import OptLevel, lower_circuit
 from .mapper import Strategy, fidelity_score, select
 from .optimize import OptimizerConfig
@@ -52,10 +52,10 @@ def handles_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except CONFIG_ERRORS as exc:
+        except InputError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
-        except INFEASIBLE_ERRORS as exc:
+        except InfeasibleError as exc:
             click.echo(f"infeasible: {exc}", err=True)
             sys.exit(3)
         except click.ClickException:

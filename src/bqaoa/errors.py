@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Grouped by how the CLI maps them to exit codes: configuration problems
-(exit 2), infeasible requests (exit 3), everything else unexpected (exit 4).
+Every package error derives from one of two bases, which the CLI maps to
+exit codes: ``InputError`` for configuration and input problems (exit 2),
+``InfeasibleError`` for requests that cannot be met (exit 3).  Anything
+else is unexpected (exit 4).
 The loaders coerce document fields with ``as_float``, ``as_int``,
 ``as_list`` and ``as_object``, which raise ``ValidationError`` naming the
 field.  A boolean is not a number to them, though Python counts it as one.
@@ -14,14 +16,19 @@ class BqaoaError(Exception):
     """Base class for all package errors."""
 
 
-# --- configuration / input errors (CLI exit code 2) ---
+class InputError(BqaoaError):
+    """Malformed input or configuration (CLI exit code 2)."""
 
 
-class ParseError(BqaoaError):
+class InfeasibleError(BqaoaError):
+    """A well-formed request that cannot be met (CLI exit code 3)."""
+
+
+class ParseError(InputError):
     """A file could not be parsed at all (malformed JSON, wrong shape)."""
 
 
-class ValidationError(BqaoaError):
+class ValidationError(InputError):
     """A parsed value violates an invariant; the message names the field."""
 
 
@@ -69,58 +76,38 @@ def as_object(value, field_name: str, keys=None) -> dict:
     return value
 
 
-class DimensionError(BqaoaError):
+class DimensionError(InputError):
     """Mismatched array or matrix dimensions."""
 
 
-class ConfigError(BqaoaError):
+class ConfigError(InputError):
     """Invalid run configuration (empty ranges, bad flag combinations)."""
 
 
-class TooLargeError(BqaoaError):
+class TooLargeError(InputError):
     """Problem size exceeds what dense simulation supports."""
 
 
-# --- infeasible requests (CLI exit code 3) ---
-
-
-class EmptyDeviceError(BqaoaError):
+class EmptyDeviceError(InfeasibleError):
     """Operation requires a device with at least one qubit/edge."""
 
 
-class NonAdjacentGateError(BqaoaError):
+class NonAdjacentGateError(InfeasibleError):
     """A two-qubit gate acts on non-neighbouring wires of a linear chain."""
 
 
-class MissingEdgeError(BqaoaError):
+class MissingEdgeError(InfeasibleError):
     """Consecutive chain qubits do not share a device edge."""
 
 
-class NoChainError(BqaoaError):
+class NoChainError(InfeasibleError):
     """No chain satisfies the selection constraints (names the constraint)."""
 
 
-class NoFeasibleOutcomeError(BqaoaError):
+class NoFeasibleOutcomeError(InfeasibleError):
     """Budget post-selection removed every outcome from a distribution."""
 
 
-class SingularConfusionError(BqaoaError):
+class SingularConfusionError(InfeasibleError):
     """A readout confusion matrix is not invertible."""
 
-
-INFEASIBLE_ERRORS = (
-    EmptyDeviceError,
-    NonAdjacentGateError,
-    MissingEdgeError,
-    NoChainError,
-    NoFeasibleOutcomeError,
-    SingularConfusionError,
-)
-
-CONFIG_ERRORS = (
-    ParseError,
-    ValidationError,
-    DimensionError,
-    ConfigError,
-    TooLargeError,
-)

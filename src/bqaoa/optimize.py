@@ -344,45 +344,6 @@ def optimize_depth_sweep(
     return optimized
 
 
-def _run_cell(
-    dev: DeviceModel,
-    problem: ProblemFile,
-    strategy: Strategy,
-    opt: OptLevel,
-    p: int,
-    chain: tuple[int, ...],
-    infeasible: str | None,
-    params: ParamVector,
-    shots: int,
-    seed: int,
-    noise_scale: float,
-) -> BenchmarkRun:
-    """One noisy cell, or a row without results that gives the reason: the
-    strategy has no chain, or post-selection kept no outcome."""
-    base = dict(
-        problem=problem.label, strategy=strategy, opt_level=opt, p=p, chain=chain,
-        gammas=params.gammas, betas=params.betas, shots=shots, seed=seed,
-    )
-    if infeasible is not None:
-        base["chain"] = ()
-    else:
-        try:
-            result, lowered = evaluate_noisy(
-                dev, chain, problem.ising, problem.sense, params, opt, shots, seed,
-                noise_scale,
-            )
-        except NoFeasibleOutcomeError as exc:
-            infeasible = str(exc)
-        else:
-            return BenchmarkRun(
-                **base, ar=result.ar, sp=result.sp,
-                duration_ns=lowered.total_duration_ns, cx_count=lowered.cx_count,
-                fidelity_score=fidelity_score(dev, chain, lowered),
-            )
-    results = ("ar", "sp", "duration_ns", "cx_count", "fidelity_score")
-    return BenchmarkRun(**base, **dict.fromkeys(results), reason=infeasible)
-
-
 def run_benchmark(
     dev: DeviceModel,
     problem: ProblemFile,
@@ -395,38 +356,53 @@ def run_benchmark(
 ) -> list[BenchmarkRun]:
     """Benchmark sweep over strategies, opt levels and depths.
 
-    Parameters are optimized noiselessly once per depth (warm-started from
-    the previous depth) and reused across every strategy and opt level;
-    each cell then gets one seeded noisy evaluation.  Infeasible strategy
-    cells are recorded with a reason rather than aborting the run.  Rows
-    come back sorted by (problem, strategy, opt level, p).
+    Shots and noise scale are checked before training.  Parameters are
+    optimized noiselessly once per depth (warm-started from the previous
+    depth) and reused across every strategy and opt level; each cell then
+    gets one seeded noisy evaluation.  A cell without results gives the
+    reason: no chain (the row's chain is empty) or no outcome kept by
+    post-selection.  Rows come back sorted by (problem, strategy, opt level, p).
     """
     if not strategies or not opt_levels or not p_values:
         raise ConfigError("strategies, opt levels and p range must be non-empty")
     if any(p < 1 for p in p_values):
         raise ConfigError("p values must be >= 1")
+    if not 1 <= shots <= 2**63 - 1:
+        raise ValidationError(f"shots must be in 1..2**63-1, got {shots}")
+    if not (np.isfinite(noise_scale) and noise_scale >= 0):
+        raise ValidationError(f"noise scale {noise_scale} must be finite and >= 0")
     optimized = optimize_depth_sweep(problem.ising, problem.sense, p_values, cfg)
 
+    no_results = dict.fromkeys(("ar", "sp", "duration_ns", "cx_count", "fidelity_score"))
     rows = []
     for strategy in strategies:
         try:
-            selection = select_chain_for(dev, problem.ising, strategy)
-            chain: tuple[int, ...] = selection.chain
-            infeasible = None
+            chain, no_chain = select_chain_for(dev, problem.ising, strategy).chain, ""
         except NoChainError as exc:
-            chain = ()
-            infeasible = str(exc)
-        for opt in opt_levels:
-            for p in p_values:
-                seed = cell_seed(
-                    cfg.seed, problem.label, strategy.value, opt.value, p
-                )
-                rows.append(
-                    _run_cell(
-                        dev, problem, strategy, opt, p, chain, infeasible,
-                        optimized[p].params, shots, seed, noise_scale,
+            chain, no_chain = (), str(exc)
+        for opt, p in itertools.product(opt_levels, p_values):
+            params = optimized[p].params
+            seed = cell_seed(cfg.seed, problem.label, strategy.value, opt.value, p)
+            reason, results = no_chain, no_results
+            if chain:
+                try:
+                    result, lowered = evaluate_noisy(
+                        dev, chain, problem.ising, problem.sense, params, opt, shots,
+                        seed, noise_scale,
                     )
-                )
+                except NoFeasibleOutcomeError as exc:
+                    reason = str(exc)
+                else:
+                    results = dict(
+                        ar=result.ar, sp=result.sp,
+                        duration_ns=lowered.total_duration_ns, cx_count=lowered.cx_count,
+                        fidelity_score=fidelity_score(dev, chain, lowered),
+                    )
+            rows.append(BenchmarkRun(
+                problem=problem.label, strategy=strategy, opt_level=opt, p=p, chain=chain,
+                gammas=params.gammas, betas=params.betas, shots=shots, seed=seed,
+                reason=reason, **results,
+            ))
     rows.sort(key=lambda r: (r.problem, r.strategy.value, r.opt_level.value, r.p))
     return rows
 

@@ -368,6 +368,7 @@ _SIMULATE = ["simulate", "--device", SYNTH5, "--problem", K5, "--chain", "0,1,2,
 _BENCHMARK = ["benchmark", "--device", SYNTH5, "--problem", K5, "--strategies", "global",
               "--opt-levels", "default", "--p", "1", "--grid", "2", "--max-evals", "4",
               "--shots", "10"]
+_NO_CHAIN = ["benchmark", "--device", FRAGMENT, "--problem", K5, "--p", "1"]
 _QPT = ["qpt", "--device", FRAGMENT, "--angles", "1"]
 
 #: malformed options of every command and the text their error must contain
@@ -440,6 +441,12 @@ BAD_OPTIONS = {
     "benchmark-noise-scale-past-certainty": (_BENCHMARK + ["--noise-scale", "1e308"],
                                              "noise scale"),
     "benchmark-format": (_BENCHMARK + ["--format", "xml"], "--format"),
+    # no strategy has a 5-qubit chain on the fragment, so no cell would sample
+    "benchmark-no-chain-shots-zero": (_NO_CHAIN + ["--shots", "0"], "shots"),
+    "benchmark-no-chain-noise-scale-negative": (_NO_CHAIN + ["--noise-scale", "-1"],
+                                                "noise scale"),
+    "benchmark-no-chain-noise-scale-nan": (_NO_CHAIN + ["--noise-scale", "nan"],
+                                           "noise scale"),
     "qpt-edge-one-qubit": (_QPT + ["--edge", "1"], "--edge"),
     "qpt-edge-word": (_QPT + ["--edge", "a,b"], "--edge"),
     "qpt-edge-negative": (_QPT + ["--edge", "-1,0"], "--edge"),
@@ -516,15 +523,16 @@ def test_singular_readout_exits_3_unless_unmitigated(runner, tmp_path):
 
 
 def test_every_package_error_has_one_exit_code():
-    # an error class in neither tuple would fall through to exit 4
+    # an error class under neither exit-code base would fall through to exit 4
+    bases = (errors.InputError, errors.InfeasibleError)
     package_errors = [
         cls for cls in vars(errors).values()
         if isinstance(cls, type) and issubclass(cls, errors.BqaoaError)
-        and cls is not errors.BqaoaError
+        and cls not in (errors.BqaoaError,) + bases
     ]
     assert package_errors
     for cls in package_errors:
-        homes = (cls in errors.CONFIG_ERRORS) + (cls in errors.INFEASIBLE_ERRORS)
+        homes = sum(issubclass(cls, base) for base in bases)
         assert homes == 1, cls.__name__
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bqaoa import data_path
 from bqaoa.device import device_from_dict
-from bqaoa.errors import CONFIG_ERRORS
+from bqaoa.errors import InputError
 from bqaoa.qaoa import problem_from_dict
 
 DEVICES = (
@@ -61,7 +61,7 @@ def mutated(draw, names):
 def test_mutated_device_loads_or_raises_config_error(doc):
     try:
         device_from_dict(doc)
-    except CONFIG_ERRORS:
+    except InputError:
         pass
 
 
@@ -70,5 +70,5 @@ def test_mutated_device_loads_or_raises_config_error(doc):
 def test_mutated_problem_loads_or_raises_config_error(doc):
     try:
         problem_from_dict(doc)
-    except CONFIG_ERRORS:
+    except InputError:
         pass

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import helpers
 import oracles
 from bqaoa import data_path, optimize, qaoa
-from bqaoa.errors import ConfigError
+from bqaoa.errors import ConfigError, NoFeasibleOutcomeError, ValidationError
 from bqaoa.lower import OptLevel
 from bqaoa.mapper import Strategy
 from bqaoa.optimize import OptimizerConfig
@@ -230,3 +231,61 @@ def test_csv_columns_and_na_cells(k5_benchmark):
     assert lines[0] == ",".join(optimize.CSV_COLUMNS)
     bipotent_lines = [l for l in lines if ",bipotent," in l]
     assert bipotent_lines and all(",NA," in l for l in bipotent_lines)
+
+
+@pytest.mark.parametrize(
+    "shots, noise_scale, field",
+    [(0, 1.0, "shots"), (2**63, 1.0, "shots"), (100, -1.0, "noise scale"),
+     (100, float("nan"), "noise scale")],
+)
+def test_run_benchmark_checks_shots_and_noise_scale_before_training(
+    monkeypatch, synthetic5_module, shots, noise_scale, field
+):
+    def no_training(*args):
+        raise AssertionError("trained before the sweep's options were checked")
+
+    monkeypatch.setattr(optimize, "optimize_depth_sweep", no_training)
+    problem = qaoa.load_problem(data_path("k5_maxcut.json"))
+    with pytest.raises(ValidationError, match=field):
+        optimize.run_benchmark(
+            synthetic5_module, problem, [Strategy.GLOBAL], [OptLevel.DEFAULT], [1],
+            OptimizerConfig(), shots=shots, noise_scale=noise_scale,
+        )
+
+
+def test_empty_post_selection_row_keeps_its_chain_and_gives_the_reason(
+    monkeypatch, synthetic5_module
+):
+    problem = qaoa.load_problem(data_path("k5_maxcut.json"))
+    args = (
+        synthetic5_module, problem, [Strategy.GLOBAL, Strategy.BIPOTENT],
+        [OptLevel.DEFAULT, OptLevel.ZZ_OPT], [1, 2],
+        OptimizerConfig(max_evals=200, initial_grid=4, seed=5), 2000,
+    )
+    before = optimize.run_benchmark(*args)
+    evaluate_noisy = optimize.evaluate_noisy
+    message = "no outcome has Hamming weight 2"
+
+    def empty_for_one_cell(dev, chain, prob, sense, params, opt, *rest):
+        if opt is OptLevel.ZZ_OPT and params.p == 2:
+            raise NoFeasibleOutcomeError(message)
+        return evaluate_noisy(dev, chain, prob, sense, params, opt, *rest)
+
+    monkeypatch.setattr(optimize, "evaluate_noisy", empty_for_one_cell)
+    after = optimize.run_benchmark(*args)
+
+    def is_empty(row):
+        return (row.strategy is Strategy.GLOBAL and row.opt_level is OptLevel.ZZ_OPT
+                and row.p == 2)
+
+    [old], [new] = [r for r in before if is_empty(r)], [r for r in after if is_empty(r)]
+    assert new.chain == old.chain and len(new.chain) == 5
+    assert new.reason == message and not old.reason
+    results = ("ar", "sp", "duration_ns", "cx_count", "fidelity_score")
+    assert all(getattr(new, name) is None for name in results)
+    assert new == replace(old, reason=message, **dict.fromkeys(results))
+    header, *lines = optimize.runs_to_csv([new]).splitlines()
+    cells = dict(zip(header.split(","), lines[0].split(",")))
+    assert [cells[name] for name in results] == ["NA"] * len(results)
+    assert cells["reason"] == message
+    assert [r for r in after if not is_empty(r)] == [r for r in before if not is_empty(r)]
