@@ -8,6 +8,7 @@ qubit 0 rightmost.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -21,7 +22,7 @@ from . import optimize as opt_mod
 from . import qaoa, sim
 from .circuit import GateKind
 from .device import load_device, qubit_class, summarize
-from .errors import ConfigError, InfeasibleError, InputError, TooLargeError
+from .errors import InfeasibleError, InputError, TooLargeError, ValidationError
 from .lower import OptLevel, lower_circuit
 from .mapper import Strategy, fidelity_score, select
 from .optimize import OptimizerConfig
@@ -86,11 +87,22 @@ def _parse_range(text: str, name: str) -> list[int]:
         else:
             values = [int(v) for v in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {name} range {text!r}") from exc
+        raise ValidationError(f"cannot parse {name} range {text!r}") from exc
     # all() stops at the first value out of bounds, so a huge range is never listed
     if not values or not all(1 <= v <= MAX_COUNT for v in values):
-        raise ConfigError(f"{name} range {text!r} must contain integers in 1..{MAX_COUNT}")
+        raise ValidationError(f"{name} range {text!r} must contain integers in 1..{MAX_COUNT}")
     return list(values)
+
+
+def _parse_choices(text: str, choices: dict, name: str, what: str) -> list:
+    """Every choice for ``all``, else those of a comma list of names; ``name``
+    and ``what`` label errors."""
+    if text == "all":
+        return list(choices.values())
+    try:
+        return [choices[v] for v in text.split(",")]
+    except KeyError as exc:
+        raise ValidationError(f"{name}: unknown {what} {exc.args[0]!r}") from exc
 
 
 def _parse_angles(
@@ -102,11 +114,11 @@ def _parse_angles(
     try:
         values = tuple(float(v) for v in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {name} {text!r}") from exc
+        raise ValidationError(f"cannot parse {name} {text!r}") from exc
     if not all(np.isfinite(values)):
-        raise ConfigError(f"{name} {text!r} must be finite")
+        raise ValidationError(f"{name} {text!r} must be finite")
     if len(values) != p:
-        raise ConfigError(f"{name}: expected {p} comma-separated angles, got {len(values)}")
+        raise ValidationError(f"{name}: expected {p} comma-separated angles, got {len(values)}")
     return values
 
 
@@ -137,7 +149,7 @@ def _parse_chain(text: str, name: str = "--chain") -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.replace("-", ",").split(","))
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {name} {text!r}") from exc
+        raise ValidationError(f"cannot parse {name} {text!r}") from exc
 
 
 seed_option = click.option(
@@ -201,16 +213,19 @@ def chains() -> None:
 @click.option(
     "--strategy", type=click.Choice(sorted(STRATEGY_CHOICES)), required=True
 )
-@opt_option
+@click.option("--opt", "opt_name", type=click.Choice(sorted(OPT_CHOICES)),
+              help="Lowering that ranks chains.  [default: zzswapopt for"
+              " bipotent, else default]")
 @output_option
 @handles_errors
 def chains_select(device_path, problem_path, strategy, opt_name, output):
     """Select a chain for a problem under one strategy."""
     dev = load_device(device_path)
     problem = load_problem(problem_path)
+    strategy = STRATEGY_CHOICES[strategy]
+    opt = OPT_CHOICES[opt_name] if opt_name else opt_mod.selection_opt_level(strategy)
     selection = select(
-        dev, problem.ising.n, STRATEGY_CHOICES[strategy],
-        opt_mod.selection_template(problem.ising), OPT_CHOICES[opt_name],
+        dev, problem.ising.n, strategy, opt_mod.selection_template(problem.ising), opt
     )
     _emit(json.dumps(selection.to_dict(), indent=2) + "\n", output)
 
@@ -329,13 +344,7 @@ def simulate(device_path, problem_path, chain_text, p, gammas, betas, shots,
             format(i, f"0{len(chain)}b"): int(c) for i, c in enumerate(counts) if c
         },
         "bit_order": "qubit 0 rightmost; counts keyed by chain wire index",
-        "metrics": {
-            "ar": result.ar,
-            "sp": result.sp,
-            "feasible_fraction": result.feasible_fraction,
-            "mean_cost": result.mean_cost,
-            "opt_cost": result.opt_cost,
-        },
+        "metrics": dataclasses.asdict(result),
         "duration_ns": lowered.total_duration_ns,
         "cx_count": lowered.cx_count,
         "shots": shots,
@@ -397,20 +406,8 @@ def benchmark(device_path, problem_path, strategies, opt_levels, p_range, shots,
     """Strategy-comparison sweep; one row per (strategy, opt level, p)."""
     dev = load_device(device_path)
     problem = _dense(load_problem(problem_path))
-    if strategies == "all":
-        strategy_list = list(Strategy)
-    else:
-        try:
-            strategy_list = [STRATEGY_CHOICES[s] for s in strategies.split(",")]
-        except KeyError as exc:
-            raise ConfigError(f"--strategies: unknown strategy {exc.args[0]!r}") from exc
-    if opt_levels == "all":
-        level_list = list(OptLevel)
-    else:
-        try:
-            level_list = [OPT_CHOICES[o] for o in opt_levels.split(",")]
-        except KeyError as exc:
-            raise ConfigError(f"--opt-levels: unknown opt level {exc.args[0]!r}") from exc
+    strategy_list = _parse_choices(strategies, STRATEGY_CHOICES, "--strategies", "strategy")
+    level_list = _parse_choices(opt_levels, OPT_CHOICES, "--opt-levels", "opt level")
     cfg = OptimizerConfig(max_evals=max_evals, initial_grid=grid, seed=seed)
     rows = opt_mod.run_benchmark(
         dev, problem, strategy_list, level_list, _parse_range(p_range, "--p"),
@@ -442,11 +439,11 @@ def qpt(device_path, edge_text, gate, reps, angles, noise_scale, opt_name, fmt, 
     dev = load_device(device_path)
     pair = _parse_chain(edge_text, "--edge")
     if len(pair) != 2:
-        raise ConfigError(f"--edge {edge_text!r} must name two qubits")
+        raise ValidationError(f"--edge {edge_text!r} must name two qubits")
     a, b = pair
     edge = dev.edge_between(a, b)
     if edge is None:
-        raise ConfigError(f"device has no edge between {a} and {b}")
+        raise ValidationError(f"device has no edge between {a} and {b}")
     target = GateKind(gate)
     repetitions = _parse_range(reps, "--reps")
     angle_grid = [np.pi * (i + 1) / angles for i in range(angles)]

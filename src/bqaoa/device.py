@@ -39,15 +39,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import (
-    EmptyDeviceError,
-    ParseError,
-    ValidationError,
-    as_float,
-    as_int,
-    as_list,
-    as_object,
-)
+from .errors import InfeasibleError, ValidationError, as_float, as_int, as_list, as_object
 
 DEFAULT_SINGLE_QUBIT_DURATIONS_NS = {
     "rz": 0.0, "sx": 32.0, "x": 32.0, "rx": 32.0, "ry": 32.0,
@@ -168,7 +160,7 @@ class DeviceModel:
 
     def mean_cx_error(self) -> float:
         if not self.edges:
-            raise EmptyDeviceError("device has no edges")
+            raise InfeasibleError("device has no edges")
         return math.fsum(e.cx_error for e in self.edges) / len(self.edges)
 
 
@@ -302,7 +294,7 @@ def _parse_edge(entry, index: int, num_qubits: int) -> EdgeCalibration:
 def device_from_dict(doc: dict) -> DeviceModel:
     """Build and validate a DeviceModel from a parsed JSON document."""
     if not isinstance(doc, dict):
-        raise ParseError("device document must be a JSON object")
+        raise ValidationError("device document must be a JSON object")
     as_object(doc, "", ("name", "num_qubits", "single_qubit_durations_ns",
                         "cr_scale_model", "qubits", "edges"))
     try:
@@ -365,17 +357,17 @@ def device_from_dict(doc: dict) -> DeviceModel:
 def load_device(path: str | Path) -> DeviceModel:
     """Load and validate a device JSON file.
 
-    Raises ParseError for malformed files and ValidationError (naming the
-    offending field) for invariant violations.
+    Raises ValidationError for a file that cannot be read or parsed, and
+    for invariant violations, naming the offending field.
     """
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeError) as exc:
-        raise ParseError(f"cannot read device file {path}: {exc}") from exc
+        raise ValidationError(f"cannot read device file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
     except ValueError as exc:  # also a number too long to convert
-        raise ParseError(f"malformed device JSON in {path}: {exc}") from exc
+        raise ValidationError(f"malformed device JSON in {path}: {exc}") from exc
     return device_from_dict(doc)
 
 
@@ -416,7 +408,7 @@ def summarize(dev: DeviceModel) -> dict:
     or None unless both flavors are present and the ecr mean is positive.
     """
     if dev.num_qubits == 0 or not dev.qubits:
-        raise EmptyDeviceError("cannot summarize an empty device")
+        raise InfeasibleError("cannot summarize an empty device")
     classes = [qubit_class(dev, i) for i in range(len(dev.qubits))]
     by_flavor = _group_means(
         dev.edges, [e.flavor for e in dev.edges], GateFlavor,

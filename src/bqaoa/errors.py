@@ -1,9 +1,16 @@
 """Exception hierarchy shared across the package.
 
-Every package error derives from one of two bases, which the CLI maps to
-exit codes: ``InputError`` for configuration and input problems (exit 2),
-``InfeasibleError`` for requests that cannot be met (exit 3).  Anything
-else is unexpected (exit 4).
+The CLI maps the two bases to exit codes; any other exception is
+unexpected (exit 4).  A leaf class exists only where code catches it::
+
+    BqaoaError
+      InputError (exit 2)
+        ValidationError         the message names the field, if any
+        TooLargeError           caught to name the size field (cli._dense)
+      InfeasibleError (exit 3)
+        NoChainError            caught for a benchmark row without a chain
+        NoFeasibleOutcomeError  caught for a benchmark row without results
+
 The loaders coerce document fields with ``as_float``, ``as_int``,
 ``as_list`` and ``as_object``, which raise ``ValidationError`` naming the
 field.  A boolean is not a number to them, though Python counts it as one.
@@ -24,12 +31,8 @@ class InfeasibleError(BqaoaError):
     """A well-formed request that cannot be met (CLI exit code 3)."""
 
 
-class ParseError(InputError):
-    """A file could not be parsed at all (malformed JSON, wrong shape)."""
-
-
 class ValidationError(InputError):
-    """A parsed value violates an invariant; the message names the field."""
+    """Input that cannot be read or parsed, or that breaks an invariant."""
 
 
 def as_float(value, field_name: str) -> float:
@@ -76,28 +79,8 @@ def as_object(value, field_name: str, keys=None) -> dict:
     return value
 
 
-class DimensionError(InputError):
-    """Mismatched array or matrix dimensions."""
-
-
-class ConfigError(InputError):
-    """Invalid run configuration (empty ranges, bad flag combinations)."""
-
-
 class TooLargeError(InputError):
     """Problem size exceeds what dense simulation supports."""
-
-
-class EmptyDeviceError(InfeasibleError):
-    """Operation requires a device with at least one qubit/edge."""
-
-
-class NonAdjacentGateError(InfeasibleError):
-    """A two-qubit gate acts on non-neighbouring wires of a linear chain."""
-
-
-class MissingEdgeError(InfeasibleError):
-    """Consecutive chain qubits do not share a device edge."""
 
 
 class NoChainError(InfeasibleError):
@@ -106,8 +89,3 @@ class NoChainError(InfeasibleError):
 
 class NoFeasibleOutcomeError(InfeasibleError):
     """Budget post-selection removed every outcome from a distribution."""
-
-
-class SingularConfusionError(InfeasibleError):
-    """A readout confusion matrix is not invertible."""
-

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from . import circuit as cir
 from .circuit import CircuitIR, Gate, GateKind
 from .device import DeviceModel, EdgeCalibration, GateFlavor
-from .errors import MissingEdgeError, NonAdjacentGateError, ValidationError
+from .errors import InfeasibleError, ValidationError
 
 
 class OptLevel(enum.Enum):
@@ -269,7 +269,7 @@ def validate_chain(chain: tuple[int, ...], dev: DeviceModel) -> None:
             raise ValidationError(f"chain qubit {q} outside device")
     for a, b in zip(chain, chain[1:]):
         if dev.edge_between(a, b) is None:
-            raise MissingEdgeError(f"chain qubits {a} and {b} share no edge")
+            raise InfeasibleError(f"chain qubits {a} and {b} share no edge")
 
 
 def lower_gate(
@@ -281,7 +281,7 @@ def lower_gate(
     if g.kind in _TWO_QUBIT_RULE_KINDS:
         w1, w2 = g.qubits
         if abs(w1 - w2) != 1:
-            raise NonAdjacentGateError(
+            raise InfeasibleError(
                 f"{g.kind.value} on wires {g.qubits} is not nearest-neighbour"
             )
         physical = (chain[w1], chain[w2])

@@ -29,7 +29,7 @@ import numpy as np
 from . import qaoa, sim
 from .circuit import CircuitIR, require_dense
 from .device import DeviceModel
-from .errors import ConfigError, NoChainError, NoFeasibleOutcomeError, ValidationError
+from .errors import NoChainError, NoFeasibleOutcomeError, ValidationError
 from .lower import LoweredCircuit, OptLevel, lower_circuit
 from .mapper import ChainSelection, Strategy, fidelity_score, select
 from .qaoa import IsingProblem, MetricsResult, ParamVector, ProblemFile
@@ -104,10 +104,10 @@ def exact_expectation_evaluator(prob: IsingProblem, sense: str) -> Evaluator:
 
 def _check_config(cfg: OptimizerConfig) -> None:
     if cfg.max_evals < 1:
-        raise ConfigError(f"max-evals must be >= 1, got {cfg.max_evals}")
+        raise ValidationError(f"max-evals must be >= 1, got {cfg.max_evals}")
     # beyond 2**53 points per axis, neighbouring angles round to one float
     if not 1 <= cfg.initial_grid <= 2**53:
-        raise ConfigError(f"--grid must be in 1..2**53, got {cfg.initial_grid}")
+        raise ValidationError(f"--grid must be in 1..2**53, got {cfg.initial_grid}")
 
 
 class _BudgetSpent(Exception):
@@ -187,7 +187,7 @@ def optimize_params(
     exhausted the best point so far is returned, flagged.
     """
     if p < 1:
-        raise ConfigError(f"p must be >= 1, got {p}")
+        raise ValidationError(f"p must be >= 1, got {p}")
     _check_config(cfg)
     trace: list[tuple[tuple[float, ...], float]] = []
 
@@ -364,13 +364,11 @@ def run_benchmark(
     post-selection.  Rows come back sorted by (problem, strategy, opt level, p).
     """
     if not strategies or not opt_levels or not p_values:
-        raise ConfigError("strategies, opt levels and p range must be non-empty")
+        raise ValidationError("strategies, opt levels and p range must be non-empty")
     if any(p < 1 for p in p_values):
-        raise ConfigError("p values must be >= 1")
-    if not 1 <= shots <= 2**63 - 1:
-        raise ValidationError(f"shots must be in 1..2**63-1, got {shots}")
-    if not (np.isfinite(noise_scale) and noise_scale >= 0):
-        raise ValidationError(f"noise scale {noise_scale} must be finite and >= 0")
+        raise ValidationError("p values must be >= 1")
+    sim.check_shots(shots)
+    sim.check_noise_scale(noise_scale)
     optimized = optimize_depth_sweep(problem.ising, problem.sense, p_values, cfg)
 
     no_results = dict.fromkeys(("ar", "sp", "duration_ns", "cx_count", "fidelity_score"))

@@ -22,9 +22,7 @@ import numpy as np
 from . import circuit as cir
 from .circuit import CircuitIR, Gate
 from .errors import (
-    DimensionError,
     NoFeasibleOutcomeError,
-    ParseError,
     TooLargeError,
     ValidationError,
     as_float,
@@ -55,9 +53,9 @@ class PortfolioInstance:
 
     def __post_init__(self) -> None:
         if len(self.mu) != self.n:
-            raise DimensionError(f"mu: has length {len(self.mu)}, expected {self.n}")
+            raise ValidationError(f"mu: has length {len(self.mu)}, expected {self.n}")
         if len(self.sigma) != self.n or any(len(row) != self.n for row in self.sigma):
-            raise DimensionError(f"sigma: must be {self.n}x{self.n}")
+            raise ValidationError(f"sigma: must be {self.n}x{self.n}")
         for i in range(self.n):
             for j in range(self.n):
                 if abs(self.sigma[i][j] - self.sigma[j][i]) > 1e-12:
@@ -102,7 +100,7 @@ class IsingProblem:
 
     def __post_init__(self) -> None:
         if len(self.h) != self.n:
-            raise DimensionError(f"h has length {len(self.h)}, expected {self.n}")
+            raise ValidationError(f"h has length {len(self.h)}, expected {self.n}")
         for (i, jj), value in self.j:
             if not (0 <= i < jj < self.n):
                 raise ValidationError(f"coupling key ({i}, {jj}) must satisfy i < j < n")
@@ -135,7 +133,7 @@ class ParamVector:
 
     def __post_init__(self) -> None:
         if len(self.gammas) != len(self.betas):
-            raise DimensionError(
+            raise ValidationError(
                 f"{len(self.gammas)} gammas vs {len(self.betas)} betas"
             )
         if not self.gammas:
@@ -338,7 +336,7 @@ def metrics(prob: IsingProblem, probs, sense: str) -> MetricsResult:
     """
     weights = np.asarray(probs, dtype=float)
     if weights.shape != (2**prob.n,):
-        raise DimensionError(
+        raise ValidationError(
             f"distribution has shape {weights.shape}, expected ({2**prob.n},)"
         )
     if not np.isfinite(weights).all() or (weights < 0).any():
@@ -358,7 +356,7 @@ class ProblemFile:
 
 def problem_from_dict(doc: dict, label: str = "problem") -> ProblemFile:
     if not isinstance(doc, dict) or "type" not in doc:
-        raise ParseError("problem document must be an object with a 'type' field")
+        raise ValidationError("problem document must be an object with a 'type' field")
     kind = doc["type"]
     if kind == "portopt":
         as_object(doc, "", ("type", "mu", "sigma", "q", "B", "A", "lambda"))
@@ -383,7 +381,7 @@ def problem_from_dict(doc: dict, label: str = "problem") -> ProblemFile:
                 lam=as_float(doc["lambda"], "lambda"),
             )
         except KeyError as exc:
-            raise ParseError(f"portopt problem missing field {exc.args[0]!r}") from exc
+            raise ValidationError(f"portopt problem missing field {exc.args[0]!r}") from exc
         return ProblemFile(encode_portopt(inst), sense="min", kind=kind, label=label)
     if kind == "maxcut":
         as_object(doc, "", ("type", "n", "edges"))
@@ -402,10 +400,10 @@ def problem_from_dict(doc: dict, label: str = "problem") -> ProblemFile:
                 i, j = (as_int(v, f"edges[{k}][{m}]") for m, v in enumerate(pair))
                 edges.add((min(i, j), max(i, j)))
         except KeyError as exc:
-            raise ParseError(f"maxcut problem missing field {exc.args[0]!r}") from exc
+            raise ValidationError(f"maxcut problem missing field {exc.args[0]!r}") from exc
         inst = MaxCutInstance(n=n, edges=frozenset(edges))
         return ProblemFile(encode_maxcut(inst), sense="max", kind=kind, label=label)
-    raise ParseError(f"unknown problem type {kind!r}")
+    raise ValidationError(f"unknown problem type {kind!r}")
 
 
 def load_problem(path: str | Path) -> ProblemFile:
@@ -413,7 +411,7 @@ def load_problem(path: str | Path) -> ProblemFile:
     try:
         doc = json.loads(path.read_text())
     except OSError as exc:
-        raise ParseError(f"cannot read problem file {path}: {exc}") from exc
+        raise ValidationError(f"cannot read problem file {path}: {exc}") from exc
     except ValueError as exc:  # also a number too long to convert
-        raise ParseError(f"malformed problem JSON in {path}: {exc}") from exc
+        raise ValidationError(f"malformed problem JSON in {path}: {exc}") from exc
     return problem_from_dict(doc, label=path.stem)

@@ -50,7 +50,7 @@ from .circuit import (
     CircuitIR, GateKind, apply_matrix, local_matrix, require_dense, statevector,
 )
 from .device import DeviceModel, EdgeCalibration
-from .errors import DimensionError, SingularConfusionError, ValidationError
+from .errors import InfeasibleError, ValidationError
 from .lower import (
     LoweredCircuit, LoweredUnit, OptLevel, Polarity, apply_rule, uses_pulse,
 )
@@ -121,6 +121,11 @@ class QubitNoise:
     confusion: np.ndarray  # confusion[measured][true]
 
 
+def check_noise_scale(scale: float) -> None:
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ValidationError(f"noise scale {scale} must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Noise parameters for the qubits a circuit actually runs on."""
@@ -129,8 +134,7 @@ class NoiseModel:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.scale) and self.scale >= 0):
-            raise ValidationError(f"noise scale {self.scale} must be finite and >= 0")
+        check_noise_scale(self.scale)
 
     @classmethod
     def from_device(
@@ -241,7 +245,7 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
     n = sc.num_qubits
     require_dense(n)
     if len(noise.qubits) != n:
-        raise DimensionError(
+        raise ValidationError(
             f"noise model covers {len(noise.qubits)} qubits, circuit has {n}"
         )
     vec = np.zeros(4**n)
@@ -305,6 +309,11 @@ def apply_confusion(probs: np.ndarray, confusions: list[np.ndarray]) -> np.ndarr
     return probs
 
 
+def check_shots(shots: int) -> None:
+    if not 1 <= shots <= 2**63 - 1:
+        raise ValidationError(f"shots must be in 1..2**63-1, got {shots}")
+
+
 def sample(
     rho: DensityMatrix,
     shots: int,
@@ -315,8 +324,7 @@ def sample(
 
     Returns the count of every outcome, indexed by the basis integer.
     """
-    if not 1 <= shots <= 2**63 - 1:
-        raise ValidationError(f"shots must be in 1..2**63-1, got {shots}")
+    check_shots(shots)
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     probs = rho.probabilities()
@@ -340,13 +348,11 @@ def mitigate_readout(
     inverses = []
     for q, m in enumerate(confusions):
         if abs(np.linalg.det(m)) < 1e-12:
-            raise SingularConfusionError(
-                f"readout confusion matrix of wire {q} is singular"
-            )
+            raise InfeasibleError(f"readout confusion matrix of wire {q} is singular")
         inverses.append(np.linalg.inv(m))
     vec = np.asarray(counts, dtype=float)
     if vec.shape != (2**n,):
-        raise DimensionError(f"counts have shape {vec.shape}, expected ({2**n},)")
+        raise ValidationError(f"counts have shape {vec.shape}, expected ({2**n},)")
     total = vec.sum()
     if total <= 0:
         raise ValidationError("empty counts")
@@ -354,7 +360,7 @@ def mitigate_readout(
     clipped = np.clip(quasi_vec, 0.0, None)
     norm = clipped.sum()
     if norm <= 0:
-        raise SingularConfusionError("mitigation produced no non-negative mass")
+        raise InfeasibleError("mitigation produced no non-negative mass")
     # A mapping rather than a vector: the benchmark's traced mode
     # (perfbench/tracer.py) reads the quasi-probabilities with ``.values()``.
     quasi = {i: float(v) for i, v in enumerate(quasi_vec) if v != 0.0}
@@ -458,7 +464,7 @@ def process_fidelity(a: ChoiMatrix, b: ChoiMatrix) -> float:
     ``_sqrtm_psd`` drops anyway, so F = tr(m x) (Jozsa 1994) to about 1e-14.
     """
     if a.data.shape != b.data.shape:
-        raise DimensionError(
+        raise ValidationError(
             f"Choi dimensions differ: {a.data.shape} vs {b.data.shape}"
         )
     for name, m in (("a", a), ("b", b)):

@@ -11,7 +11,7 @@ from helpers import MeasureInUnitaryError
 from bqaoa import circuit as cir
 from bqaoa import qaoa
 from bqaoa.circuit import CircuitIR, GateKind
-from bqaoa.errors import MissingEdgeError, TooLargeError, ValidationError
+from bqaoa.errors import InfeasibleError, TooLargeError, ValidationError
 from bqaoa.lower import lower_circuit
 
 COUNTED = {
@@ -99,7 +99,7 @@ def test_schedule_measure_uses_readout_length(fragment):
 
 
 def test_schedule_rejects_non_edge(fragment):
-    with pytest.raises(MissingEdgeError):
+    with pytest.raises(InfeasibleError, match="share no edge"):
         lower_circuit(CircuitIR(2, (cir.cx(0, 1),)), (0, 4), fragment)
 
 

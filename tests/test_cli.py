@@ -113,6 +113,19 @@ def test_chains_select_json(runner):
     assert len(doc["chain"]) == 5
 
 
+def test_chains_select_picks_the_chain_estimate_and_benchmark_use(runner):
+    """Without --opt, bipotent ranks chains at zzswapopt, as select_chain_for does."""
+    args = ["chains", "select", "--device", EHNINGEN, "--problem", PORTOPT3,
+            "--strategy", "bipotent"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["chain"] == [22, 25, 26]
+    estimate = runner.invoke(main, ["estimate"] + args[2:])
+    assert json.loads(estimate.output)["chain"] == [22, 25, 26]
+    result = runner.invoke(main, args + ["--opt", "default"])
+    assert json.loads(result.output)["chain"] == [21, 23, 24]
+
+
 def test_chains_select_accepts_problems_past_the_dense_limit(runner, tmp_path):
     """Selection holds no dense state, so a 12-asset portfolio selects a chain."""
     path = tmp_path / "portopt12.json"

@@ -10,7 +10,7 @@ from bqaoa.device import (
     qubit_class,
     summarize,
 )
-from bqaoa.errors import EmptyDeviceError, ParseError, ValidationError
+from bqaoa.errors import InfeasibleError, ValidationError
 
 
 def minimal_doc(num_qubits=2, edges=None):
@@ -96,9 +96,9 @@ def test_load_rejects_duplicate_and_dangling_edges():
 def test_malformed_file_is_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match="malformed device JSON"):
         load_device(path)
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match="cannot read device file"):
         load_device(tmp_path / "missing.json")
 
 
@@ -183,7 +183,7 @@ def test_summarize_empty_device():
     with pytest.raises(ValidationError):
         device_from_dict(doc)
     dev = device_from_dict(minimal_doc())
-    with pytest.raises(EmptyDeviceError):
+    with pytest.raises(InfeasibleError, match="device has no edges"):
         DeviceModel("empty", 1, (), (), dev.single_qubit_durations_ns).mean_cx_error()
 
 

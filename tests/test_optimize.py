@@ -8,7 +8,7 @@ import pytest
 import helpers
 import oracles
 from bqaoa import data_path, optimize, qaoa
-from bqaoa.errors import ConfigError, NoFeasibleOutcomeError, ValidationError
+from bqaoa.errors import NoFeasibleOutcomeError, ValidationError
 from bqaoa.lower import OptLevel
 from bqaoa.mapper import Strategy
 from bqaoa.optimize import OptimizerConfig
@@ -218,7 +218,7 @@ def test_noise_scale_ordering(synthetic5_module):
 
 def test_run_benchmark_rejects_empty_ranges(synthetic5_module):
     problem = qaoa.load_problem(data_path("k5_maxcut.json"))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match="must be non-empty"):
         optimize.run_benchmark(
             synthetic5_module, problem, [], [OptLevel.DEFAULT], [1],
             OptimizerConfig(), shots=100,

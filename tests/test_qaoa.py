@@ -8,11 +8,7 @@ import oracles
 from bqaoa import circuit as cir
 from bqaoa import data_path, qaoa
 from bqaoa.circuit import GateKind
-from bqaoa.errors import (
-    DimensionError,
-    NoFeasibleOutcomeError,
-    ValidationError,
-)
+from bqaoa.errors import NoFeasibleOutcomeError, ValidationError
 
 COUNTED = {
     GateKind.H,
@@ -239,7 +235,7 @@ def test_cost_field_only_problem():
 
 def test_cost_rejects_wrong_length():
     # a 4-qubit distribution handed to a 5-qubit problem
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError, match="distribution has shape"):
         qaoa.metrics(k5_problem(), np.ones(2**4), "max")
 
 
@@ -327,5 +323,5 @@ def test_problem_files_load(tmp_path):
     assert pf.sense == "min" and pf.ising.feasible_weight == 3
     bad = tmp_path / "bad.json"
     bad.write_text('{"type": "tsp"}')
-    with pytest.raises(qaoa.ParseError):
+    with pytest.raises(ValidationError, match="unknown problem type 'tsp'"):
         qaoa.load_problem(bad)

@@ -11,12 +11,7 @@ from bqaoa import circuit as cir
 from bqaoa import data_path, lower, optimize, qaoa, sim
 from bqaoa.circuit import CircuitIR, GateKind
 from bqaoa.device import DeviceModel, EdgeCalibration, GateFlavor, QubitCalibration
-from bqaoa.errors import (
-    DimensionError,
-    SingularConfusionError,
-    TooLargeError,
-    ValidationError,
-)
+from bqaoa.errors import InfeasibleError, TooLargeError, ValidationError
 from bqaoa.lower import OptLevel, Polarity
 from bqaoa.mapper import Strategy
 
@@ -274,7 +269,7 @@ def test_mitigate_clips_negative_mass_and_renormalizes():
 
 def test_mitigate_singular_confusion_raises():
     singular = np.array([[0.5, 0.5], [0.5, 0.5]])
-    with pytest.raises(SingularConfusionError):
+    with pytest.raises(InfeasibleError, match="wire 0 is singular"):
         sim.mitigate_readout(np.array([1, 1]), [singular])
 
 
@@ -379,7 +374,7 @@ def test_process_fidelity_ideal_vs_noiseless_lowered():
 def test_process_fidelity_dimension_mismatch():
     a = sim.choi_of(sim.depolarized_unitary(np.eye(2, dtype=complex), 0.0))
     b = sim.choi_of(sim.depolarized_unitary(np.eye(4, dtype=complex), 0.0))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError, match="Choi dimensions differ"):
         sim.process_fidelity(a, b)
 
 
