@@ -1,4 +1,4 @@
-"""Circuit IR, layered depth, ASAP start times and dense unitaries.
+"""Circuit IR, ASAP start times and dense unitaries.
 
 Conventions (used everywhere in this package):
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -166,30 +166,6 @@ class CircuitIR:
         return {
             g.qubits[0]: g.clbit for g in self.gates if g.kind is GateKind.MEASURE
         }
-
-
-def depth(c: CircuitIR, counted_kinds: Iterable[GateKind]) -> int:
-    """Layered depth over the counted kinds; barriers force boundaries.
-
-    A barrier synchronises its qubits' layer counters without counting
-    itself; gates of uncounted kinds are invisible.
-    """
-    counted = set(counted_kinds)
-    level = [0] * c.num_qubits
-    best = 0
-    for g in c.gates:
-        if g.kind is GateKind.BARRIER:
-            sync = max(level[q] for q in g.qubits)
-            for q in g.qubits:
-                level[q] = sync
-            continue
-        if g.kind not in counted:
-            continue
-        layer = 1 + max(level[q] for q in g.qubits)
-        for q in g.qubits:
-            level[q] = layer
-        best = max(best, layer)
-    return best
 
 
 def asap_start_times(

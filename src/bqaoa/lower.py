@@ -269,7 +269,7 @@ def validate_chain(chain: tuple[int, ...], dev: DeviceModel) -> None:
             raise ValidationError(f"chain qubit {q} outside device")
     for a, b in zip(chain, chain[1:]):
         if dev.edge_between(a, b) is None:
-            raise InfeasibleError(f"chain qubits {a} and {b} share no edge")
+            raise ValidationError(f"chain qubits {a} and {b} share no edge")
 
 
 def lower_gate(

@@ -6,7 +6,8 @@ then thermal relaxation for the unit's duration.  A unit's channel depends
 on the unit alone.  Idle time is separate: a wire that idled since it was
 last busy relaxes for that time before its next unit.  A global scale
 factor s multiplies the depolarizing infidelity and the relaxation rates
-and interpolates the readout confusion matrices; s = 0 is noiseless.
+and interpolates the readout confusion matrices; s = 0 is noiseless.  The
+model reads the chain's own ``QubitCalibration`` records.
 
 Every channel is a plain array, its Liouville superoperator: the 4^k x 4^k
 matrix sum_K K (x) conj(K) on k qubits, acting on the row-major vec(rho)
@@ -31,8 +32,8 @@ not the product of its lowered gates: lowering is exact up to a global
 phase e^{ia}, and U (x) conj(U) cancels it.  With the depolarizing channel
 it reads (1-lam) U (x) conj(U) + (lam/d) |vec I><vec I|.  Relaxation of one
 qubit over time t moves the excited population 1 - e^{-t/T1} to |0> and
-scales the coherences by e^{-t/T2}; the relaxations of a unit's wires join
-into one superoperator by an outer product.
+scales the coherences by e^{-t/min(T2, 2 T1)}; the relaxations of a unit's
+wires join into one superoperator by an outer product.
 
 Outcome distributions and counts are vectors indexed by the little-endian
 basis integer: qubit (or classical bit) 0 is bit 0 of the index.
@@ -49,7 +50,7 @@ import numpy as np
 from .circuit import (
     CircuitIR, GateKind, apply_matrix, local_matrix, require_dense, statevector,
 )
-from .device import DeviceModel, EdgeCalibration
+from .device import DeviceModel, EdgeCalibration, QubitCalibration
 from .errors import InfeasibleError, ValidationError
 from .lower import (
     LoweredCircuit, LoweredUnit, OptLevel, Polarity, apply_rule, uses_pulse,
@@ -67,15 +68,6 @@ class DensityMatrix:
         p = np.clip(np.real(np.diag(self.data)), 0.0, None)
         total = p.sum()
         return p / total if total > 0 else p
-
-    def validate(self, tol: float = 1e-10) -> None:
-        if not np.allclose(self.data, self.data.conj().T, rtol=0.0, atol=tol):
-            raise ValidationError("density matrix is not Hermitian")
-        if abs(np.trace(self.data).real - 1.0) > tol:
-            raise ValidationError(f"trace is {np.trace(self.data).real}, not 1")
-        eigenvalues = np.linalg.eigvalsh(self.data)
-        if eigenvalues.min() < -1e-9:
-            raise ValidationError(f"negative eigenvalue {eigenvalues.min()}")
 
 
 # --- channels as Liouville superoperators ---
@@ -114,13 +106,6 @@ def relaxation_superop(duration_ns: float, t1_us: float, t2_us: float) -> np.nda
 # --- calibration-derived noise model ---
 
 
-@dataclass(frozen=True)
-class QubitNoise:
-    t1_us: float
-    t2_us: float
-    confusion: np.ndarray  # confusion[measured][true]
-
-
 def check_noise_scale(scale: float) -> None:
     if not (math.isfinite(scale) and scale >= 0):
         raise ValidationError(f"noise scale {scale} must be finite and >= 0")
@@ -130,7 +115,7 @@ def check_noise_scale(scale: float) -> None:
 class NoiseModel:
     """Noise parameters for the qubits a circuit actually runs on."""
 
-    qubits: tuple[QubitNoise, ...]
+    qubits: tuple[QubitCalibration, ...]
     scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -140,20 +125,14 @@ class NoiseModel:
     def from_device(
         cls, dev: DeviceModel, physical_qubits, scale: float = 1.0
     ) -> "NoiseModel":
-        entries = []
-        for q in physical_qubits:
-            cal = dev.qubits[q]
-            t1, t2 = cal.t1_us, cal.t2_us
-            if t2 > 2.0 * t1:
+        qubits = tuple(dev.qubits[q] for q in physical_qubits)
+        for q, cal in zip(physical_qubits, qubits):
+            if cal.t2_us > 2.0 * cal.t1_us:
                 warnings.warn(
-                    f"qubit {q}: T2={t2} exceeds 2*T1={2 * t1}; clamping",
+                    f"qubit {q}: T2={cal.t2_us} exceeds 2*T1={2 * cal.t1_us}; clamping",
                     stacklevel=2,
                 )
-                t2 = 2.0 * t1
-            p01, p10 = cal.prob_meas0_prep1, cal.prob_meas1_prep0
-            confusion = np.array([[1.0 - p10, p01], [p10, 1.0 - p01]])
-            entries.append(QubitNoise(t1_us=t1, t2_us=t2, confusion=confusion))
-        return cls(qubits=tuple(entries), scale=scale)
+        return cls(qubits=qubits, scale=scale)
 
     def depolarizing_strength(self, error: float, k: int) -> float:
         dim = 2**k
@@ -162,13 +141,15 @@ class NoiseModel:
 
     def relaxation(self, position: int, duration_ns: float) -> np.ndarray:
         """Relaxation superoperator of one qubit, its time scaled."""
-        noise = self.qubits[position]
-        return relaxation_superop(duration_ns * self.scale, noise.t1_us, noise.t2_us)
+        cal = self.qubits[position]
+        return relaxation_superop(duration_ns * self.scale, cal.t1_us, cal.t2_us)
 
     def scaled_confusion(self, position: int) -> np.ndarray:
-        """Confusion interpolated/extrapolated by the noise scale, as long as
-        no scaled flip probability exceeds 1."""
-        flips = self.qubits[position].confusion - np.eye(2)
+        """Confusion matrix[measured][true] interpolated/extrapolated by the
+        noise scale, as long as no scaled flip probability exceeds 1."""
+        cal = self.qubits[position]
+        p01, p10 = cal.prob_meas0_prep1, cal.prob_meas1_prep0
+        flips = np.array([[1.0 - p10, p01], [p10, 1.0 - p01]]) - np.eye(2)
         if self.scale * flips.max() > 1:
             raise ValidationError(
                 f"noise scale {self.scale} pushes the readout flip probability"
@@ -446,22 +427,13 @@ def composite_channel(
     return unit_channel(unit, noise)
 
 
-def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
-    """Hermitian square root; eigenvalues below 1e-12 of the largest are
-    treated as exact zeros (sqrt would otherwise amplify rounding noise)."""
-    values, vectors = np.linalg.eigh(mat)
-    cutoff = 1e-12 * max(values.max(), 0.0)
-    values = np.where(values > cutoff, values, 0.0)
-    return (vectors * np.sqrt(values)) @ vectors.conj().T
-
-
 def process_fidelity(a: ChoiMatrix, b: ChoiMatrix) -> float:
-    """Uhlmann fidelity of two normalized Choi matrices, clamped to [0, 1].
+    """Fidelity of two normalized Choi matrices, one of them pure, in [0, 1].
 
-    Both are taken as PSD, as a CPTP channel's Choi matrix is.  If one, m (a
-    first), has (tr m)^2 - tr m^2 <= 2e-14 (tr m^2 / tr m)^2, its weight off
-    its top eigenvector is below 1e-14 of the top eigenvalue, which
-    ``_sqrtm_psd`` drops anyway, so F = tr(m x) (Jozsa 1994) to about 1e-14.
+    A pure m (a first) has (tr m)^2 - tr m^2 <= 2e-14 (tr m^2 / tr m)^2, so
+    its weight off its top eigenvector is below 1e-14 of the top eigenvalue
+    and F = tr(m x) (Jozsa 1994) to about 1e-14.  QPT's ideal side, a
+    unitary, is pure; two mixed arguments are refused.
     """
     if a.data.shape != b.data.shape:
         raise ValidationError(
@@ -474,10 +446,8 @@ def process_fidelity(a: ChoiMatrix, b: ChoiMatrix) -> float:
         t, s = np.trace(m.data).real, np.vdot(m.data, m.data).real
         if t > 0 and t * t - s <= 2e-14 * (s / t) ** 2:
             return min(1.0, max(0.0, float(np.vdot(m.data, x.data).real)))
-    root = _sqrtm_psd(a.data)
-    inner = _sqrtm_psd(root @ b.data @ root)
-    fidelity = float(np.real(np.trace(inner)) ** 2)
-    return min(1.0, max(0.0, fidelity))
+    raise ValidationError("neither Choi matrix is pure: process fidelity is read"
+                          " against a pure (unitary-target) Choi state")
 
 
 def qpt_infidelities(
@@ -494,7 +464,7 @@ def qpt_infidelities(
     Emits one row per (variant, angle, repetition count), where variants are
     the default CT/TC realizations plus the pulse-optimized ones where the
     edge supports them.  The noisy channel repeats the composite; the ideal
-    repeats the target unitary.
+    is the channel of U^reps, whose Choi state is pure to rounding.
     """
     if target not in (GateKind.ZZ, GateKind.CZ, GateKind.ZZ_SWAP):
         raise ValidationError(f"{target.value} is not an undirected two-qubit kind")
@@ -513,10 +483,10 @@ def qpt_infidelities(
                 level, polarity,
             )
             noisy = composite_channel(unit, dev, scale=noise_scale)
-            ideal = depolarized_unitary(local_matrix(target, theta), 0.0)
+            ideal = local_matrix(target, theta)
             for reps in repetitions:
                 fid = process_fidelity(
-                    choi_of(np.linalg.matrix_power(ideal, reps)),
+                    choi_of(depolarized_unitary(np.linalg.matrix_power(ideal, reps), 0.0)),
                     choi_of(np.linalg.matrix_power(noisy, reps)),
                 )
                 rows.append(

@@ -1,7 +1,7 @@
 """Test-side constructions built on the package: dense unitaries of circuits,
 phase-insensitive equality, the hardware-gate expansion of lowered units,
-and small conveniences nothing in the package needs.  Unlike ``oracles``,
-this module imports ``bqaoa``."""
+layered depth, density-matrix validity, and small conveniences nothing in
+the package needs.  Unlike ``oracles``, this module imports ``bqaoa``."""
 
 import math
 import warnings
@@ -171,6 +171,43 @@ def scored_by_lowering(dev, chains, benchmark, opt):
                 score *= 1.0 - unit.error
         rows.append((chain, score, lowered.total_duration_ns))
     return rows
+
+
+def depth(c: CircuitIR, counted_kinds) -> int:
+    """Layered depth over the counted kinds; barriers force boundaries.
+
+    A barrier synchronises its qubits' layer counters without counting
+    itself; gates of uncounted kinds are invisible.
+    """
+    counted = set(counted_kinds)
+    level = [0] * c.num_qubits
+    best = 0
+    for g in c.gates:
+        if g.kind is GateKind.BARRIER:
+            sync = max(level[q] for q in g.qubits)
+            for q in g.qubits:
+                level[q] = sync
+            continue
+        if g.kind not in counted:
+            continue
+        layer = 1 + max(level[q] for q in g.qubits)
+        for q in g.qubits:
+            level[q] = layer
+        best = max(best, layer)
+    return best
+
+
+def validate_density(rho: sim.DensityMatrix, tol: float = 1e-10) -> None:
+    """Raise unless rho is Hermitian with unit trace to tol and has no
+    eigenvalue below -1e-9."""
+    data = rho.data
+    if not np.allclose(data, data.conj().T, rtol=0.0, atol=tol):
+        raise ValidationError("density matrix is not Hermitian")
+    if abs(np.trace(data).real - 1.0) > tol:
+        raise ValidationError(f"trace is {np.trace(data).real}, not 1")
+    eigenvalues = np.linalg.eigvalsh(data)
+    if eigenvalues.min() < -1e-9:
+        raise ValidationError(f"negative eigenvalue {eigenvalues.min()}")
 
 
 def density_from_statevector(psi) -> sim.DensityMatrix:

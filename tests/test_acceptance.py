@@ -52,7 +52,7 @@ def test_criterion_01_depth_formula():
         for p in range(1, 6):
             params = qaoa.ParamVector((0.37,) * p, (0.21,) * p)
             circ = qaoa.build_swap_network(prob, params)
-            assert cir.depth(circ, COUNTED) == 2 + (n + 2) * p, (n, p)
+            assert helpers.depth(circ, COUNTED) == 2 + (n + 2) * p, (n, p)
     assert time.monotonic() - start < 1.0
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bqaoa import data_path, device, errors, qaoa, sim
+from bqaoa import cli, data_path, device, errors, qaoa, sim
 from bqaoa.cli import main
 from bqaoa.lower import lower_circuit
 
@@ -409,6 +409,9 @@ BAD_OPTIONS = {
     "lower-chain-short": (_LOWER + ["--chain", "0,1"], "chain"),
     "lower-chain-off-device": (_LOWER + ["--chain", "0,1,2,3,99"], "chain"),
     "lower-chain-repeat": (_LOWER + ["--chain", "0,1,2,3,3"], "chain"),
+    "lower-chain-no-edge": (
+        ["circuit", "lower", "--device", FRAGMENT, "--problem", K5, "--chain", "0,4,1,2,3"],
+        "share no edge"),
     "lower-opt": (_LOWER + ["--chain", "0,1,2,3,4", "--opt", "x"], "--opt"),
     "lower-p-zero": (_LOWER + ["--chain", "0,1,2,3,4", "--p", "0"], "--p"),
     "lower-p-huge": (_LOWER + ["--chain", "0,1,2,3,4", "--p", str(10**12)], "--p"),
@@ -431,6 +434,10 @@ BAD_OPTIONS = {
     "simulate-noise-scale-past-certainty": (_SIMULATE + ["--noise-scale", "1e308"],
                                             "noise scale"),
     "simulate-chain-off-device": (_SIMULATE + ["--chain", "0,1,2,3,9"], "chain"),
+    # 0 and 4 are both on the fragment, but not neighbours
+    "simulate-chain-no-edge": (
+        ["simulate", "--device", FRAGMENT, "--problem", K5, "--chain", "0,4,1,2,3",
+         "--shots", "10"], "share no edge"),
     "simulate-p-zero": (_SIMULATE + ["--p", "0"], "--p"),
     "simulate-p-huge": (_SIMULATE + ["--p", str(10**12)], "--p"),
     "optimize-p-word": (["optimize", "--problem", K5, "--p", "x"], "--p"),
@@ -689,6 +696,24 @@ def test_qpt_noiseless(runner):
     assert lines
     for line in lines:
         assert float(line.rsplit(",", 1)[1]) < 1e-9
+
+
+@pytest.mark.parametrize("gate", ["zz", "cz", "zz_swap"])
+def test_qpt_reads_the_largest_counts(runner, gate):
+    """At --reps and --angles of MAX_COUNT the repeated target's Choi state
+    is still pure.  The 1000th power of zz's 16x16 channel at angle
+    638 pi / 1000 is not, to the purity test, so the ideal is built from
+    U^reps."""
+    top = str(cli.MAX_COUNT)
+    result = runner.invoke(
+        main,
+        ["qpt", "--device", FRAGMENT, "--edge", "1,0", "--gate", gate,
+         "--opt", "default", "--reps", top, "--angles", top, "--format", "csv"],
+    )
+    assert result.exit_code == 0, result.output
+    lines = result.output.strip().splitlines()[1:]
+    assert len(lines) == 2 * cli.MAX_COUNT
+    assert all(0.0 <= float(line.rsplit(",", 1)[1]) <= 1.0 for line in lines)
 
 
 def test_qpt_orderings(runner):

@@ -10,7 +10,7 @@ from bqaoa import circuit as cir
 from bqaoa import data_path, device, lower, mapper, optimize, qaoa
 from bqaoa.circuit import CircuitIR, GateKind
 from bqaoa.device import DeviceModel, EdgeCalibration, GateFlavor, QubitCalibration
-from bqaoa.errors import InfeasibleError
+from bqaoa.errors import InfeasibleError, ValidationError
 from bqaoa.lower import OptLevel, Polarity, apply_rule
 
 TWO_QUBIT_TARGETS = (GateKind.ZZ, GateKind.CZ, GateKind.ZZ_SWAP)
@@ -326,7 +326,7 @@ def test_lower_reference_durations_via_schedule(fragment):
 
 def test_lower_rejects_bad_chains(fragment):
     circ = CircuitIR(2, (cir.zz(0.5, 0, 1),))
-    with pytest.raises(InfeasibleError, match="share no edge"):
+    with pytest.raises(ValidationError, match="share no edge"):
         lower.lower_circuit(circ, (0, 4), fragment)
     circ3 = CircuitIR(3, (cir.zz(0.5, 0, 2),))
     with pytest.raises(InfeasibleError, match="not nearest-neighbour"):

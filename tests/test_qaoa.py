@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
-from bqaoa import circuit as cir
 from bqaoa import data_path, qaoa
 from bqaoa.circuit import GateKind
 from bqaoa.errors import NoFeasibleOutcomeError, ValidationError
@@ -139,7 +138,7 @@ def test_maxcut_rejects_self_loop():
 def test_build_n5_layer_structure():
     prob = k5_problem()
     c = qaoa.build_swap_network(prob, qaoa.ParamVector((0.3,), (0.2,)))
-    assert cir.depth(c, COUNTED) == 9
+    assert helpers.depth(c, COUNTED) == 9
     two_qubit = [g for g in c.gates if g.kind in (GateKind.ZZ, GateKind.ZZ_SWAP)]
     assert len(two_qubit) == 10  # 5 layers of 2 gates each
 

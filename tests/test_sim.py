@@ -53,7 +53,7 @@ def test_evolve_noiseless_h_layer_uniform():
     noise = sim.NoiseModel.from_device(DEV, lowered.chain, scale=0.0)
     rho = sim.evolve(lowered, noise)
     assert np.allclose(rho.data, np.full((8, 8), 1 / 8), atol=1e-12)
-    rho.validate()
+    helpers.validate_density(rho)
 
 
 def test_evolve_matches_statevector_at_zero_scale():
@@ -71,9 +71,9 @@ def test_validate_rejects_asymmetry_above_its_tolerance():
     # tolerance of the entry 0.5, far outside an absolute 1e-10
     rho = sim.DensityMatrix(1, np.full((2, 2), 0.5, dtype=complex))
     rho.data[0, 1] += 1e-7
-    rho.validate(tol=1e-6)
+    helpers.validate_density(rho, tol=1e-6)
     with pytest.raises(ValidationError, match="not Hermitian"):
-        rho.validate(tol=1e-10)
+        helpers.validate_density(rho, tol=1e-10)
 
 
 def test_evolve_refuses_more_wires_than_the_dense_limit():
@@ -145,7 +145,10 @@ def test_t2_clamp_warns():
     bad = make_device(t1=100.0, t2=250.0)
     with pytest.warns(UserWarning, match="clamping"):
         noise = sim.NoiseModel.from_device(bad, (0, 1), scale=1.0)
-    assert noise.qubits[0].t2_us == pytest.approx(200.0)
+    # the device's own record, its T2 counted as 2 T1 by the relaxation alone
+    assert noise.qubits[0] is bad.qubits[0]
+    t = 700.0
+    assert np.array_equal(noise.relaxation(0, t), sim.relaxation_superop(t, 100.0, 200.0))
 
 
 @pytest.mark.parametrize("scale", [-1.0, math.nan, math.inf])
@@ -280,6 +283,10 @@ def test_noise_scale_interpolates_confusion():
     m = noise2.scaled_confusion(0)
     assert np.all(m >= 0) and np.allclose(m.sum(axis=0), 1.0)
     assert m[1, 0] == pytest.approx(0.02)
+    # confusion[measured][true]: a 1 reads as 0 with prob_meas0_prep1
+    skewed = sim.NoiseModel.from_device(make_device(p01=0.03, p10=0.01), (0,))
+    expected = [[0.99, 0.03], [0.01, 0.97]]
+    assert np.allclose(skewed.scaled_confusion(0), expected, rtol=0.0, atol=1e-15)
 
 
 def test_remap_counts_permutation():
@@ -346,9 +353,21 @@ def test_composite_channel_refuses_cx():
 
 
 def test_process_fidelity_self_is_one():
-    unit = helpers.two_qubit_unit(GateKind.ZZ, 0.8, ECR, DEV, OptLevel.DEFAULT)
-    choi = sim.choi_of(sim.composite_channel(unit, DEV, scale=1.0))
+    target = sim.depolarized_unitary(cir.local_matrix(GateKind.ZZ, 0.8), 0.0)
+    choi = sim.choi_of(target)
     assert sim.process_fidelity(choi, choi) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_process_fidelity_refuses_two_mixed_choi_states():
+    # neither argument is a unitary target: a noisy composite against itself,
+    # and two depolarized identities
+    unit = helpers.two_qubit_unit(GateKind.ZZ, 0.8, ECR, DEV, OptLevel.DEFAULT)
+    noisy = sim.choi_of(sim.composite_channel(unit, DEV, scale=1.0))
+    weak, strong = (sim.choi_of(sim.depolarized_unitary(np.eye(4), lam))
+                    for lam in (0.1, 0.37))
+    for a, b in ((noisy, noisy), (weak, strong), (strong, weak)):
+        with pytest.raises(ValidationError, match="pure"):
+            sim.process_fidelity(a, b)
 
 
 def test_process_fidelity_depolarizing_analytic():
@@ -390,10 +409,10 @@ def test_process_fidelity_rejects_a_non_finite_choi_matrix(bad):
 
 
 def test_qpt_rows_take_the_pure_shortcut(fragment, monkeypatch):
-    """Each README qpt row probes two Choi matrices and reads one fidelity,
-    with no matrix root: the repeated target unitary's Choi state is pure."""
+    """Each README qpt row probes two Choi matrices and reads one fidelity
+    against the repeated target unitary, whose Choi state is pure."""
     spies = {name: mock.Mock(side_effect=getattr(sim, name))
-             for name in ("choi_of", "process_fidelity", "_sqrtm_psd")}
+             for name in ("choi_of", "process_fidelity")}
     for name, spy in spies.items():
         monkeypatch.setattr(sim, name, spy)
     angles = [np.pi * (i + 1) / 9 for i in range(9)]
@@ -403,7 +422,7 @@ def test_qpt_rows_take_the_pure_shortcut(fragment, monkeypatch):
     )
     assert len(rows) == 108
     calls = {name: spy.call_count for name, spy in spies.items()}
-    assert calls == {"choi_of": 216, "process_fidelity": 108, "_sqrtm_psd": 0}
+    assert calls == {"choi_of": 216, "process_fidelity": 108}
 
 
 def test_infidelity_nondecreasing_in_repetitions():

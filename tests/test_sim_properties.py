@@ -4,9 +4,9 @@ repetition, and the pure-state shortcut of process fidelity."""
 
 import dataclasses
 import math
-from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +16,7 @@ from bqaoa import circuit as cir
 from bqaoa import lower, qaoa, sim
 from bqaoa.circuit import GateKind
 from bqaoa.device import DeviceModel, EdgeCalibration, GateFlavor, QubitCalibration
+from bqaoa.errors import ValidationError
 
 TOL = 1e-12
 angles = st.floats(-2 * np.pi, 2 * np.pi)
@@ -31,8 +32,12 @@ def qubit_times(draw):
 
 @st.composite
 def noise_models(draw, n):
+    """Random T1 and T2 per qubit, and a perfect readout."""
     qubits = tuple(
-        sim.QubitNoise(*draw(qubit_times()), confusion=np.eye(2)) for _ in range(n)
+        QubitCalibration(*draw(qubit_times()), sx_error=0.0, readout_error=0.0,
+                         prob_meas0_prep1=0.0, prob_meas1_prep0=0.0,
+                         readout_length_ns=800.0)
+        for _ in range(n)
     )
     return sim.NoiseModel(qubits=qubits, scale=draw(st.floats(0.0, 3.0)))
 
@@ -212,7 +217,7 @@ def test_evolve_output_is_a_density_matrix(data):
     noise = sim.NoiseModel.from_device(
         dev, lowered.chain, scale=data.draw(st.floats(0.0, 3.0))
     )
-    sim.evolve(lowered, noise).validate()
+    helpers.validate_density(sim.evolve(lowered, noise))
     assert any(u.kind is GateKind.MEASURE for u in lowered.units)
 
 
@@ -299,31 +304,26 @@ def choi_states(draw, dim):
 @given(st.sampled_from([4, 16]).flatmap(lambda d: st.tuples(choi_states(d), choi_states(d))))
 def test_process_fidelity_pure_shortcut(pair):
     """Where one argument is pure to within PURE_WEIGHT, F is tr(a b): it
-    agrees with the general branch (which drops that weight) and with the
-    reference for the purer argument's top eigenvector, and it is symmetric.
-    Above the bound the general branch runs."""
+    agrees with the reference for the purer argument's top eigenvector, and
+    it is symmetric.  Above the bound neither argument counts as pure, and
+    process fidelity is refused; within 10 % of it, either may happen."""
     (a, *_), (b, *_) = pair
     purest = min(pair, key=lambda state: state[3])
     _, u, p, weight = purest
     dim = math.isqrt(a.shape[0])
     choi_a, choi_b = sim.ChoiMatrix(dim, a), sim.ChoiMatrix(dim, b)
-    with mock.patch.object(sim, "_sqrtm_psd", side_effect=sim._sqrtm_psd) as roots:
-        fid = sim.process_fidelity(choi_a, choi_b)
     if weight > 1.1 * PURE_WEIGHT:
-        assert roots.call_count == 2
-    elif weight < 0.9 * PURE_WEIGHT:
-        assert roots.call_count == 0
-    if roots.call_count:
-        if weight > 0.5:  # both mixed, so both roots are well conditioned
-            assert abs(fid - helpers.uhlmann_fidelity(a, b)) < 1e-12
+        with pytest.raises(ValidationError, match="pure"):
+            sim.process_fidelity(choi_a, choi_b)
         return
-    pure, other = (a, b) if purest is pair[0] else (b, a)
-    root = sim._sqrtm_psd(pure)
-    general = np.real(np.trace(sim._sqrtm_psd(root @ other @ root))) ** 2
+    try:
+        fid = sim.process_fidelity(choi_a, choi_b)
+    except ValidationError as err:
+        assert weight >= 0.9 * PURE_WEIGHT and "pure" in str(err)
+        return
+    other = b if purest is pair[0] else a
     top = np.zeros_like(a)
     top[0, 0] = p[0]
     reference = helpers.uhlmann_fidelity(top, u.conj().T @ other @ u)
-    slack = PURE_WEIGHT + 1e-15  # the dropped weight, plus rounding
-    assert abs(fid - min(1.0, general)) < slack
-    assert abs(fid - reference) < slack
+    assert abs(fid - reference) < PURE_WEIGHT + 1e-15  # the dropped weight, plus rounding
     assert abs(fid - sim.process_fidelity(choi_b, choi_a)) < PURE_WEIGHT
