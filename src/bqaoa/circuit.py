@@ -215,7 +215,9 @@ def local_matrix(kind: GateKind, param: float | None = None) -> np.ndarray:
         m[3, 1] = m[1, 3] = 1
         return m
     if kind is GateKind.CZ:
-        return np.diag([1, 1, 1, -1]).astype(complex)
+        m = np.eye(4, dtype=complex)
+        m[3, 3] = -1
+        return m
     if kind is GateKind.SWAP:
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0] = m[3, 3] = 1

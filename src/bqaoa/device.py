@@ -20,7 +20,8 @@ A device file is a JSON calibration snapshot.  The loader reads these keys
     }
 
 Errors are fractions (0.0083, not 0.83 %).  Numbers must be finite, and a
-boolean is not a number.  Optional: the two top-level duration objects
+boolean is not a number.  No duration exceeds ``MAX_DURATION_NS``.
+Optional: the two top-level duration objects
 (over ``DEFAULT_SINGLE_QUBIT_DURATIONS_NS``, where a given ``sx`` also sets
 ``rx`` and ``ry`` unless they are given, and over ``CrScaleModel``), the
 qubit frequencies, ``flavor_source`` (default "assumed") and the composite
@@ -48,6 +49,11 @@ DEFAULT_SINGLE_QUBIT_DURATIONS_NS = {
 #: Keys an edge's ``composite_durations_ns`` may pin; each names a
 #: duration the lowering rules read.
 COMPOSITE_PIN_KEYS = ("zz", "cz", "cz_opt", "zz_swap", "zz_swap_opt")
+
+#: The longest duration a document may give: 1e12 ns is 1,000 s, far beyond
+#: any T1, and a schedule total of such durations stays finite.  An infinite
+#: total printed as Infinity, and times a noise scale of 0 it made NaN.
+MAX_DURATION_NS = 1e12
 
 #: Consistency tolerance between readout_error and the two prep/meas
 #: probabilities (files round to two decimals in percent).
@@ -181,6 +187,17 @@ def _non_negative(value, field_name: str) -> float:
     return value
 
 
+def _duration(check):
+    """``check`` of a duration in ns, which also refuses one above
+    ``MAX_DURATION_NS``."""
+    def bounded(value, field_name: str) -> float:
+        value = check(value, field_name)
+        _require(value <= MAX_DURATION_NS, field_name,
+                 f"duration {value} ns exceeds {MAX_DURATION_NS:g} ns")
+        return value
+    return bounded
+
+
 def _probability(value, field_name: str) -> float:
     value = as_float(value, field_name)
     _require(0.0 <= value <= 1.0, field_name, f"probability {value} not in [0, 1]")
@@ -203,7 +220,7 @@ _QUBIT_FIELDS = {
     "readout_error": _probability,
     "prob_meas0_prep1": _probability,
     "prob_meas1_prep0": _probability,
-    "readout_length_ns": _non_negative,
+    "readout_length_ns": _duration(_non_negative),
 }
 
 #: Optional keys of a qubit entry: numbers that are checked, not kept.
@@ -215,7 +232,7 @@ _EDGE_FIELDS = {
     "target": as_int,
     "flavor": _flavor,
     "cx_error": _probability,
-    "cx_duration_ns": _positive,
+    "cx_duration_ns": _duration(_positive),
 }
 
 
@@ -282,7 +299,7 @@ def _parse_edge(entry, index: int, num_qubits: int) -> EdgeCalibration:
         entry.get("composite_durations_ns", {}),
         f"{prefix}.composite_durations_ns",
         COMPOSITE_PIN_KEYS,
-        _positive,
+        _duration(_positive),
     )
     return EdgeCalibration(
         **fields,
@@ -328,7 +345,7 @@ def device_from_dict(doc: dict) -> DeviceModel:
         doc.get("single_qubit_durations_ns", {}),
         "single_qubit_durations_ns",
         DEFAULT_SINGLE_QUBIT_DURATIONS_NS,
-        _non_negative,
+        _duration(_non_negative),
     )
     durations = dict(DEFAULT_SINGLE_QUBIT_DURATIONS_NS)
     if "sx" in given:
@@ -339,7 +356,7 @@ def device_from_dict(doc: dict) -> DeviceModel:
     scale_keys = ("intercept_ns", "slope_ns_per_pi")
     scale_doc = as_object(doc.get("cr_scale_model", {}), "cr_scale_model", scale_keys)
     scale = {
-        key: _non_negative(
+        key: _duration(_non_negative)(
             scale_doc.get(key, getattr(CrScaleModel, key)), f"cr_scale_model.{key}"
         )
         for key in scale_keys

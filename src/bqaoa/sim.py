@@ -9,31 +9,28 @@ factor s multiplies the depolarizing infidelity and the relaxation rates
 and interpolates the readout confusion matrices; s = 0 is noiseless.  The
 model reads the chain's own ``QubitCalibration`` records.
 
-Every channel is a plain array, its Liouville superoperator: the 4^k x 4^k
-matrix sum_K K (x) conj(K) on k qubits, acting on the row-major vec(rho)
-whose entry i*d + j is rho[i, j], with local qubit 0 the least-significant
-bit of i and j.  ``unit_channel`` builds each scheduled unit as one product
-of closed-form pieces.  ``evolve`` folds one-qubit work, idle relaxation
-included, into the next two-qubit superoperator on its wire, and what
-follows a wire's last two-qubit unit into that unit.  It holds rho in real
-coordinates over the Hermitian basis |0><0|, X, Y, |1><1| of each wire: a
-channel maps Hermitian operators to Hermitian operators, so its matrix in
-that basis is real, and each apply multiplies a real matrix into a real
-vector.  Wire q's coordinate sits on bits 2q, 2q+1, so a superoperator on
-neighbouring wires acts on one contiguous block of four bits, which
-``apply_matrix`` applies by a reshape and one matmul.  rho becomes the
-standard complex 2^n x 2^n array once, at the end.  QPT
-repeats a channel with a matrix power and reads its Choi matrix off by
-reshuffling (Wood, Biamonte & Cory, arXiv:1111.6950); the ideal side's
-Choi state is pure, so its fidelity is one inner product.
+Every channel is a plain array: its real matrix over the Hermitian
+operator basis |0><0|, X, Y, |1><1| of each wire (Wood, Biamonte & Cory,
+arXiv:1111.6950), real as a channel maps Hermitian operators to Hermitian
+operators.  ``unit_channel`` builds each scheduled unit from closed forms.
+``evolve`` folds one-qubit work, relaxation included, into the next
+two-qubit matrix on its wire, and what follows a wire's last two-qubit unit
+into that unit.  It holds rho as 4^n real coordinates, wire q's digit on
+bits 2q, 2q+1, so a matrix on neighbouring wires acts on one contiguous
+block of four bits, which ``apply_matrix`` applies by a reshape and one
+matmul; rho becomes the standard complex 2^n x 2^n array once, at the end.
+Only QPT reads the standard Liouville superoperator sum_K K (x) conj(K),
+on the row-major vec(rho) (entry i*d + j is rho[i, j], local qubit 0 the
+least-significant bit): it repeats ``composite_channel`` by a matrix power
+and reshuffles it into a Choi matrix; the ideal side's Choi state is pure,
+so its fidelity is one inner product.
 
 The pieces: the unit's unitary is ``local_matrix`` of its kind and angle,
 not the product of its lowered gates: lowering is exact up to a global
-phase e^{ia}, and U (x) conj(U) cancels it.  With the depolarizing channel
-it reads (1-lam) U (x) conj(U) + (lam/d) |vec I><vec I|.  Relaxation of one
-qubit over time t moves the excited population 1 - e^{-t/T1} to |0> and
-scales the coherences by e^{-t/min(T2, 2 T1)}; the relaxations of a unit's
-wires join into one superoperator by an outer product.
+phase e^{ia}, and U (x) conj(U) cancels it.  Its real matrix M, made at
+import, is a constant or, for a rotation, A + cos t B + sin t C; with the
+depolarizing channel it reads (1-lam) M + (lam/d) v v^T, v = (1, 0, 0, 1)
+per wire.  Relaxation is the closed form of ``relaxation_superop``.
 
 Outcome distributions and counts are vectors indexed by the little-endian
 basis integer: qubit (or classical bit) 0 is bit 0 of the index.
@@ -48,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import (
-    CircuitIR, GateKind, apply_matrix, local_matrix, require_dense, statevector,
+    PARAM_KINDS, TWO_QUBIT_KINDS, CircuitIR, GateKind, apply_matrix, local_matrix,
+    require_dense, statevector,
 )
 from .device import DeviceModel, EdgeCalibration, QubitCalibration
 from .errors import InfeasibleError, ValidationError
@@ -70,37 +68,35 @@ class DensityMatrix:
         return p / total if total > 0 else p
 
 
-# --- channels as Liouville superoperators ---
+# --- channels as real matrices over the operator basis ---
+
+# One wire's basis |0><0|, X, Y, |1><1| as columns over vec(rho) and its dual
+# (inverse): a real matrix is dual @ superop @ basis; two wires take products.
+_G = np.array([[1, 0, 0, 0], [0, 1, -1j, 0], [0, 1, 1j, 0], [0, 0, 0, 1]])
+_G_DUAL = np.array([[1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0.5j, -0.5j, 0], [0, 0, 0, 1]])
+_PAIRED = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(16)
 
 
-def depolarized_unitary(u: np.ndarray, lam: float) -> np.ndarray:
-    """Superoperator of rho -> (1-lam) U rho U^dag + lam tr(rho) I/d.
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of square matrices without its generic-shape overhead."""
+    return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(len(a) * len(b), -1)
 
-    (1-lam) U (x) conj(U) + (lam/d) |vec I><vec I|; the entries of vec I
-    that are 1 sit at the multiples of d + 1.
-    """
-    dim = u.shape[0]
-    # np.kron(u, conj(u)) without its generic-shape overhead
-    kron = np.multiply.outer(u, u.conj()).transpose(0, 2, 1, 3).reshape(dim * dim, -1)
-    superop = (1.0 - lam) * kron
-    superop[:: dim + 1, :: dim + 1] += lam / dim
-    return superop
+
+_REAL_BASIS = {  # number of wires -> (dual, basis); _PAIRED reorders vec(rho)
+    1: (_G_DUAL, _G),
+    2: (_kron(_G_DUAL, _G_DUAL)[:, _PAIRED], _kron(_G, _G)[_PAIRED]),
+}
 
 
 def relaxation_superop(duration_ns: float, t1_us: float, t2_us: float) -> np.ndarray:
-    """Amplitude damping and dephasing of one qubit over ``duration_ns``.
-
-    The excited population decays as e^{-t/T1} into |0> and the coherences
-    as e^{-t/T2}; a T2 above its physical bound 2 T1 counts as 2 T1.
-    """
+    """Real matrix of amplitude damping and dephasing of one qubit over
+    ``duration_ns``: the excited population decays as e^{-t/T1} into |0>,
+    the coherences as e^{-t/T2}; a T2 above its bound 2 T1 counts as 2 T1."""
     t = duration_ns * 1e-3  # us
     decay = 1.0 - math.exp(-t / t1_us)
     coherence = math.exp(-t / min(t2_us, 2.0 * t1_us))
-    # over vec(rho) = (rho00, rho01, rho10, rho11)
-    superop = np.zeros((4, 4), dtype=complex)
-    superop[0, 0], superop[3, 3], superop[0, 3] = 1.0, 1.0 - decay, decay
-    superop[1, 1] = superop[2, 2] = coherence
-    return superop
+    return np.array((1.0, 0.0, 0.0, decay, 0.0, coherence, 0.0, 0.0,
+                     0.0, 0.0, coherence, 0.0, 0.0, 0.0, 0.0, 1.0 - decay)).reshape(4, 4)
 
 
 # --- calibration-derived noise model ---
@@ -140,7 +136,7 @@ class NoiseModel:
         return min(1.0, max(0.0, lam))
 
     def relaxation(self, position: int, duration_ns: float) -> np.ndarray:
-        """Relaxation superoperator of one qubit, its time scaled."""
+        """Real relaxation matrix of one qubit, its time scaled."""
         cal = self.qubits[position]
         return relaxation_superop(duration_ns * self.scale, cal.t1_us, cal.t2_us)
 
@@ -162,66 +158,71 @@ class NoiseModel:
         return [self.scaled_confusion(i) for i in range(len(self.qubits))]
 
 
-def _per_wire(superops: list[np.ndarray]) -> np.ndarray:
-    """One-qubit superoperators, the i-th on local qubit i, as one on all.
+def _terms(kind: GateKind) -> np.ndarray:
+    """A kind's real matrices for ``unit_channel`` to weigh: the fully
+    depolarizing channel's, (1/d) v v^T, then its unitary's, one for a fixed
+    kind and A, B, C for a rotation, read off at t = 0, pi/2 and pi, as each
+    entry of U(t) (x) conj(U(t)) is affine in (cos t, sin t)."""
+    dual, basis = _REAL_BASIS[2 if kind in TWO_QUBIT_KINDS else 1]
+    angles = (0.0, math.pi / 2, math.pi) if kind in PARAM_KINDS else (None,)
+    m = [(dual @ _kron(u, u.conj()) @ basis).real
+         for u in (local_matrix(kind, t) for t in angles)]
+    if kind in PARAM_KINDS:
+        mean = (m[0] + m[2]) / 2
+        m = [mean, m[0] - mean, m[1] - mean]
+    depolarized = np.outer([1.0, 0.0, 0.0, 1.0], [0.5, 0.0, 0.0, 0.5])
+    if kind in TWO_QUBIT_KINDS:
+        depolarized = _kron(depolarized, depolarized)
+    return np.stack([depolarized, *m])
 
-    vec(rho) of two qubits orders its index bits (i1, i0, j1, j0); each 4x4
-    reshapes to (i', j', i, j), and the outer product interleaves them.
-    """
-    if len(superops) == 1:
-        return superops[0]
-    a0, a1 = (s.reshape(2, 2, 2, 2) for s in superops)
-    return np.multiply.outer(a1, a0).transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(16, 16)
+
+_TERMS = {k: _terms(k) for k in GateKind if k not in (GateKind.MEASURE, GateKind.BARRIER)}
+
+
+def _depolarized(unit: LoweredUnit, noise: NoiseModel) -> np.ndarray:
+    """Real matrix of a unit's unitary with its depolarizing channel."""
+    lam = noise.depolarizing_strength(unit.error, len(unit.wires))
+    keep = 1.0 - lam
+    weights = [lam, keep]  # (1-lam) M + (lam/d) v v^T
+    if unit.kind in PARAM_KINDS:  # M = A + cos t B + sin t C
+        weights += [keep * math.cos(unit.angle), keep * math.sin(unit.angle)]
+    return np.add.reduce(np.array(weights)[:, None, None] * _TERMS[unit.kind])
 
 
 def unit_channel(unit: LoweredUnit, noise: NoiseModel) -> np.ndarray:
-    """Superoperator of one scheduled unit on its wires (local qubit i = wires[i]).
+    """Real matrix of one scheduled unit on its wires (local wire i = wires[i]).
 
     The unit's unitary ``local_matrix(kind, angle)`` with a depolarizing
-    channel for its effective error, then relaxation for the unit's own
-    duration.  A measurement has no unitary and no error, so it only
-    relaxes.  It depends on the unit alone, not on where the schedule puts
-    it: idle time before the unit is ``evolve``'s per-wire work.
+    channel for its effective error, then relaxation for its own duration,
+    wire i's on row digit i (kron(r1, r0) on two wires).  A measurement only
+    relaxes.  It depends on the unit alone, not on where the schedule puts it.
     """
-    channel = _per_wire([noise.relaxation(w, unit.duration_ns) for w in unit.wires])
-    if unit.kind is not GateKind.MEASURE:
-        u = local_matrix(unit.kind, unit.angle)
-        lam = noise.depolarizing_strength(unit.error, len(unit.wires))
-        channel = channel @ depolarized_unitary(u, lam)
+    k = len(unit.wires)
+    channel = np.eye(4**k) if unit.kind is GateKind.MEASURE else _depolarized(unit, noise)
+    for i, w in enumerate(unit.wires):  # row 0 of digit i gains d row 3, then rows scale
+        relax = noise.relaxation(w, unit.duration_ns)
+        rows = channel.reshape(4 ** (k - 1 - i), 4, -1)
+        rows[:, 0] += relax[0, 3] * rows[:, 3]
+        rows *= relax.diagonal()[:, None]
     return channel
 
 
-_IDENTITY = np.eye(4, dtype=complex)
-
-# One wire's basis |0><0|, X, Y, |1><1| as columns over vec(rho), and its dual
-# (the inverse, as G^dag G = diag(1, 2, 2, 1)).  The basis operators are
-# Hermitian, so every channel's dual @ superop @ basis is real.  On two wires
-# _per_wire interleaves the digits' bits; _GROUPED orders them d0 + 4 d1.
-_G = np.array([[1, 0, 0, 0], [0, 1, -1j, 0], [0, 1, 1j, 0], [0, 0, 0, 1]])
-_G_DUAL = np.array([[1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0.5j, -0.5j, 0], [0, 0, 0, 1]])
-_GROUPED = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(16)
-_REAL_BASIS = {  # number of wires -> (dual, basis)
-    1: (_G_DUAL, _G),
-    2: (_per_wire([_G_DUAL] * 2)[_GROUPED], _per_wire([_G] * 2)[:, _GROUPED]),
-}
+_IDENTITY = np.eye(4)
 
 
 def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
     """Run a lowered circuit's schedule as a density-matrix evolution from |0..0>.
 
-    Each unit's ``unit_channel`` acts once, in program order on its wires.
-    A wire that idled since it was last busy first relaxes for that time.
-    One-qubit work, idle relaxation included, multiplies into a pending 4x4
-    per wire, which the next two-qubit unit on the wire takes into its
-    superoperator (an identity stands in on a wire with none); what follows
-    a wire's last two-qubit unit joins that unit from the left.  So each
-    two-qubit unit is one apply, in program order, and only a wire with none
-    has a 4x4 apply; a barrier only relaxes its idle wires.  Work on other
-    wires commutes, so only rounding differs from one apply per unit.
-    Measurement units only relax (readout noise is applied at sampling
-    time).  Deterministic.  rho is held as 4^n real coordinates, wire w's
-    digit (2 row + col) on bits 2w, 2w+1, and each superoperator acts as
-    its real matrix dual @ superop @ basis; the diagonal stays exactly real.
+    Each unit acts once, in program order, as its ``unit_channel``; a
+    measurement only relaxes (readout noise is applied at sampling time).
+    A wire relaxes once per gap between the starts of its units, idle time
+    included, and after its last unit for that unit's duration.  Relaxation
+    and one-qubit work multiply into a pending 4x4 per wire, which the next
+    two-qubit unit on the wire takes in; what follows a wire's last
+    two-qubit unit joins it from the left.  So each two-qubit unit is one
+    apply, and only a wire with none has a 4x4 apply; a barrier only
+    relaxes its wires up to its start.  Work on other wires commutes, so
+    only rounding differs from one apply per unit.
     """
     n = sc.num_qubits
     require_dense(n)
@@ -231,38 +232,44 @@ def evolve(sc: LoweredCircuit, noise: NoiseModel) -> DensityMatrix:
         )
     vec = np.zeros(4**n)
     vec[0] = 1.0
-    last_busy = [0.0] * n
+    relaxed_to, busy_to = [0.0] * n, [0.0] * n  # wire w's pending relaxation, last end
     pending: dict[int, np.ndarray] = {}  # wire -> 4x4 not yet applied
     ops = []  # each two-qubit unit, with the 4x4s pending on its wires before it
 
-    def apply(vec, superop, wires):
-        dual, basis = _REAL_BASIS[len(wires)]
+    def then(w, matrix):  # one-qubit work after what is pending on wire w
+        pending[w] = matrix @ pending[w] if w in pending else matrix
+
+    def relax(w, now):
+        if now > relaxed_to[w]:
+            then(w, noise.relaxation(w, now - relaxed_to[w]))
+            relaxed_to[w] = now
+
+    def apply(vec, channel, wires):
         vec_qubits = tuple(b for w in wires for b in (2 * w, 2 * w + 1))
-        return apply_matrix(vec, (dual @ superop @ basis).real, vec_qubits, 2 * n)
+        return apply_matrix(vec, channel, vec_qubits, 2 * n)
 
     for unit, start in zip(sc.units, sc.start_times):
         for w in unit.wires:
-            if start > last_busy[w]:
-                idle = noise.relaxation(w, start - last_busy[w])
-                pending[w] = idle @ pending.get(w, _IDENTITY)
-            last_busy[w] = start + unit.duration_ns
-        if unit.kind is GateKind.BARRIER:
+            relax(w, start)
+            busy_to[w] = start + unit.duration_ns
+        if unit.kind in (GateKind.BARRIER, GateKind.MEASURE):
             continue
-        if len(unit.wires) == 1:
-            w = unit.wires[0]
-            pending[w] = unit_channel(unit, noise) @ pending.get(w, _IDENTITY)
-            continue
-        ops.append((unit, [pending.pop(w, _IDENTITY) for w in unit.wires]))
+        if len(unit.wires) == 2:
+            ops.append((unit, [pending.pop(w, _IDENTITY) for w in unit.wires]))
+        else:
+            then(unit.wires[0], _depolarized(unit, noise))
+    for w in range(n):
+        relax(w, busy_to[w])
     last_op = {w: i for i, (unit, _) in enumerate(ops) for w in unit.wires}
     for i, (unit, heads) in enumerate(ops):
-        channel = unit_channel(unit, noise)
+        channel = _depolarized(unit, noise)
         if any(h is not _IDENTITY for h in heads):
-            channel = channel @ _per_wire(heads)
+            channel = channel @ _kron(heads[1], heads[0])
         # what follows a wire's last two-qubit unit joins that unit, from the left
         tails = [pending.pop(w) if last_op[w] == i and w in pending else _IDENTITY
                  for w in unit.wires]
         if any(t is not _IDENTITY for t in tails):
-            channel = _per_wire(tails) @ channel
+            channel = _kron(tails[1], tails[0]) @ channel
         vec = apply(vec, channel, unit.wires)
     for w in sorted(pending):
         vec = apply(vec, pending[w], (w,))
@@ -418,13 +425,15 @@ def composite_channel(
     """Noisy superoperator of one composite lowered on the two-wire frame (0, 1).
 
     It is the composite's ``unit_channel`` under the noise of its
-    ``physical`` qubits.  A CX composite is refused: its direction depends
-    on the polarity, and the channel stands for an undirected target.
+    ``physical`` qubits, taken out of the operator basis for ``choi_of``.
+    A CX composite is refused: its direction depends on the polarity, and
+    the channel stands for an undirected target.
     """
     if unit.kind is GateKind.CX:
         raise ValidationError("cx is directed; composite channels are undirected")
     noise = NoiseModel.from_device(dev, unit.physical, scale=scale)
-    return unit_channel(unit, noise)
+    dual, basis = _REAL_BASIS[2]
+    return basis @ unit_channel(unit, noise) @ dual
 
 
 def process_fidelity(a: ChoiMatrix, b: ChoiMatrix) -> float:
@@ -485,8 +494,9 @@ def qpt_infidelities(
             noisy = composite_channel(unit, dev, scale=noise_scale)
             ideal = local_matrix(target, theta)
             for reps in repetitions:
+                u = np.linalg.matrix_power(ideal, reps)
                 fid = process_fidelity(
-                    choi_of(depolarized_unitary(np.linalg.matrix_power(ideal, reps), 0.0)),
+                    choi_of(_kron(u, u.conj())),
                     choi_of(np.linalg.matrix_power(noisy, reps)),
                 )
                 rows.append(

@@ -1,7 +1,8 @@
 """Test-side constructions built on the package: dense unitaries of circuits,
 phase-insensitive equality, the hardware-gate expansion of lowered units,
-layered depth, density-matrix validity, and small conveniences nothing in
-the package needs.  Unlike ``oracles``, this module imports ``bqaoa``."""
+layered depth, density-matrix validity, standard superoperators of
+channels, and small conveniences nothing in the package needs.  Unlike
+``oracles``, this module imports ``bqaoa``."""
 
 import math
 import warnings
@@ -214,6 +215,23 @@ def density_from_statevector(psi) -> sim.DensityMatrix:
     psi = np.asarray(psi, dtype=complex)
     n = int(round(np.log2(psi.size)))
     return sim.DensityMatrix(n, np.outer(psi, psi.conj()))
+
+
+def standard_superop(real: np.ndarray) -> np.ndarray:
+    """The Liouville superoperator of a channel that ``sim`` gives as its
+    real matrix over the operator basis (1 or 2 wires)."""
+    dual, basis = sim._REAL_BASIS[int(np.log2(len(real))) // 2]
+    return basis @ real @ dual
+
+
+def depolarized_unitary(u: np.ndarray, lam: float) -> np.ndarray:
+    """Superoperator of rho -> (1-lam) U rho U^dag + lam tr(rho) I/d:
+    (1-lam) U (x) conj(U) + (lam/d) |vec I><vec I|, whose entries of vec I
+    that are 1 sit at the multiples of d + 1."""
+    dim = len(u)
+    superop = (1.0 - lam) * np.kron(u, np.conj(u))
+    superop[:: dim + 1, :: dim + 1] += lam / dim
+    return superop
 
 
 def evolve_applies(lowered, noise) -> int:

@@ -399,14 +399,15 @@ def einsum_apply_superop(rho, superop, wires) -> np.ndarray:
     return tensor.reshape(rho.shape)
 
 
-def per_unit_evolve(lowered, noise, unit_channel) -> np.ndarray:
+def per_unit_evolve(lowered, noise, unit_channel, standard) -> np.ndarray:
     """Density matrix after a lowered circuit's schedule, from |0...0>, with
     one superoperator apply per unit in program order and nothing fused.
 
     A wire that idled since it was last busy first gets its own apply of
     ``noise.relaxation(wire, t)``; then ``unit_channel(unit, noise)`` gives
-    the unit's superoperator (a barrier has none).  Each is applied to the
-    standard 2^n x 2^n rho by ``einsum_apply_superop``.
+    the unit's channel (a barrier has none).  ``standard`` turns each into
+    its superoperator, which is applied to the standard 2^n x 2^n rho by
+    ``einsum_apply_superop``.
     """
     n = lowered.num_qubits
     rho = np.zeros((2**n, 2**n), dtype=complex)
@@ -415,9 +416,10 @@ def per_unit_evolve(lowered, noise, unit_channel) -> np.ndarray:
     for unit, start in zip(lowered.units, lowered.start_times):
         for w in unit.wires:
             if start > last_busy[w]:
-                idle = noise.relaxation(w, start - last_busy[w])
+                idle = standard(noise.relaxation(w, start - last_busy[w]))
                 rho = einsum_apply_superop(rho, idle, (w,))
             last_busy[w] = start + unit.duration_ns
         if unit.kind.value != "barrier":
-            rho = einsum_apply_superop(rho, unit_channel(unit, noise), unit.wires)
+            channel = standard(unit_channel(unit, noise))
+            rho = einsum_apply_superop(rho, channel, unit.wires)
     return rho

@@ -288,10 +288,10 @@ def test_criterion_08c_qpt_infidelity_nondecreasing_in_repetitions():
 
 
 def test_criterion_09_process_fidelity_values():
-    ideal = sim.choi_of(sim.depolarized_unitary(np.eye(4, dtype=complex), 0.0))
+    ideal = sim.choi_of(helpers.depolarized_unitary(np.eye(4, dtype=complex), 0.0))
     assert sim.process_fidelity(ideal, ideal) == pytest.approx(1.0, abs=1e-9)
     for lam in (0.1, 0.37, 0.9):
-        noisy = sim.choi_of(sim.depolarized_unitary(np.eye(4), lam))
+        noisy = sim.choi_of(helpers.depolarized_unitary(np.eye(4), lam))
         assert sim.process_fidelity(ideal, noisy) == pytest.approx(
             1.0 - 15.0 * lam / 16.0, abs=1e-9
         )

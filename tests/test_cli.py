@@ -484,6 +484,21 @@ BAD_OPTIONS = {
 }
 
 
+@pytest.mark.parametrize("extra", [[], ["--noise-scale", "0"]], ids=["scale-1", "scale-0"])
+def test_simulate_refuses_an_unbounded_duration(runner, tmp_path, extra):
+    # an sx of 1e308 ns made the schedule total inf: simulate printed
+    # Infinity, and at noise scale 0 the idle time times 0 was NaN (exit 4)
+    doc = json.loads(open(SYNTH5).read())
+    doc["single_qubit_durations_ns"]["sx"] = 1e308
+    path = tmp_path / "long_sx.json"
+    path.write_text(json.dumps(doc))
+    args = ["simulate", "--device", str(path), "--problem", K5, "--chain", "0,1,2,3,4",
+            "--shots", "100", *extra]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "single_qubit_durations_ns[sx]:" in result.output
+
+
 @pytest.mark.parametrize(
     "args, field",
     [(["optimize", "--problem", doc], field) for doc, field in BAD_PROBLEM_DOCS.values()]

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from bqaoa import data_path
 from bqaoa.device import (
+    MAX_DURATION_NS,
     DeviceModel,
     GateFlavor,
     QubitClass,
@@ -72,6 +75,35 @@ def test_load_rejects_bad_qubit_fields(field, value, message):
     doc["qubits"][0][field] = value
     with pytest.raises(ValidationError, match=message):
         device_from_dict(doc)
+
+
+#: each duration field as errors name it: the object holding it, and its key
+DURATION_FIELDS = {
+    "qubits[0].readout_length_ns": (lambda doc: doc["qubits"][0], "readout_length_ns"),
+    "edges[0].cx_duration_ns": (lambda doc: doc["edges"][0], "cx_duration_ns"),
+    "edges[0].composite_durations_ns[zz]": (
+        lambda doc: doc["edges"][0].setdefault("composite_durations_ns", {}), "zz"),
+    "single_qubit_durations_ns[sx]": (
+        lambda doc: doc.setdefault("single_qubit_durations_ns", {}), "sx"),
+    "cr_scale_model.intercept_ns": (
+        lambda doc: doc.setdefault("cr_scale_model", {}), "intercept_ns"),
+    "cr_scale_model.slope_ns_per_pi": (
+        lambda doc: doc.setdefault("cr_scale_model", {}), "slope_ns_per_pi"),
+}
+
+
+@pytest.mark.parametrize("field", DURATION_FIELDS)
+def test_load_bounds_every_duration(field):
+    # a schedule total of such durations must stay finite
+    holder, key = DURATION_FIELDS[field]
+    for value in (MAX_DURATION_NS, 1.0001 * MAX_DURATION_NS, 1e308):
+        doc = minimal_doc()
+        holder(doc)[key] = value
+        if value <= MAX_DURATION_NS:
+            device_from_dict(doc)
+            continue
+        with pytest.raises(ValidationError, match=re.escape(field + ":")):
+            device_from_dict(doc)
 
 
 def test_load_rejects_duplicate_and_dangling_edges():

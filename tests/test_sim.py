@@ -91,7 +91,7 @@ def test_evolve_refuses_more_wires_than_the_dense_limit():
 def test_full_depolarizing_gives_mixed_marginals():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    channel = sim.depolarized_unitary(np.eye(4), 1.0)
+    channel = helpers.depolarized_unitary(np.eye(4), 1.0)
     out = oracles.einsum_apply_superop(rho, channel, (0, 1))
     assert np.allclose(out, np.eye(4) / 4, atol=1e-12)
 
@@ -99,7 +99,7 @@ def test_full_depolarizing_gives_mixed_marginals():
 def test_amplitude_damping_population():
     t1, t2, duration = 120.0, 100.0, 60000.0
     excited = np.array([[0, 0], [0, 1]], dtype=complex)
-    channel = sim.relaxation_superop(duration, t1, t2)
+    channel = helpers.standard_superop(sim.relaxation_superop(duration, t1, t2))
     out = oracles.einsum_apply_superop(excited, channel, (0,))
     assert out[1, 1].real == pytest.approx(math.exp(-duration * 1e-3 / t1))
 
@@ -107,7 +107,7 @@ def test_amplitude_damping_population():
 def test_relaxation_dephasing_rate():
     t1, t2, duration = 200.0, 150.0, 40000.0
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    channel = sim.relaxation_superop(duration, t1, t2)
+    channel = helpers.standard_superop(sim.relaxation_superop(duration, t1, t2))
     out = oracles.einsum_apply_superop(plus, channel, (0,))
     # coherence starts at 1/2 and decays with the full T2 rate
     assert 2 * abs(out[0, 1]) == pytest.approx(math.exp(-duration * 1e-3 / t2))
@@ -312,7 +312,7 @@ def test_sp_converges_to_diagonal():
 
 
 def test_choi_identity_is_maximally_entangled():
-    channel = sim.depolarized_unitary(np.eye(4, dtype=complex), 0.0)
+    channel = helpers.depolarized_unitary(np.eye(4, dtype=complex), 0.0)
     choi = sim.choi_of(channel)
     phi = np.zeros(16, dtype=complex)
     for i in range(4):
@@ -322,7 +322,7 @@ def test_choi_identity_is_maximally_entangled():
 
 
 def test_choi_fully_depolarizing():
-    channel = sim.depolarized_unitary(np.eye(2), 1.0)
+    channel = helpers.depolarized_unitary(np.eye(2), 1.0)
     choi = sim.choi_of(channel)
     assert np.allclose(choi.data, np.eye(4) / 4, atol=1e-12)
 
@@ -353,7 +353,7 @@ def test_composite_channel_refuses_cx():
 
 
 def test_process_fidelity_self_is_one():
-    target = sim.depolarized_unitary(cir.local_matrix(GateKind.ZZ, 0.8), 0.0)
+    target = helpers.depolarized_unitary(cir.local_matrix(GateKind.ZZ, 0.8), 0.0)
     choi = sim.choi_of(target)
     assert sim.process_fidelity(choi, choi) == pytest.approx(1.0, abs=1e-9)
 
@@ -363,7 +363,7 @@ def test_process_fidelity_refuses_two_mixed_choi_states():
     # and two depolarized identities
     unit = helpers.two_qubit_unit(GateKind.ZZ, 0.8, ECR, DEV, OptLevel.DEFAULT)
     noisy = sim.choi_of(sim.composite_channel(unit, DEV, scale=1.0))
-    weak, strong = (sim.choi_of(sim.depolarized_unitary(np.eye(4), lam))
+    weak, strong = (sim.choi_of(helpers.depolarized_unitary(np.eye(4), lam))
                     for lam in (0.1, 0.37))
     for a, b in ((noisy, noisy), (weak, strong), (strong, weak)):
         with pytest.raises(ValidationError, match="pure"):
@@ -372,8 +372,8 @@ def test_process_fidelity_refuses_two_mixed_choi_states():
 
 def test_process_fidelity_depolarizing_analytic():
     lam = 0.37
-    ideal = sim.choi_of(sim.depolarized_unitary(np.eye(4, dtype=complex), 0.0))
-    noisy = sim.choi_of(sim.depolarized_unitary(np.eye(4), lam))
+    ideal = sim.choi_of(helpers.depolarized_unitary(np.eye(4, dtype=complex), 0.0))
+    noisy = sim.choi_of(helpers.depolarized_unitary(np.eye(4), lam))
     expected = 1.0 - 15.0 * lam / 16.0
     assert sim.process_fidelity(ideal, noisy) == pytest.approx(expected, abs=1e-9)
     assert sim.process_fidelity(noisy, ideal) == pytest.approx(expected, abs=1e-9)
@@ -385,21 +385,21 @@ def test_process_fidelity_ideal_vs_noiseless_lowered():
         unit = helpers.two_qubit_unit(target, theta, ECR, DEV, OptLevel.DEFAULT)
         noiseless = sim.composite_channel(unit, DEV, scale=0.0)
         param = theta if target is not GateKind.CZ else None
-        ideal = sim.depolarized_unitary(cir.local_matrix(target, param), 0.0)
+        ideal = helpers.depolarized_unitary(cir.local_matrix(target, param), 0.0)
         fid = sim.process_fidelity(sim.choi_of(ideal), sim.choi_of(noiseless))
         assert fid == pytest.approx(1.0, abs=1e-9)
 
 
 def test_process_fidelity_dimension_mismatch():
-    a = sim.choi_of(sim.depolarized_unitary(np.eye(2, dtype=complex), 0.0))
-    b = sim.choi_of(sim.depolarized_unitary(np.eye(4, dtype=complex), 0.0))
+    a = sim.choi_of(helpers.depolarized_unitary(np.eye(2, dtype=complex), 0.0))
+    b = sim.choi_of(helpers.depolarized_unitary(np.eye(4, dtype=complex), 0.0))
     with pytest.raises(ValidationError, match="Choi dimensions differ"):
         sim.process_fidelity(a, b)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_process_fidelity_rejects_a_non_finite_choi_matrix(bad):
-    pure = sim.choi_of(sim.depolarized_unitary(np.eye(4, dtype=complex), 0.0))
+    pure = sim.choi_of(helpers.depolarized_unitary(np.eye(4, dtype=complex), 0.0))
     broken = sim.ChoiMatrix(pure.dim, pure.data.copy())
     broken.data[3, 5] = bad
     with pytest.raises(ValidationError, match="Choi matrix a "):
@@ -428,7 +428,7 @@ def test_qpt_rows_take_the_pure_shortcut(fragment, monkeypatch):
 def test_infidelity_nondecreasing_in_repetitions():
     unit = helpers.two_qubit_unit(GateKind.ZZ, 0.9, ECR, DEV, OptLevel.DEFAULT)
     noisy = sim.composite_channel(unit, DEV, scale=1.0)
-    ideal = sim.depolarized_unitary(cir.local_matrix(GateKind.ZZ, 0.9), 0.0)
+    ideal = helpers.depolarized_unitary(cir.local_matrix(GateKind.ZZ, 0.9), 0.0)
     infidelities = []
     for reps in (1, 5, 10):
         fid = sim.process_fidelity(

@@ -1,5 +1,5 @@
-"""Hypothesis properties of the superoperator engine: CPTP units, real
-matrices over the operator basis, valid density matrices, matrix-power
+"""Hypothesis properties of the superoperator engine: CPTP units, closed-form
+real matrices over the operator basis, valid density matrices, matrix-power
 repetition, and the pure-state shortcut of process fidelity."""
 
 import dataclasses
@@ -97,25 +97,41 @@ def superop_of(family):
     return sum(np.kron(k, k.conj()) for k in family)
 
 
+UNITARY_KINDS = sorted(sim._TERMS, key=lambda kind: kind.value)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 2), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-def test_depolarized_unitary_matches_kraus_family(k, lam, seed):
+@given(st.sampled_from(UNITARY_KINDS), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_depolarized_unitary_matches_kraus_family(kind, lam, seed):
+    """The package's depolarizing term D = sim._TERMS[kind][0]: lam D +
+    (1-lam) M is the depolarizing Kraus family after the unitary of M, for
+    the identity and for a random unitary."""
+    k = 2 if kind in cir.TWO_QUBIT_KINDS else 1
     dim = 2**k
-    identity = sim.depolarized_unitary(np.eye(dim, dtype=complex), lam)
+    depolarized = helpers.standard_superop(sim._TERMS[kind][0])
     family = superop_of(oracles.depolarizing_family(lam, k))
-    assert np.abs(identity - family).max() < TOL
+    assert np.abs(lam * depolarized + (1 - lam) * np.eye(dim * dim) - family).max() < TOL
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    closed = sim.depolarized_unitary(u, lam)
+    closed = lam * depolarized + (1 - lam) * np.kron(u, u.conj())
     assert np.abs(closed - family @ np.kron(u, u.conj())).max() < TOL
 
 
 @settings(max_examples=60, deadline=None)
 @given(qubit_times(), durations)
 def test_relaxation_superop_matches_kraus_family(times, duration):
-    closed = sim.relaxation_superop(duration, *times)
+    closed = helpers.standard_superop(sim.relaxation_superop(duration, *times))
     family = superop_of(oracles.relaxation_family(duration, *times))
     assert np.abs(closed - family).max() < TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(qubit_times(), durations, durations)
+def test_relaxations_compose_over_time(times, t, u):
+    """Relaxation over t, then over u, is relaxation over t + u: ``evolve``
+    relaxes a wire once per gap between the starts of its units."""
+    joined = sim.relaxation_superop(u, *times) @ sim.relaxation_superop(t, *times)
+    assert np.abs(joined - sim.relaxation_superop(t + u, *times)).max() < TOL
 
 
 def assert_cptp(channel):
@@ -131,9 +147,9 @@ def assert_cptp(channel):
 @settings(max_examples=60, deadline=None)
 @given(units(), st.lists(durations, min_size=2, max_size=2), noise_models(3))
 def test_unit_channel_is_cptp(unit, idle, noise):
-    assert_cptp(sim.unit_channel(unit, noise))
+    assert_cptp(helpers.standard_superop(sim.unit_channel(unit, noise)))
     for w, t in zip(unit.wires, idle):
-        assert_cptp(noise.relaxation(w, t))
+        assert_cptp(helpers.standard_superop(noise.relaxation(w, t)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,8 +165,10 @@ def test_unit_channel_matches_kraus_steps(unit, idle, noise, seed):
     # idle relaxation is per-wire work before the unit's own channel
     fused = rho
     for w, t in zip(unit.wires, idle):
-        fused = oracles.einsum_apply_superop(fused, noise.relaxation(w, t), (w,))
-    fused = oracles.einsum_apply_superop(fused, sim.unit_channel(unit, noise), unit.wires)
+        idle_superop = helpers.standard_superop(noise.relaxation(w, t))
+        fused = oracles.einsum_apply_superop(fused, idle_superop, (w,))
+    channel = helpers.standard_superop(sim.unit_channel(unit, noise))
+    fused = oracles.einsum_apply_superop(fused, channel, unit.wires)
     gates = helpers.unit_gates(unit, LINE)
     steps = oracles.unit_kraus_steps(unit, gates, idle, noise, 3, cir.local_matrix)
     assert np.abs(fused - oracles.apply_kraus_steps(rho, steps)).max() < TOL
@@ -161,31 +179,52 @@ def test_real_basis_dual_is_exact():
         assert np.array_equal(dual @ basis, np.eye(4**k))
 
 
-def assert_real_in_basis(channel, k):
-    """The channel's matrix over the real operator basis has no imaginary
-    part beyond rounding, so ``evolve``'s ``.real`` drops nothing."""
-    dual, basis = sim._REAL_BASIS[k]
-    real = dual @ channel @ basis
-    assert np.abs(real.imag).max() <= 1e-15 * np.abs(real).max()
+ROTATION_KINDS = sorted(cir.PARAM_KINDS, key=lambda kind: kind.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ROTATION_KINDS), angles)
+def test_rotation_terms_match_the_generic_conversion(kind, theta):
+    """A + cos t B + sin t C is the real matrix of local_matrix(kind, t),
+    converted from U (x) conj(U) by the dual and the basis."""
+    u = cir.local_matrix(kind, theta)
+    dual, basis = sim._REAL_BASIS[len(u) // 2]
+    generic = dual @ np.kron(u, u.conj()) @ basis
+    a, b, c = sim._TERMS[kind][1:].reshape(3, *generic.shape)
+    closed = a + math.cos(theta) * b + math.sin(theta) * c
+    assert np.abs(generic.imag).max() <= 1e-15
+    assert np.abs(closed - generic.real).max() <= 1e-15
+
+
+def trace_row(k):
+    """v = (1, 0, 0, 1) per wire: tr(rho) = v . x over the operator basis."""
+    v = np.array([1.0, 0.0, 0.0, 1.0])
+    return v if k == 1 else np.kron(v, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(units(), st.lists(durations, min_size=2, max_size=2), noise_models(3))
+def test_unit_channel_preserves_the_trace(unit, idle, noise):
+    k = len(unit.wires)
+    channel = sim.unit_channel(unit, noise)
+    assert np.abs(trace_row(k) @ channel - trace_row(k)).max() <= 1e-15
+    for w, t in zip(unit.wires, idle):
+        assert np.abs(trace_row(1) @ noise.relaxation(w, t) - trace_row(1)).max() <= 1e-15
 
 
 @settings(max_examples=200, deadline=None)
 @given(units(), noise_models(3))
-def test_unit_channel_is_real_in_the_operator_basis(unit, noise):
-    assert_real_in_basis(sim.unit_channel(unit, noise), len(unit.wires))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(qubit_times(), durations), min_size=1, max_size=2))
-def test_relaxations_are_real_in_the_operator_basis(pieces):
-    channel = sim._per_wire([sim.relaxation_superop(t, *times) for times, t in pieces])
-    assert_real_in_basis(channel, len(pieces))
+def test_standard_basis_round_trip_is_exact(unit, noise):
+    channel = sim.unit_channel(unit, noise)
+    dual, basis = sim._REAL_BASIS[len(unit.wires)]
+    back = dual @ helpers.standard_superop(channel) @ basis
+    assert np.abs(back - channel).max() <= 1e-15
 
 
 @settings(max_examples=30, deadline=None)
 @given(units(), noise_models(3), st.integers(1, 12))
 def test_repeated_matches_explicit_composition(unit, noise, times):
-    channel = sim.unit_channel(unit, noise)
+    channel = helpers.standard_superop(sim.unit_channel(unit, noise))
     local = range(len(unit.wires))
 
     def compose(rho):
@@ -261,8 +300,24 @@ def test_fused_evolve_matches_one_apply_per_unit(case, scale):
     lowered, dev = case
     noise = sim.NoiseModel.from_device(dev, lowered.chain, scale=scale)
     fused = sim.evolve(lowered, noise).data
-    reference = oracles.per_unit_evolve(lowered, noise, sim.unit_channel)
+    reference = oracles.per_unit_evolve(
+        lowered, noise, sim.unit_channel, helpers.standard_superop
+    )
     assert np.abs(fused - reference).max() < 1e-14
+
+
+def test_evolve_relaxes_a_wire_idle_before_its_last_barrier():
+    """Wire 0 idles for two SX durations before a barrier that nothing
+    follows: it relaxes for that time, as in one apply per unit."""
+    gates = (cir.Gate(GateKind.X, (0,)),) + (cir.Gate(GateKind.SX, (1,)),) * 3
+    circ = cir.CircuitIR(2, gates + (cir.barrier(0, 1),))
+    dev = line_device([(0.05, 0.04)] * 2, 0.0, 0.0, 0.0)
+    lowered = lower.lower_circuit(circ, (0, 1), dev)
+    noise = sim.NoiseModel.from_device(dev, lowered.chain)
+    reference = oracles.per_unit_evolve(
+        lowered, noise, sim.unit_channel, helpers.standard_superop
+    )
+    assert np.abs(sim.evolve(lowered, noise).data - reference).max() < 1e-14
 
 
 @settings(max_examples=60, deadline=None)

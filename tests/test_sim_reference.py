@@ -65,7 +65,9 @@ def test_evolve_n8_chain_matches_per_unit_reference(scale):
     circ = swap_network(8)
     lowered = lower.lower_circuit(circ, chain, EHNINGEN, OptLevel.ZZ_SWAP_OPT)
     noise = sim.NoiseModel.from_device(EHNINGEN, lowered.chain, scale=scale)
-    reference = oracles.per_unit_evolve(lowered, noise, sim.unit_channel)
+    reference = oracles.per_unit_evolve(
+        lowered, noise, sim.unit_channel, helpers.standard_superop
+    )
     assert np.abs(sim.evolve(lowered, noise).data - reference).max() < 1e-14
 
 
@@ -135,8 +137,8 @@ def test_choi_of_single_qubit_channels_matches_probing():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     u, _ = np.linalg.qr(a)
-    relax = sim.relaxation_superop(500.0, 80.0, 60.0)
-    channel = relax @ sim.depolarized_unitary(u, 0.0)
+    relax = helpers.standard_superop(sim.relaxation_superop(500.0, 80.0, 60.0))
+    channel = relax @ helpers.depolarized_unitary(u, 0.0)
     probed = probe_steps([[u], oracles.relaxation_family(500.0, 80.0, 60.0)], 2)
     assert np.abs(sim.choi_of(channel).data - probed).max() < TOL
 
